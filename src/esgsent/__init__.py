@@ -7,30 +7,3 @@ daily sentiment polarity to opening-price changes.
 """
 
 __version__ = "0.1.0"
-
-from .aggregation import AffinityClass, AffinityThresholds, TickerAggregate, aggregate_by_ticker, classify, rank_affinity
-from .analysis import AnalysisResult, DailySentimentIndex, SignAgreement, align, analyze, daily_index, pearson, sign_agreement
-from .corpus import Document, Source, Ticker, TimeWindow, build_query, dedupe, fetch_documents, filter_window
-from .errors import (
-    DegenerateSeries,
-    InsufficientData,
-    InvariantError,
-    PipelineError,
-    SchemaError,
-    TransportError,
-)
-from .market import PriceBar, PriceSeries, daily_open_returns, fetch_prices, load_prices, percent_change_open, split_halves, tail_n
-from .sentiment import (
-    Lexicon,
-    ScoredDocument,
-    SentimentLabel,
-    SentimentVerdict,
-    composite,
-    default_lexicon,
-    import_external_verdicts,
-    load_lexicon,
-    score_corpus,
-    score_tokens,
-    tokenize,
-    weight,
-)

@@ -1,9 +1,19 @@
 """Command-line pipeline: ingest -> score -> aggregate -> prices -> analyze -> report.
 
-Stages compose through files under the output directory, so each can be
-run (and tested) on its own; ``run`` chains all of them. The CLI always
-reads recorded fixtures through the replay transports; the live HTTP
-transports are library-level building blocks.
+``run`` hands each stage's result to the next in memory and computes
+every value once: the corpus and the scored documents are never re-read,
+aggregation runs once, and one per-ticker loop fetches a ticker's price
+series, writes it, and analyzes and charts that ticker over its own
+documents before moving on, so at most one series is held at a time.
+Every file ``run`` writes is written once.
+
+Each subcommand runs one stage on its own: it reads the files the earlier
+stages wrote under the output directory and writes the files ``run``
+writes for that stage. ``analyze`` and ``report`` use the same per-ticker
+loop on the price files ``prices`` wrote; ``report`` recomputes the
+aggregates and analyses under the current thresholds. Documents and
+prices come from recorded fixtures through the replay transports; no
+live transport ships.
 
 Exit codes: 0 success, 2 schema/invariant error, 3 transport error,
 4 insufficient data (fatal contexts only). Failures print a single
@@ -16,15 +26,14 @@ import argparse
 import logging
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .aggregation import TickerAggregate, aggregate_by_ticker, rank_affinity, write_aggregates
 from .analysis import AnalysisResult, analyze, write_analysis
 from .charts import render_candlestick_svg
 from .config import RunConfig, resolve_config
-from .corpus import Document, dedupe, fetch_documents, filter_window, read_corpus, write_corpus
+from .corpus import Document, Ticker, dedupe, fetch_documents, read_corpus, write_corpus
 from .errors import InsufficientData, PipelineError, SchemaError
 from .market import PriceSeries, fetch_prices, load_prices, tail_n, write_prices
 from .sentiment import (
@@ -36,41 +45,48 @@ from .sentiment import (
     score_corpus,
     write_scored,
 )
-from .transport import ReplayDocumentTransport, ReplayPriceTransport
+from .transport import PriceTransport, ReplayDocumentTransport, ReplayPriceTransport
 from .util import atomic_write_text, format_real
 
-logger = logging.getLogger(__name__)
-
 SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "percent_change", "sign_agreement"]
+
+SeriesSource = Callable[[Ticker], PriceSeries]
 
 
 def _note(category: str, message: str) -> None:
     print(f"note[{category}]: {message}", file=sys.stderr)
 
 
-def _read_pipeline_inputs(config: RunConfig) -> tuple[list[Document], list[ScoredDocument]]:
+def _read_corpus(config: RunConfig) -> list[Document]:
     if not config.corpus_path.exists():
         raise SchemaError(f"corpus not found: {config.corpus_path} (run 'ingest' first)")
+    return read_corpus(config.corpus_path, strict=config.strict)
+
+
+def _read_scored(config: RunConfig) -> list[ScoredDocument]:
+    docs = _read_corpus(config)
     if not config.scored_path.exists():
         raise SchemaError(f"scored file not found: {config.scored_path} (run 'score' first)")
-    docs = read_corpus(config.corpus_path, strict=config.strict)
-    return docs, read_scored(config.scored_path, docs)
+    return read_scored(config.scored_path, docs)
 
 
-def _load_ticker_prices(config: RunConfig, ticker_key: str) -> PriceSeries:
-    path = config.prices_path(ticker_key)
+def _load_series(config: RunConfig, ticker: Ticker) -> PriceSeries:
+    path = config.prices_path(ticker.key)
     if not path.exists():
-        raise InsufficientData(f"{ticker_key}: no price data at {path} (run 'prices' first)")
-    return load_prices(path, ticker_key)
+        raise InsufficientData(f"{ticker.key}: no price data at {path} (run 'prices' first)")
+    return load_prices(path, ticker.key)
 
 
-def cmd_ingest(config: RunConfig) -> int:
-    """Fetch, dedupe and window-filter documents into the corpus file."""
+def cmd_ingest(config: RunConfig) -> list[Document]:
+    """Fetch and dedupe documents into the corpus file; return the corpus.
+
+    ``fetch_documents`` already keeps only documents inside the window.
+    """
     transport = ReplayDocumentTransport(config.fixtures_dir)
     fetched: list[Document] = []
     for ticker in config.tickers:
         fetched.extend(fetch_documents(ticker, config.document_window, transport, strict=config.strict))
-    docs = filter_window(dedupe(fetched), config.document_window)
+    docs = dedupe(fetched)
     write_corpus(docs, config.corpus_path)
 
     counts = Counter(doc.ticker for doc in docs)
@@ -79,14 +95,10 @@ def cmd_ingest(config: RunConfig) -> int:
     print(f"corpus -> {config.corpus_path}")
     if not docs:
         print("warning: corpus is empty for this window", file=sys.stderr)
-    return 0
+    return docs
 
 
-def cmd_score(config: RunConfig) -> int:
-    """Score every corpus document and write the scored file."""
-    if not config.corpus_path.exists():
-        raise SchemaError(f"corpus not found: {config.corpus_path} (run 'ingest' first)")
-    docs = read_corpus(config.corpus_path, strict=config.strict)
+def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
     lexicon = load_lexicon(config.lexicon_dir) if config.lexicon_dir else default_lexicon()
     external = (
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
@@ -95,12 +107,15 @@ def cmd_score(config: RunConfig) -> int:
     write_scored(scored, config.scored_path)
     n_external = sum(1 for sd in scored if external and sd.key in external)
     print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
-    return 0
+    return scored
 
 
-def cmd_aggregate(config: RunConfig) -> int:
-    """Aggregate composites per ticker and classify ESG affinity."""
-    _, scored = _read_pipeline_inputs(config)
+def cmd_score(config: RunConfig) -> None:
+    """Score every corpus document and write the scored file."""
+    _score(config, _read_corpus(config))
+
+
+def _aggregate(config: RunConfig, scored: list[ScoredDocument]) -> list[TickerAggregate]:
     aggregates = aggregate_by_ticker(scored, tickers=config.ticker_keys, thresholds=config.thresholds)
     write_aggregates(aggregates, config.aggregates_path)
     for agg in aggregates:
@@ -110,117 +125,105 @@ def cmd_aggregate(config: RunConfig) -> int:
         )
     print("affinity ranking: " + " > ".join(rank_affinity(aggregates)))
     print(f"aggregates -> {config.aggregates_path}")
-    return 0
+    return aggregates
 
 
-def cmd_prices(config: RunConfig) -> int:
-    """Fetch price history per ticker and keep the last price_days rows."""
+def cmd_aggregate(config: RunConfig) -> None:
+    """Aggregate composites per ticker and classify ESG affinity."""
+    _aggregate(config, _read_scored(config))
+
+
+def _fetch_series(config: RunConfig, transport: PriceTransport, ticker: Ticker) -> PriceSeries:
+    """Fetch a ticker's bars, keep the last price_days dated on or before the
+    window's end, write them, and return them as written."""
+    series = fetch_prices(ticker, config.document_window, transport)
+    path = config.prices_path(ticker.key)
+    series = write_prices(tail_n(series, config.price_days, end=config.document_window.end), path)
+    print(f"{ticker.key}: {len(series)} trading days -> {path}")
+    return series
+
+
+def cmd_prices(config: RunConfig) -> None:
+    """Fetch price history per ticker and keep the last price_days rows up to the window's end."""
     transport = ReplayPriceTransport(config.fixtures_dir)
     for ticker in config.tickers:
-        series = tail_n(fetch_prices(ticker, config.document_window, transport), config.price_days)
-        path = config.prices_path(ticker.key)
-        write_prices(series, path)
-        print(f"{ticker.key}: {len(series)} trading days -> {path}")
-    return 0
+        _fetch_series(config, transport, ticker)
 
 
-def _analyze_ticker(
-    config: RunConfig, scored: list[ScoredDocument], ticker_key: str
-) -> Optional[AnalysisResult]:
-    """One ticker's analysis, or None (with a note) when data is insufficient."""
-    try:
-        series = _load_ticker_prices(config, ticker_key)
-        return analyze(scored, series, ticker_key)
-    except InsufficientData as exc:
-        _note("insufficient-data", str(exc))
-        return None
+def _analyze_tickers(
+    config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource, *, charts: bool
+) -> dict[str, AnalysisResult]:
+    """The per-ticker loop: get one ticker's series, analyze that ticker's
+    documents only, and write its analysis (and chart).
 
-
-def cmd_analyze(config: RunConfig) -> int:
-    """Correlate daily sentiment with daily returns per ticker."""
-    _, scored = _read_pipeline_inputs(config)
-    n_ok = 0
+    A ticker whose series is too short gets a note and no files; when no
+    ticker has enough data the run fails with InsufficientData.
+    """
+    docs_by_ticker: dict[str, list[ScoredDocument]] = {}
+    for sd in scored:
+        docs_by_ticker.setdefault(sd.document.ticker, []).append(sd)
+    results: dict[str, AnalysisResult] = {}
     for ticker in config.tickers:
-        result = _analyze_ticker(config, scored, ticker.key)
-        if result is None:
+        try:
+            series = series_of(ticker)
+            result = analyze(docs_by_ticker.get(ticker.key, []), series, ticker.key)
+        except InsufficientData as exc:
+            _note("insufficient-data", str(exc))
             continue
-        n_ok += 1
         write_analysis(result, config.analysis_path(ticker.key))
+        if charts:
+            atomic_write_text(config.chart_path(ticker.key), render_candlestick_svg(series))
+        results[ticker.key] = result
         r_text = "absent" if result.pearson_r is None else f"{result.pearson_r:+.4f}"
         print(
             f"{ticker.key}: change={result.percent_change:+.2f}% "
             f"mean={result.mean_composite:+.4f} r={r_text} "
             f"{result.sign_agreement.value} ({result.n_aligned_days} aligned days)"
         )
-    if n_ok == 0:
+    if not results:
         raise InsufficientData("no ticker had enough data to analyze")
-    return 0
+    return results
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    ticker: str
-    n_docs: int
-    mean_composite: float
-    classification: str
-    percent_change: Optional[float]
-    sign_agreement: str
+def cmd_analyze(config: RunConfig) -> None:
+    """Correlate daily sentiment with daily returns per ticker."""
+    _analyze_tickers(config, _read_scored(config), lambda t: _load_series(config, t), charts=False)
 
 
-def _summary_csv(rows: list[SummaryRow]) -> str:
+def _summary_csv(aggregates: list[TickerAggregate], results: dict[str, AnalysisResult]) -> str:
     lines = [",".join(SUMMARY_HEADER)]
-    for row in rows:
-        change = "" if row.percent_change is None else format_real(row.percent_change)
+    for agg in sorted(aggregates, key=lambda agg: (-agg.mean_composite, agg.ticker)):
+        result = results.get(agg.ticker)
+        change = "" if result is None else format_real(result.percent_change)
+        agreement = "" if result is None else result.sign_agreement.value
         lines.append(
-            f"{row.ticker},{row.n_docs},{format_real(row.mean_composite)},"
-            f"{row.classification},{change},{row.sign_agreement}"
+            f"{agg.ticker},{agg.n_docs},{format_real(agg.mean_composite)},"
+            f"{agg.classification.value},{change},{agreement}"
         )
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(config: RunConfig) -> int:
-    """Emit summary CSV, per-ticker candlestick SVGs, and analysis JSONs."""
-    _, scored = _read_pipeline_inputs(config)
-    aggregates = aggregate_by_ticker(scored, tickers=config.ticker_keys, thresholds=config.thresholds)
-    write_aggregates(aggregates, config.aggregates_path)
-    agg_by_key: dict[str, TickerAggregate] = {agg.ticker: agg for agg in aggregates}
-
-    rows: list[SummaryRow] = []
-    n_ok = 0
-    for ticker in config.tickers:
-        agg = agg_by_key[ticker.key]
-        result = _analyze_ticker(config, scored, ticker.key)
-        if result is None:
-            rows.append(
-                SummaryRow(agg.ticker, agg.n_docs, agg.mean_composite,
-                           agg.classification.value, None, "")
-            )
-            continue
-        n_ok += 1
-        series = tail_n(_load_ticker_prices(config, ticker.key), config.price_days)
-        atomic_write_text(config.chart_path(ticker.key), render_candlestick_svg(series))
-        write_analysis(result, config.analysis_path(ticker.key))
-        rows.append(
-            SummaryRow(agg.ticker, agg.n_docs, agg.mean_composite, agg.classification.value,
-                       result.percent_change, result.sign_agreement.value)
-        )
-
-    rows.sort(key=lambda row: (-row.mean_composite, row.ticker))
-    atomic_write_text(config.summary_path, _summary_csv(rows))
+def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource) -> None:
+    """Aggregate, run the per-ticker loop with charts, and write the summary."""
+    aggregates = _aggregate(config, scored)
+    results = _analyze_tickers(config, scored, series_of, charts=True)
+    keys = set(config.ticker_keys)
+    summary = _summary_csv([agg for agg in aggregates if agg.ticker in keys], results)
+    atomic_write_text(config.summary_path, summary)
     print(f"summary -> {config.summary_path}")
     print(f"charts  -> {config.out_dir / 'charts'}")
-    if n_ok == 0:
-        raise InsufficientData("no ticker had enough data to report")
-    return 0
 
 
-def cmd_run(config: RunConfig) -> int:
-    """Run the whole pipeline end to end."""
-    for stage in (cmd_ingest, cmd_score, cmd_aggregate, cmd_prices, cmd_analyze, cmd_report):
-        code = stage(config)
-        if code:
-            return code
-    return 0
+def cmd_report(config: RunConfig) -> None:
+    """Emit aggregates, summary CSV, per-ticker candlestick SVGs and analysis JSONs."""
+    _report(config, _read_scored(config), lambda t: _load_series(config, t))
+
+
+def cmd_run(config: RunConfig) -> None:
+    """Run the whole pipeline end to end, passing each stage's result in memory."""
+    scored = _score(config, cmd_ingest(config))
+    transport = ReplayPriceTransport(config.fixtures_dir)
+    _report(config, scored, lambda t: _fetch_series(config, transport, t))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,14 +265,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = resolve_config(args)
-        return args.func(config)
+        args.func(resolve_config(args))
     except PipelineError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
     except ValueError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -174,27 +174,35 @@ def load_config_file(path: Path) -> RunConfig:
 
 
 def apply_overrides(config: RunConfig, args: object) -> RunConfig:
-    """Apply parsed CLI flags on top of a config; flags win."""
+    """Apply parsed CLI flags on top of a config; flags win.
+
+    A value flag counts as given whenever it is not None, so 0 reaches
+    RunConfig's checks instead of falling back to the config value; an
+    empty string is rejected.
+    """
+
+    def flag(name: str):
+        value = getattr(args, name, None)
+        if value == "":
+            raise ValueError(f"--{name.replace('_', '-')} must not be empty")
+        return value
+
     updates: dict = {}
-    if getattr(args, "tickers", None):
-        updates["tickers"] = tuple(Ticker.from_key(k) for k in args.tickers.split(","))
-    if getattr(args, "window", None):
+    if (tickers := flag("tickers")) is not None:
+        updates["tickers"] = tuple(Ticker.from_key(k) for k in tickers.split(","))
+    if (window := flag("window")) is not None:
         try:
-            updates["document_window"] = TimeWindow.parse(args.window)
+            updates["document_window"] = TimeWindow.parse(window)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-    if getattr(args, "price_days", None):
-        updates["price_days"] = args.price_days
-    if getattr(args, "thresholds", None):
-        updates["thresholds"] = parse_thresholds_flag(args.thresholds)
-    if getattr(args, "fixtures", None):
-        updates["fixtures_dir"] = Path(args.fixtures)
-    if getattr(args, "out", None):
-        updates["out_dir"] = Path(args.out)
-    if getattr(args, "lexicon", None):
-        updates["lexicon_dir"] = Path(args.lexicon)
-    if getattr(args, "external_verdicts", None):
-        updates["external_verdicts"] = Path(args.external_verdicts)
+    if (price_days := flag("price_days")) is not None:
+        updates["price_days"] = price_days
+    if (thresholds := flag("thresholds")) is not None:
+        updates["thresholds"] = parse_thresholds_flag(thresholds)
+    for name, key in (("fixtures", "fixtures_dir"), ("out", "out_dir"),
+                      ("lexicon", "lexicon_dir"), ("external_verdicts", "external_verdicts")):
+        if (value := flag(name)) is not None:
+            updates[key] = Path(value)
     if getattr(args, "strict", False):
         updates["strict"] = True
     return replace(config, **updates) if updates else config

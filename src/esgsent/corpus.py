@@ -1,9 +1,10 @@
 """Unified document model and corpus ingestion.
 
 One ticker-tagged ``Document`` represents either a tweet or a news
-article. Documents arrive through a transport (live HTTP or recorded
-fixtures), get deduplicated and window-filtered, and persist as one JSON
-object per line so corpus files stay append-friendly and diffable.
+article. Documents arrive through a transport (the shipped one replays
+recorded fixtures), get window-filtered and deduplicated, and persist as
+one JSON object per line so corpus files stay append-friendly and
+diffable.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ if TYPE_CHECKING:
     from .transport import DocumentTransport
 
 logger = logging.getLogger(__name__)
-
-QUERY_PREFIX = "ESG Investing "
 
 # The four companies the default configuration tracks.
 DEFAULT_COMPANIES = {
@@ -56,21 +55,12 @@ class Ticker:
         if not self.display_name.strip():
             raise ValueError("ticker display name must be non-empty")
 
-    @property
-    def query_label(self) -> str:
-        return QUERY_PREFIX + self.display_name
-
     @classmethod
     def from_key(cls, key: str) -> "Ticker":
         """Build a ticker from a bare key, using the built-in company names
         when known and a title-cased fallback otherwise."""
         key = key.strip().upper()
         return cls(key=key, display_name=DEFAULT_COMPANIES.get(key, key.title()))
-
-
-def build_query(ticker: Ticker) -> str:
-    """Search query used by document transports for this company."""
-    return ticker.query_label
 
 
 @dataclass(frozen=True)

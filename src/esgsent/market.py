@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InsufficientData, InvariantError, SchemaError
 from .util import atomic_write_text, format_real
@@ -108,24 +108,22 @@ def load_prices(path: Path, ticker: str) -> PriceSeries:
     return parse_prices(path.read_text(encoding="utf-8"), ticker, context=str(path))
 
 
-def write_prices(series: PriceSeries, path: Path) -> None:
-    """Persist a series in the same Yahoo-compatible schema (Adj Close = Close)."""
+def write_prices(series: PriceSeries, path: Path) -> PriceSeries:
+    """Persist a series in the same Yahoo-compatible schema (Adj Close = Close).
+
+    Returns the series as ``load_prices`` reads the file back: each price
+    rounded to the file's 6 decimal places.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PRICE_HEADER)
+    bars = []
     for bar in series.bars:
-        writer.writerow(
-            [
-                bar.date.isoformat(),
-                format_real(bar.open),
-                format_real(bar.high),
-                format_real(bar.low),
-                format_real(bar.close),
-                format_real(bar.close),
-                bar.volume,
-            ]
-        )
+        open_, high, low, close = (format_real(v) for v in (bar.open, bar.high, bar.low, bar.close))
+        writer.writerow([bar.date.isoformat(), open_, high, low, close, close, bar.volume])
+        bars.append(PriceBar(bar.date, float(open_), float(high), float(low), float(close), bar.volume))
     atomic_write_text(path, buf.getvalue())
+    return PriceSeries(ticker=series.ticker, bars=tuple(bars))
 
 
 def fetch_prices(ticker: "Ticker", window: "TimeWindow", transport: "PriceTransport") -> PriceSeries:
@@ -134,11 +132,12 @@ def fetch_prices(ticker: "Ticker", window: "TimeWindow", transport: "PriceTransp
     return parse_prices(payload, ticker.key, context=f"prices[{ticker.key}]")
 
 
-def tail_n(series: PriceSeries, n: int) -> PriceSeries:
-    """Last n trading rows (all of them when the series is shorter)."""
+def tail_n(series: PriceSeries, n: int, end: Optional[date] = None) -> PriceSeries:
+    """Last n trading rows dated on or before `end` (all of them when fewer)."""
     if n < 1:
         raise ValueError(f"tail length must be >= 1, got {n}")
-    return PriceSeries(ticker=series.ticker, bars=series.bars[-n:])
+    bars = series.bars if end is None else tuple(bar for bar in series.bars if bar.date <= end)
+    return PriceSeries(ticker=series.ticker, bars=bars[-n:])
 
 
 def percent_change_open(series: PriceSeries) -> float:
@@ -147,19 +146,6 @@ def percent_change_open(series: PriceSeries) -> float:
         raise InsufficientData(f"{series.ticker}: need >= 2 bars for a percent change")
     first, last = series.bars[0].open, series.bars[-1].open
     return 100.0 * (last - first) / first
-
-
-def split_halves(series: PriceSeries) -> tuple[PriceSeries, PriceSeries]:
-    """Split an even-length series into its first and second halves by date."""
-    if len(series) < 2 or len(series) % 2:
-        raise InsufficientData(
-            f"{series.ticker}: need an even series of >= 2 bars, got {len(series)}"
-        )
-    mid = len(series) // 2
-    return (
-        PriceSeries(ticker=series.ticker, bars=series.bars[:mid]),
-        PriceSeries(ticker=series.ticker, bars=series.bars[mid:]),
-    )
 
 
 def daily_open_returns(series: PriceSeries) -> list[tuple[date, float]]:

@@ -1,9 +1,10 @@
 """Document and price transports.
 
-Live transports hit HTTP endpoints; the replay transports read recorded
-fixtures from disk so the whole pipeline (and the test suite) runs
-offline. Both sides of each pair implement the same contract, keyed by
-ticker and time window.
+A transport delivers a ticker's raw documents or price CSV for a time
+window. The ``DocumentTransport`` and ``PriceTransport`` protocols are
+the contract; the replay transports, which read recorded fixtures from
+disk, are the only implementations shipped, so the pipeline and the test
+suite run offline. A live source plugs in by implementing a protocol.
 
 Fixture layout, one directory per ticker key::
 
@@ -17,14 +18,11 @@ Fixture layout, one directory per ticker key::
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .corpus import Ticker, TimeWindow, build_query
+from .corpus import Ticker, TimeWindow
 from .errors import SchemaError, TransportError
-
-logger = logging.getLogger(__name__)
 
 TWEET_FIXTURE = "tweets.jsonl"
 NEWS_FIXTURE = "news.jsonl"
@@ -84,65 +82,3 @@ class ReplayPriceTransport:
         if not fixture.exists():
             raise TransportError(f"no price fixture for {ticker.key} under {self.fixtures_dir}")
         return fixture.read_text(encoding="utf-8")
-
-
-class HttpDocumentTransport:
-    """Live document transport querying tweet-search and news endpoints.
-
-    Each endpoint is expected to answer GET requests with parameters
-    ``query``, ``start`` and ``end`` and return a JSON array of document
-    payloads in the corpus line schema. Untested against real services in
-    this repository; the suite runs on replay transports.
-    """
-
-    def __init__(self, tweet_url: str, news_url: str, timeout: float = 30.0) -> None:
-        self.tweet_url = tweet_url
-        self.news_url = news_url
-        self.timeout = timeout
-
-    def fetch(self, ticker: Ticker, window: TimeWindow) -> list[dict]:
-        import requests
-
-        params = {
-            "query": build_query(ticker),
-            "start": window.start.isoformat(),
-            "end": window.end.isoformat(),
-        }
-        payloads: list[dict] = []
-        for url in (self.tweet_url, self.news_url):
-            if not url:
-                continue
-            try:
-                response = requests.get(url, params=params, timeout=self.timeout)
-                response.raise_for_status()
-                body = response.json()
-            except requests.RequestException as exc:
-                raise TransportError(f"document endpoint {url} failed: {exc}") from exc
-            except ValueError as exc:
-                raise SchemaError(f"document endpoint {url} returned non-JSON payload") from exc
-            if not isinstance(body, list):
-                raise SchemaError(f"document endpoint {url} must return a JSON array")
-            payloads.extend(body)
-        return payloads
-
-
-class HttpPriceTransport:
-    """Live price transport downloading a Yahoo-compatible daily CSV."""
-
-    def __init__(self, url_template: str, timeout: float = 30.0) -> None:
-        # url_template may contain {ticker}, {start} and {end} placeholders.
-        self.url_template = url_template
-        self.timeout = timeout
-
-    def fetch(self, ticker: Ticker, window: TimeWindow) -> str:
-        import requests
-
-        url = self.url_template.format(
-            ticker=ticker.key, start=window.start.isoformat(), end=window.end.isoformat()
-        )
-        try:
-            response = requests.get(url, timeout=self.timeout)
-            response.raise_for_status()
-        except requests.RequestException as exc:
-            raise TransportError(f"price endpoint {url} failed: {exc}") from exc
-        return response.text

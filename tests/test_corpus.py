@@ -13,7 +13,6 @@ from esgsent.corpus import (
     Source,
     Ticker,
     TimeWindow,
-    build_query,
     dedupe,
     fetch_documents,
     filter_window,
@@ -33,18 +32,6 @@ NEWS_LINE = (
     '{"id": "n1", "source": "news", "timestamp": "2022-07-21T09:00:00Z", '
     '"ticker": "GS", "text": "headline", "url": "https://x.example/a", "title": "headline"}'
 )
-
-
-@pytest.mark.parametrize(
-    "key,name,expected",
-    [
-        ("HSBC", "HSBC", "ESG Investing HSBC"),
-        ("TSLA", "Tesla", "ESG Investing Tesla"),
-        ("GS", "Goldman Sachs", "ESG Investing Goldman Sachs"),
-    ],
-)
-def test_build_query(key, name, expected):
-    assert build_query(Ticker(key, name)) == expected
 
 
 def test_ticker_key_must_be_uppercase_nonempty():

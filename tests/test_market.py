@@ -16,7 +16,6 @@ from esgsent.market import (
     load_prices,
     parse_prices,
     percent_change_open,
-    split_halves,
     tail_n,
     write_prices,
 )
@@ -117,6 +116,11 @@ class TestTail:
         once = tail_n(series, 12)
         assert tail_n(once, 12) == once
 
+    def test_end_drops_later_bars_before_tailing(self):
+        series = make_series([100 + i for i in range(10)])  # 2022-07-01 .. 2022-07-10
+        tailed = tail_n(series, 3, end=date(2022, 7, 6))
+        assert [bar.date.day for bar in tailed.bars] == [4, 5, 6]
+
 
 class TestPercentChange:
     def test_up_ten_percent(self):
@@ -140,24 +144,6 @@ class TestPercentChange:
             truncated = make_series([opens[0], opens[-1]])
             truncated_inner = percent_change_open(truncated)
             assert percent_change_open(full) == pytest.approx(truncated_inner, rel=1e-12)
-
-
-class TestSplitHalves:
-    def test_twenty_bars(self):
-        series = make_series([100 + i for i in range(20)])
-        first, second = split_halves(series)
-        assert len(first) == len(second) == 10
-        assert first.bars + second.bars == series.bars
-
-    def test_two_bars(self):
-        series = make_series([100, 101])
-        first, second = split_halves(series)
-        assert first.bars == series.bars[:1]
-        assert second.bars == series.bars[1:]
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(InsufficientData):
-            split_halves(make_series([100 + i for i in range(19)]))
 
 
 class TestDailyReturns:
@@ -213,5 +199,12 @@ def test_price_round_trip(fixtures_dir, tmp_path):
     for key in ("GS", "AMZN", "TSLA", "HSBC"):
         series = load_prices(fixtures_dir / key / "prices.csv", key)
         out = tmp_path / f"{key}.csv"
-        write_prices(series, out)
-        assert load_prices(out, key).bars == series.bars
+        written = write_prices(series, out)
+        assert load_prices(out, key).bars == series.bars == written.bars
+
+
+def test_write_prices_returns_the_series_as_read_back(tmp_path):
+    out = tmp_path / "GS.csv"
+    written = write_prices(make_series([100.1234567, 101.7654321]), out)
+    assert written == load_prices(out, "GS")
+    assert written.bars[0].open == 100.123457
