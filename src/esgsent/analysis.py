@@ -18,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .aggregation import TickerAggregate
 from .errors import DegenerateSeries, InsufficientData
 from .market import PriceSeries, daily_open_returns, percent_change_open
 from .sentiment import ScoredDocument
@@ -26,45 +27,20 @@ from .util import atomic_write_text
 MIN_ALIGNED_DAYS = 3
 
 
-@dataclass(frozen=True)
-class DailyPoint:
-    """One trading day's sentiment: mean composite over that day's documents."""
-
-    date: date
-    mean_composite: float
-    n_docs: int
-
-
-@dataclass(frozen=True)
-class DailySentimentIndex:
-    """Date-ordered daily polarity points for one ticker (zero-doc days omitted)."""
-
-    ticker: str
-    points: tuple[DailyPoint, ...]
-
-    def as_pairs(self) -> list[tuple[date, float]]:
-        return [(p.date, p.mean_composite) for p in self.points]
-
-
 class SignAgreement(Enum):
     CONCORDANT = "Concordant"
     DISCORDANT = "Discordant"
     INDETERMINATE = "Indeterminate"
 
 
-def daily_index(scored: Iterable[ScoredDocument], ticker: str) -> DailySentimentIndex:
-    """Group a ticker's scored documents by UTC calendar date."""
+def daily_index(scored: Iterable[ScoredDocument]) -> list[tuple[date, float]]:
+    """(UTC date, mean composite of that day's documents), date-ordered;
+    days without documents are omitted."""
     by_day: dict[date, list[float]] = {}
     for sd in scored:
-        if sd.document.ticker != ticker:
-            continue
         day = sd.document.timestamp.astimezone(timezone.utc).date()
         by_day.setdefault(day, []).append(sd.composite)
-    points = tuple(
-        DailyPoint(day, math.fsum(values) / len(values), len(values))
-        for day, values in sorted(by_day.items())
-    )
-    return DailySentimentIndex(ticker=ticker, points=points)
+    return [(day, math.fsum(values) / len(values)) for day, values in sorted(by_day.items())]
 
 
 def align(
@@ -128,21 +104,19 @@ class AnalysisResult:
         return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
 
-def analyze(scored: Iterable[ScoredDocument], series: PriceSeries, ticker: str) -> AnalysisResult:
-    """Compose the per-ticker result.
+def analyze(
+    scored: Iterable[ScoredDocument], series: PriceSeries, aggregate: TickerAggregate
+) -> AnalysisResult:
+    """Compose one ticker's result from its scored documents, its price
+    series and its aggregate, which supplies the mean composite.
 
     Raises InsufficientData only when the price series cannot yield a
     percent change (< 2 bars); too few aligned days or a constant series
     surface as an absent pearson_r, never as a failure.
     """
-    ticker_docs = [sd for sd in scored if sd.document.ticker == ticker]
-    n = len(ticker_docs)
-    mean_composite = math.fsum(sd.composite for sd in ticker_docs) / n if n else 0.0
-
+    mean_composite = aggregate.mean_composite
     change = percent_change_open(series)
-    returns = daily_open_returns(series)
-    index = daily_index(ticker_docs, ticker)
-    aligned = align(index.as_pairs(), returns)
+    aligned = align(daily_index(scored), daily_open_returns(series))
 
     pearson_r: Optional[float] = None
     if aligned:
@@ -154,7 +128,7 @@ def analyze(scored: Iterable[ScoredDocument], series: PriceSeries, ticker: str) 
             pearson_r = None
 
     return AnalysisResult(
-        ticker=ticker,
+        ticker=aggregate.ticker,
         percent_change=change,
         mean_composite=mean_composite,
         pearson_r=pearson_r,

@@ -41,7 +41,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_candlestick_svg(series: PriceSeries, title: str | None = None) -> str:
+def render_candlestick_svg(series: PriceSeries) -> str:
     """Render a price series as an SVG candlestick chart."""
     if not series.bars:
         raise ValueError(f"{series.ticker}: cannot chart an empty series")
@@ -67,8 +67,10 @@ def render_candlestick_svg(series: PriceSeries, title: str | None = None) -> str
         f'width="{WIDTH}" height="{HEIGHT}">\n'
     )
     out.append(_STYLE)
-    chart_title = title if title is not None else f"{series.ticker} daily prices ({n} trading days)"
-    out.append(f'  <text class="title" x="{_fmt(MARGIN_LEFT)}" y="18">{chart_title}</text>\n')
+    out.append(
+        f'  <text class="title" x="{_fmt(MARGIN_LEFT)}" y="18">'
+        f"{series.ticker} daily prices ({n} trading days)</text>\n"
+    )
 
     # Frame and horizontal gridlines with price labels.
     out.append(

@@ -8,15 +8,20 @@ documents before moving on, so at most one series is held at a time.
 Every file ``run`` writes is written once.
 
 Each subcommand runs one stage on its own: it reads the files the earlier
-stages wrote under the output directory and writes the files ``run``
-writes for that stage. ``analyze`` and ``report`` use the same per-ticker
-loop on the price files ``prices`` wrote; ``report`` recomputes the
-aggregates and analyses under the current thresholds. Documents and
-prices come from recorded fixtures through the replay transports; no
-live transport ships.
+stages wrote under the output directory, keeps only the documents of the
+configured tickers inside the configured window, and writes the files
+``run`` writes for that stage. ``analyze`` and ``report`` use the same
+per-ticker loop on the price files ``prices`` wrote; ``analyze``
+aggregates in memory, and ``report`` recomputes the aggregates and
+analyses under the current thresholds. Documents and prices come from
+recorded fixtures through the replay transports; no live transport ships.
 
-Exit codes: 0 success, 2 schema/invariant error, 3 transport error,
-4 insufficient data (fatal contexts only). Failures print a single
+Settings come from the flags and the ``--config`` file (see ``config``).
+
+Exit codes: 0 success; 2 config error (a bad flag or config file value),
+schema or invariant error (bad input data), or io error (an input file
+that cannot be read or decoded); 3 transport error; 4 insufficient data
+(fatal contexts only). Failures print a single
 ``error[<category>]: <message>`` line on stderr.
 """
 
@@ -33,7 +38,7 @@ from .aggregation import TickerAggregate, aggregate_by_ticker, rank_affinity, wr
 from .analysis import AnalysisResult, analyze, write_analysis
 from .charts import render_candlestick_svg
 from .config import RunConfig, resolve_config
-from .corpus import Document, Ticker, dedupe, fetch_documents, read_corpus, write_corpus
+from .corpus import Document, dedupe, fetch_documents, read_corpus, write_corpus
 from .errors import InsufficientData, PipelineError, SchemaError
 from .market import PriceSeries, fetch_prices, load_prices, tail_n, write_prices
 from .sentiment import (
@@ -50,7 +55,7 @@ from .util import atomic_write_text, format_real
 
 SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "percent_change", "sign_agreement"]
 
-SeriesSource = Callable[[Ticker], PriceSeries]
+SeriesSource = Callable[[str], PriceSeries]
 
 
 def _note(category: str, message: str) -> None:
@@ -58,23 +63,30 @@ def _note(category: str, message: str) -> None:
 
 
 def _read_corpus(config: RunConfig) -> list[Document]:
+    """Every document of the corpus file, in file order."""
     if not config.corpus_path.exists():
         raise SchemaError(f"corpus not found: {config.corpus_path} (run 'ingest' first)")
     return read_corpus(config.corpus_path, strict=config.strict)
 
 
+def _in_scope(config: RunConfig, doc: Document) -> bool:
+    """Whether a document is of a configured ticker and inside the configured window."""
+    return doc.ticker in config.tickers and config.window.contains(doc.timestamp)
+
+
 def _read_scored(config: RunConfig) -> list[ScoredDocument]:
+    """The scored documents in scope; every scored line must match a corpus document."""
     docs = _read_corpus(config)
     if not config.scored_path.exists():
         raise SchemaError(f"scored file not found: {config.scored_path} (run 'score' first)")
-    return read_scored(config.scored_path, docs)
+    return [sd for sd in read_scored(config.scored_path, docs) if _in_scope(config, sd.document)]
 
 
-def _load_series(config: RunConfig, ticker: Ticker) -> PriceSeries:
-    path = config.prices_path(ticker.key)
+def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
+    path = config.prices_path(ticker)
     if not path.exists():
-        raise InsufficientData(f"{ticker.key}: no price data at {path} (run 'prices' first)")
-    return load_prices(path, ticker.key)
+        raise InsufficientData(f"{ticker}: no price data at {path} (run 'prices' first)")
+    return load_prices(path, ticker)
 
 
 def cmd_ingest(config: RunConfig) -> list[Document]:
@@ -82,16 +94,16 @@ def cmd_ingest(config: RunConfig) -> list[Document]:
 
     ``fetch_documents`` already keeps only documents inside the window.
     """
-    transport = ReplayDocumentTransport(config.fixtures_dir)
+    transport = ReplayDocumentTransport(config.fixtures)
     fetched: list[Document] = []
     for ticker in config.tickers:
-        fetched.extend(fetch_documents(ticker, config.document_window, transport, strict=config.strict))
+        fetched.extend(fetch_documents(ticker, config.window, transport, strict=config.strict))
     docs = dedupe(fetched)
     write_corpus(docs, config.corpus_path)
 
     counts = Counter(doc.ticker for doc in docs)
     for ticker in config.tickers:
-        print(f"{ticker.key}: {counts.get(ticker.key, 0)} documents")
+        print(f"{ticker}: {counts.get(ticker, 0)} documents")
     print(f"corpus -> {config.corpus_path}")
     if not docs:
         print("warning: corpus is empty for this window", file=sys.stderr)
@@ -99,7 +111,7 @@ def cmd_ingest(config: RunConfig) -> list[Document]:
 
 
 def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
-    lexicon = load_lexicon(config.lexicon_dir) if config.lexicon_dir else default_lexicon()
+    lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
     external = (
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
     )
@@ -111,12 +123,12 @@ def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
 
 
 def cmd_score(config: RunConfig) -> None:
-    """Score every corpus document and write the scored file."""
-    _score(config, _read_corpus(config))
+    """Score the corpus documents in scope and write the scored file."""
+    _score(config, [doc for doc in _read_corpus(config) if _in_scope(config, doc)])
 
 
 def _aggregate(config: RunConfig, scored: list[ScoredDocument]) -> list[TickerAggregate]:
-    aggregates = aggregate_by_ticker(scored, tickers=config.ticker_keys, thresholds=config.thresholds)
+    aggregates = aggregate_by_ticker(scored, tickers=config.tickers, thresholds=config.thresholds)
     write_aggregates(aggregates, config.aggregates_path)
     for agg in aggregates:
         print(
@@ -133,25 +145,30 @@ def cmd_aggregate(config: RunConfig) -> None:
     _aggregate(config, _read_scored(config))
 
 
-def _fetch_series(config: RunConfig, transport: PriceTransport, ticker: Ticker) -> PriceSeries:
+def _fetch_series(config: RunConfig, transport: PriceTransport, ticker: str) -> PriceSeries:
     """Fetch a ticker's bars, keep the last price_days dated on or before the
     window's end, write them, and return them as written."""
-    series = fetch_prices(ticker, config.document_window, transport)
-    path = config.prices_path(ticker.key)
-    series = write_prices(tail_n(series, config.price_days, end=config.document_window.end), path)
-    print(f"{ticker.key}: {len(series)} trading days -> {path}")
+    series = fetch_prices(ticker, config.window, transport)
+    path = config.prices_path(ticker)
+    series = write_prices(tail_n(series, config.price_days, end=config.window.end), path)
+    print(f"{ticker}: {len(series)} trading days -> {path}")
     return series
 
 
 def cmd_prices(config: RunConfig) -> None:
     """Fetch price history per ticker and keep the last price_days rows up to the window's end."""
-    transport = ReplayPriceTransport(config.fixtures_dir)
+    transport = ReplayPriceTransport(config.fixtures)
     for ticker in config.tickers:
         _fetch_series(config, transport, ticker)
 
 
 def _analyze_tickers(
-    config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource, *, charts: bool
+    config: RunConfig,
+    scored: list[ScoredDocument],
+    aggregates: list[TickerAggregate],
+    series_of: SeriesSource,
+    *,
+    charts: bool,
 ) -> dict[str, AnalysisResult]:
     """The per-ticker loop: get one ticker's series, analyze that ticker's
     documents only, and write its analysis (and chart).
@@ -162,21 +179,22 @@ def _analyze_tickers(
     docs_by_ticker: dict[str, list[ScoredDocument]] = {}
     for sd in scored:
         docs_by_ticker.setdefault(sd.document.ticker, []).append(sd)
+    aggregate_of = {agg.ticker: agg for agg in aggregates}
     results: dict[str, AnalysisResult] = {}
     for ticker in config.tickers:
         try:
             series = series_of(ticker)
-            result = analyze(docs_by_ticker.get(ticker.key, []), series, ticker.key)
+            result = analyze(docs_by_ticker.get(ticker, []), series, aggregate_of[ticker])
         except InsufficientData as exc:
             _note("insufficient-data", str(exc))
             continue
-        write_analysis(result, config.analysis_path(ticker.key))
+        write_analysis(result, config.analysis_path(ticker))
         if charts:
-            atomic_write_text(config.chart_path(ticker.key), render_candlestick_svg(series))
-        results[ticker.key] = result
+            atomic_write_text(config.chart_path(ticker), render_candlestick_svg(series))
+        results[ticker] = result
         r_text = "absent" if result.pearson_r is None else f"{result.pearson_r:+.4f}"
         print(
-            f"{ticker.key}: change={result.percent_change:+.2f}% "
+            f"{ticker}: change={result.percent_change:+.2f}% "
             f"mean={result.mean_composite:+.4f} r={r_text} "
             f"{result.sign_agreement.value} ({result.n_aligned_days} aligned days)"
         )
@@ -187,7 +205,9 @@ def _analyze_tickers(
 
 def cmd_analyze(config: RunConfig) -> None:
     """Correlate daily sentiment with daily returns per ticker."""
-    _analyze_tickers(config, _read_scored(config), lambda t: _load_series(config, t), charts=False)
+    scored = _read_scored(config)
+    aggregates = aggregate_by_ticker(scored, tickers=config.tickers, thresholds=config.thresholds)
+    _analyze_tickers(config, scored, aggregates, lambda t: _load_series(config, t), charts=False)
 
 
 def _summary_csv(aggregates: list[TickerAggregate], results: dict[str, AnalysisResult]) -> str:
@@ -206,12 +226,10 @@ def _summary_csv(aggregates: list[TickerAggregate], results: dict[str, AnalysisR
 def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource) -> None:
     """Aggregate, run the per-ticker loop with charts, and write the summary."""
     aggregates = _aggregate(config, scored)
-    results = _analyze_tickers(config, scored, series_of, charts=True)
-    keys = set(config.ticker_keys)
-    summary = _summary_csv([agg for agg in aggregates if agg.ticker in keys], results)
-    atomic_write_text(config.summary_path, summary)
+    results = _analyze_tickers(config, scored, aggregates, series_of, charts=True)
+    atomic_write_text(config.summary_path, _summary_csv(aggregates, results))
     print(f"summary -> {config.summary_path}")
-    print(f"charts  -> {config.out_dir / 'charts'}")
+    print(f"charts  -> {config.out / 'charts'}")
 
 
 def cmd_report(config: RunConfig) -> None:
@@ -222,7 +240,7 @@ def cmd_report(config: RunConfig) -> None:
 def cmd_run(config: RunConfig) -> None:
     """Run the whole pipeline end to end, passing each stage's result in memory."""
     scored = _score(config, cmd_ingest(config))
-    transport = ReplayPriceTransport(config.fixtures_dir)
+    transport = ReplayPriceTransport(config.fixtures)
     _report(config, scored, lambda t: _fetch_series(config, transport, t))
 
 
@@ -231,15 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--tickers", metavar="K1,K2", help="comma-separated ticker keys")
     common.add_argument("--window", metavar="START:END", help="document window (UTC dates)")
-    common.add_argument("--price-days", dest="price_days", type=int, metavar="N",
-                        help="trading days of price history to keep (default 20)")
+    common.add_argument("--price-days", dest="price_days", metavar="N",
+                        help=f"trading days of price history to keep (default {RunConfig.price_days})")
     common.add_argument("--lexicon", metavar="DIR", help="directory with replacement lexicon files")
     common.add_argument("--external-verdicts", dest="external_verdicts", metavar="PATH",
                         help="CSV of externally produced sentiment verdicts")
-    common.add_argument("--thresholds", metavar="AFFINE,AVERSE", help="affinity cutoffs (default 0.15,-0.15)")
+    thresholds = RunConfig.thresholds
+    common.add_argument("--thresholds", metavar="AFFINE,AVERSE",
+                        help=f"affinity cutoffs (default {thresholds.affine_min},{thresholds.averse_max})")
     common.add_argument("--fixtures", metavar="DIR", help="recorded fixture directory")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--strict", action="store_true", help="reject unknown schema fields")
+    common.add_argument("--strict", action="store_true", default=None, help="reject unknown schema fields")
 
     parser = argparse.ArgumentParser(
         prog="esgsent",
@@ -269,8 +289,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PipelineError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error[io]: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -1,215 +1,178 @@
-"""Run configuration: JSON config file merged with CLI flag overrides.
+"""Run configuration: one parser per key, shared by the config file and the flags.
 
-Every config field has a matching flag and flags win. Relative paths in
-a config file resolve against the config file's directory; relative
-flag paths resolve against the working directory.
+A setting comes from its flag, else from the JSON config file given with
+``--config``, else from the default on ``RunConfig``. Each key has one
+parser in ``PARSERS``, so a value passes the same checks whichever source
+it comes from. A parser takes the flag's text; a config file may also
+give ``tickers`` as a list of keys, ``price_days`` as a JSON integer, and
+must give ``strict`` as a JSON boolean. A bad value or an unknown key
+raises ConfigError naming the key and its source. Relative paths in a
+config file resolve against the file's directory; relative flag paths
+resolve against the working directory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .aggregation import AffinityThresholds
-from .corpus import DEFAULT_COMPANIES, Ticker, TimeWindow
-from .errors import SchemaError
+from .corpus import TimeWindow
+from .errors import ConfigError
 
 DEFAULT_DOCUMENT_DAYS = 10
-DEFAULT_PRICE_DAYS = 20
-
-_CONFIG_KEYS = {
-    "tickers",
-    "window",
-    "price_days",
-    "thresholds",
-    "fixtures",
-    "out",
-    "lexicon",
-    "external_verdicts",
-    "strict",
-}
 
 
-def default_window(days: int = DEFAULT_DOCUMENT_DAYS) -> TimeWindow:
-    """Closed window of the last `days` UTC calendar days, ending today."""
+def default_window() -> TimeWindow:
+    """Closed window of the last DEFAULT_DOCUMENT_DAYS UTC calendar days, ending today."""
     end = datetime.now(timezone.utc).date()
-    return TimeWindow(start=end - timedelta(days=days - 1), end=end)
-
-
-def default_tickers() -> list[Ticker]:
-    return [Ticker(key, name) for key, name in sorted(DEFAULT_COMPANIES.items())]
+    return TimeWindow(start=end - timedelta(days=DEFAULT_DOCUMENT_DAYS - 1), end=end)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tickers: tuple[Ticker, ...] = field(default_factory=lambda: tuple(default_tickers()))
-    document_window: TimeWindow = field(default_factory=default_window)
-    price_days: int = DEFAULT_PRICE_DAYS
+    """The effective settings of one run; field names are the config keys."""
+
+    tickers: tuple[str, ...] = ("AMZN", "GS", "HSBC", "TSLA")
+    window: TimeWindow = field(default_factory=default_window)
+    price_days: int = 20
     thresholds: AffinityThresholds = AffinityThresholds()
-    fixtures_dir: Path = Path("fixtures")
-    out_dir: Path = Path("out")
-    lexicon_dir: Optional[Path] = None
+    fixtures: Path = Path("fixtures")
+    out: Path = Path("out")
+    lexicon: Optional[Path] = None
     external_verdicts: Optional[Path] = None
     strict: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.tickers:
-            raise ValueError("at least one ticker is required")
-        keys = [t.key for t in self.tickers]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate ticker keys: {keys}")
-        if self.price_days < 2:
-            raise ValueError(f"price_days must be >= 2, got {self.price_days}")
-
-    @property
-    def ticker_keys(self) -> list[str]:
-        return [t.key for t in self.tickers]
 
     # Stage artifact locations inside the output directory.
     @property
     def corpus_path(self) -> Path:
-        return self.out_dir / "corpus.jsonl"
+        return self.out / "corpus.jsonl"
 
     @property
     def scored_path(self) -> Path:
-        return self.out_dir / "scored.jsonl"
+        return self.out / "scored.jsonl"
 
     @property
     def aggregates_path(self) -> Path:
-        return self.out_dir / "aggregates.csv"
+        return self.out / "aggregates.csv"
 
     @property
     def summary_path(self) -> Path:
-        return self.out_dir / "summary.csv"
+        return self.out / "summary.csv"
 
-    def prices_path(self, ticker_key: str) -> Path:
-        return self.out_dir / "prices" / f"{ticker_key}.csv"
+    def prices_path(self, ticker: str) -> Path:
+        return self.out / "prices" / f"{ticker}.csv"
 
-    def analysis_path(self, ticker_key: str) -> Path:
-        return self.out_dir / "analysis" / f"{ticker_key}.json"
+    def analysis_path(self, ticker: str) -> Path:
+        return self.out / "analysis" / f"{ticker}.json"
 
-    def chart_path(self, ticker_key: str) -> Path:
-        return self.out_dir / "charts" / f"{ticker_key}.svg"
-
-
-def _parse_tickers(raw: object) -> tuple[Ticker, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("config 'tickers' must be a non-empty list")
-    tickers = []
-    for entry in raw:
-        if isinstance(entry, str):
-            tickers.append(Ticker.from_key(entry))
-        elif isinstance(entry, dict) and "key" in entry:
-            tickers.append(Ticker(str(entry["key"]).upper(), str(entry.get("display_name", entry["key"]))))
-        else:
-            raise SchemaError(f"bad ticker entry in config: {entry!r}")
-    return tuple(tickers)
+    def chart_path(self, ticker: str) -> Path:
+        return self.out / "charts" / f"{ticker}.svg"
 
 
-def _parse_window(raw: object) -> TimeWindow:
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    if not value.strip():
+        raise ValueError("must not be empty")
+    return value
+
+
+def _tickers(value: object) -> tuple[str, ...]:
+    """``K1,K2,...`` or a list of keys; keys are stripped and uppercased."""
+    keys = value if isinstance(value, list) else _text(value).split(",")
+    if not keys:
+        raise ValueError("at least one ticker is required")
     try:
-        if isinstance(raw, str):
-            return TimeWindow.parse(raw)
-        if isinstance(raw, dict):
-            return TimeWindow.parse(f"{raw.get('start')}:{raw.get('end')}")
+        tickers = tuple(_text(key).strip().upper() for key in keys)
+    except ValueError:
+        raise ValueError(f"every ticker key must be a non-empty string, got {value!r}") from None
+    if len(set(tickers)) != len(tickers):
+        raise ValueError(f"duplicate ticker keys in {value!r}")
+    return tickers
+
+
+def _window(value: object) -> TimeWindow:
+    return TimeWindow.parse(_text(value))
+
+
+def _price_days(value: object) -> int:
+    """An integer >= 2, as JSON or as text; a bool or a float is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    try:
+        days = int(value)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+    if days < 2:
+        raise ValueError(f"must be >= 2, got {days}")
+    return days
+
+
+def _thresholds(value: object) -> AffinityThresholds:
+    try:
+        affine, averse = _text(value).split(",")
+        return AffinityThresholds(float(affine), float(averse))
     except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    raise SchemaError(f"bad window in config: {raw!r}")
+        raise ValueError(f"bad thresholds {value!r}: expected AFFINE,AVERSE with AVERSE < 0 < AFFINE") from exc
 
 
-def _parse_thresholds(raw: object) -> AffinityThresholds:
+def _path(value: object) -> Path:
+    return Path(_text(value))
+
+
+def _strict(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+PARSERS: dict[str, Callable[[object], object]] = {
+    "tickers": _tickers,
+    "window": _window,
+    "price_days": _price_days,
+    "thresholds": _thresholds,
+    "fixtures": _path,
+    "out": _path,
+    "lexicon": _path,
+    "external_verdicts": _path,
+    "strict": _strict,
+}
+
+
+def _parse(key: str, value: object, source: str) -> object:
     try:
-        if isinstance(raw, dict):
-            return AffinityThresholds(float(raw["affine_min"]), float(raw["averse_max"]))
-        if isinstance(raw, (list, tuple)) and len(raw) == 2:
-            return AffinityThresholds(float(raw[0]), float(raw[1]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad thresholds in config: {raw!r}") from exc
-    raise SchemaError(f"bad thresholds in config: {raw!r}")
-
-
-def parse_thresholds_flag(text: str) -> AffinityThresholds:
-    """Parse the --thresholds AFFINE,AVERSE flag value."""
-    try:
-        affine_s, averse_s = text.split(",")
-        return AffinityThresholds(float(affine_s), float(averse_s))
+        return PARSERS[key](value)
     except ValueError as exc:
-        raise SchemaError(f"bad --thresholds {text!r}: expected AFFINE,AVERSE") from exc
+        raise ConfigError(f"{key} (from {source}): {exc}") from None
 
 
-def load_config_file(path: Path) -> RunConfig:
-    """Read a JSON config file into a RunConfig."""
-    path = Path(path)
+def load_config_file(path: Path) -> dict[str, object]:
+    """Parse a JSON config file into {key: value} for the keys it sets.
+
+    Relative paths resolve against the file's directory.
+    """
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise SchemaError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+        raise ConfigError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(raw) - set(PARSERS))
     if unknown:
-        raise SchemaError(f"config {path} has unknown key(s): {', '.join(unknown)}")
-
-    base = path.parent
-
-    def _path(value: object) -> Path:
-        p = Path(str(value))
-        return p if p.is_absolute() else base / p
-
-    config = RunConfig(
-        tickers=_parse_tickers(raw["tickers"]) if "tickers" in raw else tuple(default_tickers()),
-        document_window=_parse_window(raw["window"]) if "window" in raw else default_window(),
-        price_days=int(raw.get("price_days", DEFAULT_PRICE_DAYS)),
-        thresholds=_parse_thresholds(raw["thresholds"]) if "thresholds" in raw else AffinityThresholds(),
-        fixtures_dir=_path(raw.get("fixtures", "fixtures")),
-        out_dir=_path(raw.get("out", "out")),
-        lexicon_dir=_path(raw["lexicon"]) if raw.get("lexicon") else None,
-        external_verdicts=_path(raw["external_verdicts"]) if raw.get("external_verdicts") else None,
-        strict=bool(raw.get("strict", False)),
-    )
-    return config
-
-
-def apply_overrides(config: RunConfig, args: object) -> RunConfig:
-    """Apply parsed CLI flags on top of a config; flags win.
-
-    A value flag counts as given whenever it is not None, so 0 reaches
-    RunConfig's checks instead of falling back to the config value; an
-    empty string is rejected.
-    """
-
-    def flag(name: str):
-        value = getattr(args, name, None)
-        if value == "":
-            raise ValueError(f"--{name.replace('_', '-')} must not be empty")
-        return value
-
-    updates: dict = {}
-    if (tickers := flag("tickers")) is not None:
-        updates["tickers"] = tuple(Ticker.from_key(k) for k in tickers.split(","))
-    if (window := flag("window")) is not None:
-        try:
-            updates["document_window"] = TimeWindow.parse(window)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    if (price_days := flag("price_days")) is not None:
-        updates["price_days"] = price_days
-    if (thresholds := flag("thresholds")) is not None:
-        updates["thresholds"] = parse_thresholds_flag(thresholds)
-    for name, key in (("fixtures", "fixtures_dir"), ("out", "out_dir"),
-                      ("lexicon", "lexicon_dir"), ("external_verdicts", "external_verdicts")):
-        if (value := flag(name)) is not None:
-            updates[key] = Path(value)
-    if getattr(args, "strict", False):
-        updates["strict"] = True
-    return replace(config, **updates) if updates else config
+        raise ConfigError(f"config {path} has unknown key(s): {', '.join(unknown)}")
+    values = {key: _parse(key, value, str(path)) for key, value in raw.items()}
+    return {key: path.parent / v if isinstance(v, Path) else v for key, v in values.items()}
 
 
 def resolve_config(args: object) -> RunConfig:
-    """Build the effective RunConfig from --config (optional) plus flags."""
-    config_path = getattr(args, "config", None)
-    config = load_config_file(Path(config_path)) if config_path else RunConfig()
-    return apply_overrides(config, args)
+    """The effective RunConfig: the --config file's values, then every flag given."""
+    values = load_config_file(Path(args.config)) if args.config is not None else {}
+    for key in PARSERS:
+        value = getattr(args, key)
+        if value is not None:
+            values[key] = _parse(key, value, "--" + key.replace("_", "-"))
+    return RunConfig(**values)

@@ -24,43 +24,11 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# The four companies the default configuration tracks.
-DEFAULT_COMPANIES = {
-    "HSBC": "HSBC",
-    "TSLA": "Tesla",
-    "AMZN": "Amazon",
-    "GS": "Goldman Sachs",
-}
-
-
 class Source(Enum):
     """Where a document came from."""
 
     TWEET = "tweet"
     NEWS = "news"
-
-
-@dataclass(frozen=True)
-class Ticker:
-    """Company identity used to key documents, prices, and reports."""
-
-    key: str
-    display_name: str
-
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ValueError("ticker key must be non-empty")
-        if self.key != self.key.upper():
-            raise ValueError(f"ticker key must be uppercase: {self.key!r}")
-        if not self.display_name.strip():
-            raise ValueError("ticker display name must be non-empty")
-
-    @classmethod
-    def from_key(cls, key: str) -> "Ticker":
-        """Build a ticker from a bare key, using the built-in company names
-        when known and a title-cased fallback otherwise."""
-        key = key.strip().upper()
-        return cls(key=key, display_name=DEFAULT_COMPANIES.get(key, key.title()))
 
 
 @dataclass(frozen=True)
@@ -239,7 +207,7 @@ def filter_window(docs: Iterable[Document], window: TimeWindow) -> list[Document
 
 
 def fetch_documents(
-    ticker: Ticker,
+    ticker: str,
     window: TimeWindow,
     transport: "DocumentTransport",
     *,
@@ -253,7 +221,7 @@ def fetch_documents(
     docs = []
     for payload in transport.fetch(ticker, window):
         doc = parse_document_payload(payload, strict=strict)
-        if doc.ticker != ticker.key:
+        if doc.ticker != ticker:
             continue
         if window.contains(doc.timestamp):
             docs.append(doc)

@@ -21,6 +21,13 @@ class SchemaError(PipelineError):
     category = "schema"
 
 
+class ConfigError(PipelineError):
+    """A config file or flag value that its key's parser rejects."""
+
+    exit_code = 2
+    category = "config"
+
+
 class InvariantError(PipelineError):
     """Well-formed input whose values break a domain invariant (e.g. low > high)."""
 

@@ -24,7 +24,7 @@ from .errors import InsufficientData, InvariantError, SchemaError
 from .util import atomic_write_text, format_real
 
 if TYPE_CHECKING:
-    from .corpus import Ticker, TimeWindow
+    from .corpus import TimeWindow
     from .transport import PriceTransport
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
@@ -69,10 +69,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.bars)
-
-    @property
-    def opens(self) -> list[float]:
-        return [bar.open for bar in self.bars]
 
 
 def _parse_bar(row: dict, context: str) -> PriceBar:
@@ -126,10 +122,10 @@ def write_prices(series: PriceSeries, path: Path) -> PriceSeries:
     return PriceSeries(ticker=series.ticker, bars=tuple(bars))
 
 
-def fetch_prices(ticker: "Ticker", window: "TimeWindow", transport: "PriceTransport") -> PriceSeries:
+def fetch_prices(ticker: str, window: "TimeWindow", transport: "PriceTransport") -> PriceSeries:
     """Retrieve a ticker's price history through a transport."""
     payload = transport.fetch(ticker, window)
-    return parse_prices(payload, ticker.key, context=f"prices[{ticker.key}]")
+    return parse_prices(payload, ticker, context=f"prices[{ticker}]")
 
 
 def tail_n(series: PriceSeries, n: int, end: Optional[date] = None) -> PriceSeries:

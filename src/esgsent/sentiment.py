@@ -300,9 +300,10 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
                 raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
             try:
                 verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
-            except (ValueError, InvariantError) as exc:
+                consistent = float(obj["composite"]) == composite(verdict)
+            except (TypeError, ValueError, InvariantError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            if float(obj["composite"]) != composite(verdict):
+            if not consistent:
                 raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
             scored.append(ScoredDocument.from_verdict(doc, verdict))
     return scored

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .corpus import Ticker, TimeWindow
+from .corpus import TimeWindow
 from .errors import SchemaError, TransportError
 
 TWEET_FIXTURE = "tweets.jsonl"
@@ -32,13 +32,13 @@ PRICE_FIXTURE = "prices.csv"
 class DocumentTransport(Protocol):
     """Yields raw document payloads (decoded JSON objects) for a ticker."""
 
-    def fetch(self, ticker: Ticker, window: TimeWindow) -> Iterable[dict]: ...
+    def fetch(self, ticker: str, window: TimeWindow) -> Iterable[dict]: ...
 
 
 class PriceTransport(Protocol):
     """Returns a Yahoo-compatible CSV payload of daily bars for a ticker."""
 
-    def fetch(self, ticker: Ticker, window: TimeWindow) -> str: ...
+    def fetch(self, ticker: str, window: TimeWindow) -> str: ...
 
 
 class ReplayDocumentTransport:
@@ -51,10 +51,10 @@ class ReplayDocumentTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
-    def fetch(self, ticker: Ticker, window: TimeWindow) -> list[dict]:
-        ticker_dir = self.fixtures_dir / ticker.key
+    def fetch(self, ticker: str, window: TimeWindow) -> list[dict]:
+        ticker_dir = self.fixtures_dir / ticker
         if not ticker_dir.is_dir():
-            raise TransportError(f"no document fixtures for {ticker.key} under {self.fixtures_dir}")
+            raise TransportError(f"no document fixtures for {ticker} under {self.fixtures_dir}")
         payloads: list[dict] = []
         for name in (TWEET_FIXTURE, NEWS_FIXTURE):
             fixture = ticker_dir / name
@@ -77,8 +77,8 @@ class ReplayPriceTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
-    def fetch(self, ticker: Ticker, window: TimeWindow) -> str:
-        fixture = self.fixtures_dir / ticker.key / PRICE_FIXTURE
+    def fetch(self, ticker: str, window: TimeWindow) -> str:
+        fixture = self.fixtures_dir / ticker / PRICE_FIXTURE
         if not fixture.exists():
-            raise TransportError(f"no price fixture for {ticker.key} under {self.fixtures_dir}")
+            raise TransportError(f"no price fixture for {ticker} under {self.fixtures_dir}")
         return fixture.read_text(encoding="utf-8")

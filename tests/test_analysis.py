@@ -1,0 +1,50 @@
+"""Pearson, the sentiment/return join, and candlestick SVG rendering."""
+
+from __future__ import annotations
+
+import re
+from datetime import date
+
+from esgsent.analysis import align, pearson
+from esgsent.charts import MIN_BODY_PX, render_candlestick_svg
+from esgsent.market import PriceBar, PriceSeries
+
+from conftest import make_series
+
+
+def test_pearson_matches_hand_computed_value():
+    # dx = dy = (-1.5, -0.5, 0.5, 1.5) up to order: sum(dx*dy) = 4, ss_x = ss_y = 5.
+    assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == 0.8
+
+
+def test_align_drops_weekend_sentiment_days():
+    friday, saturday, sunday, monday = (date(2022, 7, d) for d in (22, 23, 24, 25))
+    sentiment = [(monday, 0.4), (sunday, 0.3), (saturday, 0.2), (friday, 0.1)]
+    returns = [(friday, 1.0), (monday, 2.0)]
+    assert align(sentiment, returns) == [(friday, 0.1, 1.0), (monday, 0.4, 2.0)]
+
+
+def bodies(svg: str) -> list[float]:
+    return [float(h) for h in re.findall(r'<rect x="[^"]+" y="[^"]+" width="[^"]+" height="([^"]+)"/>', svg)]
+
+
+def test_svg_is_deterministic():
+    series = make_series([100.0, 102.5, 101.0, 99.75])
+    assert render_candlestick_svg(series) == render_candlestick_svg(make_series([100.0, 102.5, 101.0, 99.75]))
+
+
+def test_doji_body_is_drawn_at_least_min_body_px():
+    doji = PriceBar(date(2022, 7, 1), open=100.0, high=105.0, low=95.0, close=100.0, volume=1)
+    wide = PriceBar(date(2022, 7, 2), open=96.0, high=105.0, low=95.0, close=104.0, volume=1)
+    heights = bodies(render_candlestick_svg(PriceSeries("GS", (doji, wide))))
+    assert heights[0] == MIN_BODY_PX
+    assert heights[1] > MIN_BODY_PX
+
+
+def test_flat_series_with_hi_equal_lo_renders():
+    flat = PriceSeries("GS", tuple(PriceBar(date(2022, 7, d), 100.0, 100.0, 100.0, 100.0, 1) for d in (1, 2)))
+    svg = render_candlestick_svg(flat)
+    assert bodies(svg) == [MIN_BODY_PX, MIN_BODY_PX]
+    # The price axis widens to 100 +/- 1, then pads 4% of that range each side.
+    assert ">98.92</text>" in svg and ">101.08</text>" in svg
+    assert "nan" not in svg and "inf" not in svg

@@ -108,3 +108,44 @@ def test_run_equals_chained_subcommands_at_seven_decimals(tmp_path):
                                   for key in ("GS", "AMZN")]
     for rel in compared:
         assert (run_out / rel).read_bytes() == (chained_out / rel).read_bytes(), rel
+
+
+def test_report_keeps_only_the_configured_tickers(tmp_path, capsys):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path, tickers="GS,AMZN,TSLA,HSBC")]) == 0
+    capsys.readouterr()
+    assert run_cli(["report", "--out", str(tmp_path), "--window", JULY, "--tickers", "GS"]) == 0
+    assert "affinity ranking: GS\n" in capsys.readouterr().out
+    for name in ("aggregates.csv", "summary.csv"):
+        rows = list(csv.DictReader(open(tmp_path / name, encoding="utf-8")))
+        assert [row["ticker"] for row in rows] == ["GS"], name
+
+
+def test_analyze_keeps_only_documents_inside_the_window(tmp_path):
+    narrow = "2022-07-25:2022-07-29"
+    full, fresh = tmp_path / "full", tmp_path / "fresh"
+    assert run_cli(["run", *flags(FIXTURES_DIR, full)]) == 0
+    before = (full / "analysis" / "GS.json").read_bytes()
+    assert run_cli(["analyze", *flags(FIXTURES_DIR, full, window=narrow)]) == 0
+    assert run_cli(["run", *flags(FIXTURES_DIR, fresh, window=narrow)]) == 0
+    for key in ("GS", "AMZN"):
+        rel = f"analysis/{key}.json"
+        assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+    assert (full / "analysis" / "GS.json").read_bytes() != before
+
+
+@pytest.mark.parametrize("make_path", [lambda tmp: tmp / "missing.csv", lambda tmp: tmp])
+def test_unreadable_external_verdicts_is_one_io_error(tmp_path, capsys, make_path):
+    argv = ["run", *flags(FIXTURES_DIR, tmp_path / "out"), "--external-verdicts", str(make_path(tmp_path))]
+    assert run_cli(argv) == 2
+    errors = stderr_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error[io]: "), errors
+
+
+def test_non_utf8_corpus_is_one_io_error(tmp_path, capsys):
+    assert run_cli(["ingest", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    with open(tmp_path / "corpus.jsonl", "ab") as handle:
+        handle.write(b'{"id": "\xff"}\n')
+    capsys.readouterr()
+    assert run_cli(["score", *flags(FIXTURES_DIR, tmp_path)]) == 2
+    errors = stderr_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error[io]: 'utf-8' codec can't decode"), errors

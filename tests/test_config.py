@@ -1,0 +1,157 @@
+"""Config keys: one parser per key, shared by the config file and the flags."""
+
+from __future__ import annotations
+
+import argparse
+import json
+from dataclasses import fields
+from datetime import date
+from pathlib import Path
+
+import pytest
+
+from esgsent.aggregation import AffinityThresholds
+from esgsent.cli import build_parser
+from esgsent.config import PARSERS, RunConfig, resolve_config
+
+from conftest import run_cli
+
+
+def config_of(*argv: str) -> RunConfig:
+    return resolve_config(build_parser().parse_args(["run", *argv]))
+
+
+def write_config(tmp_path: Path, **values) -> Path:
+    path = tmp_path / "cfg" / "config.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(values), encoding="utf-8")
+    return path
+
+
+def test_every_subcommand_has_one_flag_per_config_key():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {"--" + key.replace("_", "-") for key in PARSERS}
+    assert {field.name for field in fields(RunConfig)} == set(PARSERS)
+    for name, sub in subcommands.choices.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")}
+        assert flags - {"--help", "--config"} == keys, name
+
+
+def test_file_paths_resolve_against_the_file_and_flag_paths_against_the_cwd(tmp_path):
+    path = write_config(tmp_path, fixtures="fx", out="o", lexicon="lex",
+                        external_verdicts=str(tmp_path / "v.csv"))
+    config = config_of("--config", str(path))
+    assert config.fixtures == path.parent / "fx"
+    assert config.out == path.parent / "o"
+    assert config.lexicon == path.parent / "lex"
+    assert config.external_verdicts == tmp_path / "v.csv"
+    flagged = config_of("--config", str(path), "--out", "o", "--lexicon", "lex")
+    assert flagged.out == Path("o") and flagged.lexicon == Path("lex")
+    assert flagged.fixtures == path.parent / "fx"
+
+
+def test_flags_win_over_the_file(tmp_path):
+    path = write_config(tmp_path, tickers=["GS"], price_days=5, thresholds="0.2,-0.2", strict=False,
+                        window="2022-07-20:2022-07-29")
+    from_file = config_of("--config", str(path))
+    assert from_file.tickers == ("GS",) and from_file.price_days == 5 and not from_file.strict
+    flagged = config_of("--config", str(path), "--tickers", "amzn", "--price-days", "7",
+                        "--thresholds", "0.1,-0.3", "--strict")
+    assert flagged.tickers == ("AMZN",)
+    assert flagged.price_days == 7
+    assert flagged.thresholds == AffinityThresholds(0.1, -0.3)
+    assert flagged.strict is True
+    assert flagged.window == from_file.window
+
+
+def test_unset_keys_take_the_run_config_defaults(tmp_path):
+    config = config_of("--config", str(write_config(tmp_path, window="2022-07-20:2022-07-29")))
+    default = RunConfig()
+    assert (config.tickers, config.price_days, config.thresholds, config.strict) == (
+        default.tickers, default.price_days, default.thresholds, default.strict)
+    assert config.lexicon is None and config.external_verdicts is None
+
+
+@pytest.mark.parametrize("file_value,flag_value", [
+    ("GS,AMZN", "GS,AMZN"),
+    (["GS", "AMZN"], "gs, amzn"),
+    ([" gs", "Amzn"], " gs,AMZN "),
+])
+def test_tickers_accept_the_flag_text_and_a_list(tmp_path, file_value, flag_value):
+    assert config_of("--config", str(write_config(tmp_path, tickers=file_value))).tickers == ("GS", "AMZN")
+    assert config_of("--tickers", flag_value).tickers == ("GS", "AMZN")
+
+
+def test_text_forms_from_the_file_equal_the_flags(tmp_path):
+    path = write_config(tmp_path, window="2022-07-01:2022-07-10", price_days="30", thresholds="0.3,-0.1",
+                        strict=True)
+    config = config_of("--config", str(path))
+    assert config.window.start == date(2022, 7, 1) and config.window.end == date(2022, 7, 10)
+    assert config.price_days == 30
+    assert config.thresholds == AffinityThresholds(0.3, -0.1)
+    assert config.strict is True
+    flagged = config_of("--window", "2022-07-01:2022-07-10", "--price-days", "30",
+                        "--thresholds", "0.3,-0.1", "--strict")
+    assert (flagged.window, flagged.price_days, flagged.thresholds, flagged.strict) == (
+        config.window, config.price_days, config.thresholds, config.strict)
+
+
+BAD_VALUES = [
+    # (key, value in the config file, flag argv or None when the flag has no such form)
+    ("strict", "false", None),
+    ("strict", 1, None),
+    ("lexicon", "", ["--lexicon", ""]),
+    ("external_verdicts", "", ["--external-verdicts", ""]),
+    ("fixtures", None, ["--fixtures", " "]),
+    ("price_days", 2.9, ["--price-days", "2.9"]),
+    ("price_days", True, ["--price-days", "true"]),
+    ("price_days", 1, ["--price-days", "1"]),
+    ("price_days", "", ["--price-days", ""]),
+    ("tickers", "GS,,AMZN", ["--tickers", "GS,,AMZN"]),
+    ("tickers", ["GS", "gs"], ["--tickers", "GS,gs"]),
+    ("tickers", [], ["--tickers", ""]),
+    ("tickers", [{"key": "GS", "display_name": "Goldman Sachs"}], None),
+    ("window", {"start": "2022-07-20", "end": "2022-07-29"}, None),
+    ("window", "2022-07-29:2022-07-20", ["--window", "2022-07-29:2022-07-20"]),
+    ("thresholds", [0.15, -0.15], None),
+    ("thresholds", {"affine_min": 0.15, "averse_max": -0.15}, None),
+    ("thresholds", "0.15", ["--thresholds", "0.15"]),
+    ("thresholds", "-0.15,0.15", ["--thresholds=-0.15,0.15"]),
+]
+
+
+@pytest.mark.parametrize("key,file_value,flag_argv", BAD_VALUES)
+def test_a_bad_value_is_one_config_error_naming_key_and_source(tmp_path, capsys, key, file_value, flag_argv):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, **{key: file_value})
+    cases = [(["--config", str(path)], str(path))]
+    if flag_argv is not None:
+        cases.append((flag_argv, flag_argv[0].split("=")[0]))
+    for argv, source in cases:
+        assert run_cli(["run", *argv, "--out", str(out)]) == 2, source
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error[config]: {key} (from {source}): "), errors
+        assert not out.exists()
+
+
+def test_unknown_key_is_one_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, tickers=["GS"], ticker=["AMZN"])
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error[config]: config {path} has unknown key(s): ticker"]
+
+
+def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run", "--bogus", "GS", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --bogus GS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ['["GS"]', '{"tickers": '])
+def test_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, body):
+    path = tmp_path / "config.json"
+    path.write_text(body, encoding="utf-8")
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error[config]: config {path} ")

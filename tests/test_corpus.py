@@ -11,7 +11,6 @@ import pytest
 from esgsent.corpus import (
     Document,
     Source,
-    Ticker,
     TimeWindow,
     dedupe,
     fetch_documents,
@@ -32,13 +31,6 @@ NEWS_LINE = (
     '{"id": "n1", "source": "news", "timestamp": "2022-07-21T09:00:00Z", '
     '"ticker": "GS", "text": "headline", "url": "https://x.example/a", "title": "headline"}'
 )
-
-
-def test_ticker_key_must_be_uppercase_nonempty():
-    with pytest.raises(ValueError):
-        Ticker("gs", "Goldman Sachs")
-    with pytest.raises(ValueError):
-        Ticker("", "Nobody")
 
 
 def test_window_rejects_reversed_bounds():
@@ -191,12 +183,12 @@ class TestFetchDocuments:
                 self._payload("n4", "2022-07-29"),
             ],
         )
-        docs = fetch_documents(Ticker("HSBC", "HSBC"), july_window, transport)
+        docs = fetch_documents("HSBC", july_window, transport)
         assert [doc.id for doc in docs] == ["n1", "n2", "n4"]
 
     def test_empty_fixture_gives_empty_list(self, tmp_path, july_window):
         transport = self._write_fixture(tmp_path, "HSBC", [])
-        assert fetch_documents(Ticker("HSBC", "HSBC"), july_window, transport) == []
+        assert fetch_documents("HSBC", july_window, transport) == []
 
     def test_row_missing_timestamp_is_schema_error(self, tmp_path, july_window):
         transport = self._write_fixture(
@@ -205,12 +197,12 @@ class TestFetchDocuments:
             ['{"id": "n1", "source": "news", "ticker": "HSBC", "text": "x"}'],
         )
         with pytest.raises(SchemaError):
-            fetch_documents(Ticker("HSBC", "HSBC"), july_window, transport)
+            fetch_documents("HSBC", july_window, transport)
 
     def test_missing_fixture_dir_is_transport_error(self, tmp_path, july_window):
         transport = ReplayDocumentTransport(tmp_path)
         with pytest.raises(TransportError):
-            fetch_documents(Ticker("HSBC", "HSBC"), july_window, transport)
+            fetch_documents("HSBC", july_window, transport)
 
     def test_output_sorted_by_timestamp_then_id(self, tmp_path, july_window):
         transport = self._write_fixture(
@@ -222,7 +214,7 @@ class TestFetchDocuments:
                 self._payload("mm", "2022-07-22"),
             ],
         )
-        docs = fetch_documents(Ticker("HSBC", "HSBC"), july_window, transport)
+        docs = fetch_documents("HSBC", july_window, transport)
         assert [doc.id for doc in docs] == ["mm", "zz", "aa"]
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
@@ -231,7 +223,7 @@ class TestFetchDocuments:
             "HSBC",
             [self._payload("n1", "2022-07-21"), self._payload("x1", "2022-07-21", ticker="GS")],
         )
-        docs = fetch_documents(Ticker("HSBC", "HSBC"), july_window, transport)
+        docs = fetch_documents("HSBC", july_window, transport)
         assert [doc.id for doc in docs] == ["n1"]
 
 

@@ -7,7 +7,6 @@ from datetime import date
 
 import pytest
 
-from esgsent.corpus import Ticker
 from esgsent.errors import InsufficientData, InvariantError, SchemaError, TransportError
 from esgsent.market import (
     PriceBar,
@@ -176,13 +175,13 @@ class TestDailyReturns:
 class TestFetchPrices:
     def test_replay_fixture(self, fixtures_dir):
         transport = ReplayPriceTransport(fixtures_dir)
-        series = fetch_prices(Ticker("TSLA", "Tesla"), JULY_WINDOW, transport)
+        series = fetch_prices("TSLA", JULY_WINDOW, transport)
         assert len(series) == 25
 
     def test_missing_fixture_is_transport_error(self, tmp_path):
         transport = ReplayPriceTransport(tmp_path)
         with pytest.raises(TransportError):
-            fetch_prices(Ticker("TSLA", "Tesla"), JULY_WINDOW, transport)
+            fetch_prices("TSLA", JULY_WINDOW, transport)
 
     def test_duplicate_date_fixture_is_invariant_error(self, tmp_path):
         ticker_dir = tmp_path / "TSLA"
@@ -192,7 +191,7 @@ class TestFetchPrices:
             encoding="utf-8",
         )
         with pytest.raises(InvariantError):
-            fetch_prices(Ticker("TSLA", "Tesla"), JULY_WINDOW, ReplayPriceTransport(tmp_path))
+            fetch_prices("TSLA", JULY_WINDOW, ReplayPriceTransport(tmp_path))
 
 
 def test_price_round_trip(fixtures_dir, tmp_path):

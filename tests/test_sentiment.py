@@ -263,3 +263,15 @@ def test_scored_file_round_trip(tmp_path):
     path = tmp_path / "scored.jsonl"
     write_scored(scored, path)
     assert read_scored(path, docs) == scored
+
+
+@pytest.mark.parametrize("composite_value", ['"x"', "[1]", "0.9"])
+def test_scored_line_with_bad_composite_is_schema_error(tmp_path, composite_value):
+    doc = make_doc("a")
+    path = tmp_path / "scored.jsonl"
+    path.write_text(
+        f'{{"id": "a", "source": "tweet", "label": "positive", "score": 0.5, "composite": {composite_value}}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError):
+        read_scored(path, [doc])
