@@ -264,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esgsent",
         description="ESG sentiment vs. stock performance pipeline",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", cmd_report, "write summary CSV, candlestick SVGs and analysis JSONs"),
         ("run", cmd_run, "run every stage in order"),
     ):
-        stage = sub.add_parser(name, parents=[common], help=help_text)
+        stage = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
         stage.set_defaults(func=func)
     return parser
 
@@ -289,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PipelineError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
     return 0

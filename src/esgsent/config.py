@@ -22,6 +22,7 @@ from typing import Callable, Optional
 from .aggregation import AffinityThresholds
 from .corpus import TimeWindow
 from .errors import ConfigError
+from .util import read_text
 
 DEFAULT_DOCUMENT_DAYS = 10
 
@@ -156,7 +157,7 @@ def load_config_file(path: Path) -> dict[str, object]:
     Relative paths resolve against the file's directory.
     """
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import SchemaError
+from .util import json_value, open_text
 
 if TYPE_CHECKING:
     from .transport import DocumentTransport
@@ -171,18 +172,17 @@ def serialize_document(doc: Document) -> str:
     Field order and float-free payload keep serialization byte-stable, so
     parse -> serialize -> parse round-trips to an equal Document.
     """
-    obj: dict = {
-        "id": doc.id,
-        "source": doc.source.value,
-        "timestamp": _format_timestamp(doc.timestamp),
-        "ticker": doc.ticker,
-        "text": doc.text,
-    }
+    # Source values and timestamps need no JSON escaping.
+    line = (
+        f'{{"id": {json_value(doc.id)}, "source": "{doc.source.value}", '
+        f'"timestamp": "{_format_timestamp(doc.timestamp)}", '
+        f'"ticker": {json_value(doc.ticker)}, "text": {json_value(doc.text)}'
+    )
     for name in _OPTIONAL_FIELDS:
         value = getattr(doc, name)
         if value is not None:
-            obj[name] = value
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+            line += f', "{name}": {json_value(value)}'
+    return line + "}"
 
 
 def dedupe(docs: Iterable[Document]) -> list[Document]:
@@ -231,7 +231,7 @@ def fetch_documents(
 def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:
     """Load a corpus file (one JSON document per line, blank lines skipped)."""
     docs = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -244,6 +244,7 @@ def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:
 
 def write_corpus(docs: Iterable[Document], path: Path) -> None:
     """Write documents as a deterministic line-oriented corpus file."""
+    # Looked up per call, so bench/traced.py's patch of util.atomic_write_text counts this write.
     from .util import atomic_write_text
 
     body = "".join(serialize_document(doc) + "\n" for doc in docs)

@@ -35,6 +35,13 @@ class InvariantError(PipelineError):
     category = "invariant"
 
 
+class InputError(PipelineError):
+    """An input file that cannot be decoded as UTF-8; the message names the file."""
+
+    exit_code = 2
+    category = "io"
+
+
 class TransportError(PipelineError):
     """A transport could not deliver data (network failure, missing fixture)."""
 

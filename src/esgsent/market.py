@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InsufficientData, InvariantError, SchemaError
-from .util import atomic_write_text, format_real
+from .util import atomic_write_text, format_real, read_text
 
 if TYPE_CHECKING:
     from .corpus import TimeWindow
@@ -101,7 +101,7 @@ def parse_prices(text: str, ticker: str, context: str = "<prices>") -> PriceSeri
 def load_prices(path: Path, ticker: str) -> PriceSeries:
     """Load a price CSV file; bars come back date-sorted with invariants enforced."""
     path = Path(path)
-    return parse_prices(path.read_text(encoding="utf-8"), ticker, context=str(path))
+    return parse_prices(read_text(path), ticker, context=str(path))
 
 
 def write_prices(series: PriceSeries, path: Path) -> PriceSeries:

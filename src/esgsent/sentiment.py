@@ -13,13 +13,14 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from .corpus import Document, Source
 from .errors import InvariantError, SchemaError
-from .util import atomic_write_text
+from .util import atomic_write_text, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -85,6 +86,16 @@ class Lexicon:
                 if not term or term != term.lower() or any(c.isspace() for c in term):
                     raise InvariantError(f"bad lexicon entry in {name}: {term!r}")
 
+    @cached_property
+    def polarity(self) -> dict[str, int]:
+        """Every term the scorer reacts to: +1 positive, -1 negative, and 0
+        for a negator that is neither."""
+        return {
+            **dict.fromkeys(self.negators, 0),
+            **dict.fromkeys(self.positive_terms, 1),
+            **dict.fromkeys(self.negative_terms, -1),
+        }
+
     def swapped(self) -> "Lexicon":
         """Lexicon with positive and negative term lists exchanged."""
         return Lexicon(self.negative_terms, self.positive_terms, self.negators)
@@ -111,7 +122,7 @@ def load_lexicon(directory: Path) -> Lexicon:
         path = directory / name
         if not path.exists():
             raise SchemaError(f"lexicon file missing: {path}")
-        parts.append(_parse_terms(path.read_text(encoding="utf-8")))
+        parts.append(_parse_terms(read_text(path)))
     return Lexicon(*parts)
 
 
@@ -145,21 +156,31 @@ def score_tokens(tokens: list[str], lexicon: Lexicon) -> SentimentVerdict:
     Score is |p - n| / (p + n); no hits or a tie is Neutral with score 0.
     Repeated words count once per occurrence.
     """
+    polarity_of = lexicon.polarity.get
+    negators = lexicon.negators
     positives = negatives = 0
+    last_negator = -NEGATION_WINDOW - 1
     for i, token in enumerate(tokens):
-        if token in lexicon.positive_terms:
-            polarity = 1
-        elif token in lexicon.negative_terms:
-            polarity = -1
-        else:
+        polarity = polarity_of(token)
+        if polarity is None:
             continue
-        preceding = tokens[max(0, i - NEGATION_WINDOW):i]
-        if any(t in lexicon.negators for t in preceding):
-            polarity = -polarity
-        if polarity > 0:
-            positives += 1
-        else:
-            negatives += 1
+        if polarity:
+            if i - last_negator <= NEGATION_WINDOW:
+                polarity = -polarity
+            if polarity > 0:
+                positives += 1
+            else:
+                negatives += 1
+            if token not in negators:
+                continue
+        # Set after the hit is counted, so a negator never flips itself.
+        last_negator = i
+    return _verdict(positives, negatives)
+
+
+@lru_cache(maxsize=1024)
+def _verdict(positives: int, negatives: int) -> SentimentVerdict:
+    """Verdict for p positive and n negative hits, built once per (p, n)."""
     total = positives + negatives
     if total == 0 or positives == negatives:
         return SentimentVerdict(SentimentLabel.NEUTRAL, 0.0)
@@ -214,7 +235,7 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
     keys are rejected rather than silently resolved.
     """
     verdicts: dict[VerdictKey, SentimentVerdict] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != _EXTERNAL_HEADER:
             raise SchemaError(
@@ -265,14 +286,12 @@ def score_corpus(
 
 def serialize_scored(sd: ScoredDocument) -> str:
     """One scored line: document key, label, score, composite."""
-    obj = {
-        "id": sd.document.id,
-        "source": sd.document.source.value,
-        "label": sd.verdict.label.value,
-        "score": sd.verdict.score,
-        "composite": sd.composite,
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+    # Source and label values need no JSON escaping.
+    return (
+        f'{{"id": {json_value(sd.document.id)}, "source": "{sd.document.source.value}", '
+        f'"label": "{sd.verdict.label.value}", "score": {json_value(sd.verdict.score)}, '
+        f'"composite": {json_value(sd.composite)}}}'
+    )
 
 
 def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
@@ -280,10 +299,14 @@ def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
 
 
 def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocument]:
-    """Load a scored file back, re-attaching documents by (source, id) key."""
+    """Load a scored file back, re-attaching documents by (source, id) key.
+
+    Each document is scored once: a repeated (source, id) key is rejected.
+    """
     by_key = {doc.key: doc for doc in documents}
+    seen: set[VerdictKey] = set()
     scored = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -298,12 +321,16 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
             doc = by_key.get(key)
             if doc is None:
                 raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
+            if key in seen:
+                raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
+            seen.add(key)
             try:
                 verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
-                consistent = float(obj["composite"]) == composite(verdict)
+                stated = float(obj["composite"])
             except (TypeError, ValueError, InvariantError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            if not consistent:
-                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
-            scored.append(ScoredDocument.from_verdict(doc, verdict))
+            try:
+                scored.append(ScoredDocument(doc, verdict, stated))
+            except InvariantError:
+                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict") from None
     return scored

@@ -23,6 +23,7 @@ from typing import Iterable, Protocol
 
 from .corpus import TimeWindow
 from .errors import SchemaError, TransportError
+from .util import open_text, read_text
 
 TWEET_FIXTURE = "tweets.jsonl"
 NEWS_FIXTURE = "news.jsonl"
@@ -60,7 +61,7 @@ class ReplayDocumentTransport:
             fixture = ticker_dir / name
             if not fixture.exists():
                 continue
-            with open(fixture, encoding="utf-8") as handle:
+            with open_text(fixture) as handle:
                 for lineno, line in enumerate(handle, start=1):
                     if not line.strip():
                         continue
@@ -81,4 +82,4 @@ class ReplayPriceTransport:
         fixture = self.fixtures_dir / ticker / PRICE_FIXTURE
         if not fixture.exists():
             raise TransportError(f"no price fixture for {ticker} under {self.fixtures_dir}")
-        return fixture.read_text(encoding="utf-8")
+        return read_text(fixture)

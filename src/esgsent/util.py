@@ -2,9 +2,49 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, Optional, TextIO
+
+from .errors import InputError
+
+_encode_str = json.encoder.encode_basestring
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+
+
+def json_value(value: object) -> str:
+    """JSON text of one value, as json.dumps(value, ensure_ascii=False,
+    separators=(", ", ": ")) writes it.
+
+    Strings, ints and finite floats, the fields of almost every line, are
+    written directly; anything else goes through one shared encoder.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return _ENCODER.encode(value)
+
+
+@contextmanager
+def open_text(path: Path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading; a decode error names the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def read_text(path: Path) -> str:
+    """The whole of a UTF-8 text file; a decode error names the file."""
+    with open_text(path) as handle:
+        return handle.read()
 
 
 def atomic_write_text(path: Path, text: str) -> None:

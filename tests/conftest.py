@@ -17,6 +17,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 JULY_WINDOW = TimeWindow(date(2022, 7, 20), date(2022, 7, 29))
 GOLDEN_TICKERS = "GS,AMZN,TSLA,HSBC"
+# Strings that JSON must escape, or that are not ASCII.
+AWKWARD_STRINGS = ['say "hi"', "back\\slash", "tab\there\nnew\x00\x1f\x7f", "café – 日本語 😀", "line\u2028para\u2029"]
 
 
 @pytest.fixture

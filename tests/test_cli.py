@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES_DIR, run_cli
+from conftest import FIXTURES_DIR, REPO_ROOT, run_cli
 
 STAGES = ("ingest", "score", "aggregate", "prices", "analyze", "report")
 JULY = "2022-07-20:2022-07-29"
@@ -148,4 +148,47 @@ def test_non_utf8_corpus_is_one_io_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["score", *flags(FIXTURES_DIR, tmp_path)]) == 2
     errors = stderr_lines(capsys)
-    assert len(errors) == 1 and errors[0].startswith("error[io]: 'utf-8' codec can't decode"), errors
+    expected = f"error[io]: {tmp_path / 'corpus.jsonl'}: 'utf-8' codec can't decode"
+    assert len(errors) == 1 and errors[0].startswith(expected), errors
+
+
+@pytest.mark.parametrize(
+    "stage,name",
+    [
+        ("aggregate", "out/scored.jsonl"),
+        ("report", "out/prices/GS.csv"),
+        ("ingest", "fixtures/GS/tweets.jsonl"),
+        ("prices", "fixtures/GS/prices.csv"),
+        ("score", "lexicon/negators.txt"),
+        ("score", "verdicts.csv"),
+        ("run", "config.json"),
+    ],
+)
+def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage, name):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out)]) == 0
+    shutil.copytree(REPO_ROOT / "src" / "esgsent" / "data" / "lexicon", tmp_path / "lexicon")
+    (tmp_path / "verdicts.csv").write_text("id,source,label,score\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text("{}\n", encoding="utf-8")
+    with open(tmp_path / name, "ab") as handle:
+        handle.write(b"\xff\n")
+    capsys.readouterr()
+    argv = [stage, *flags(fixtures, out), "--lexicon", str(tmp_path / "lexicon"),
+            "--external-verdicts", str(tmp_path / "verdicts.csv"), "--config", str(tmp_path / "config.json")]
+    assert run_cli(argv) == 2
+    errors = stderr_lines(capsys)
+    expected = f"error[io]: {tmp_path / name}: 'utf-8' codec can't decode"
+    assert len(errors) == 1 and errors[0].startswith(expected), errors
+
+
+def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    scored = tmp_path / "scored.jsonl"
+    lines = scored.read_text(encoding="utf-8").splitlines(keepends=True)
+    with open(scored, "a", encoding="utf-8") as handle:
+        handle.write(lines[0])
+    capsys.readouterr()
+    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 2
+    errors = stderr_lines(capsys)
+    assert errors == [f"error[schema]: {scored}:{len(lines) + 1}: duplicate scored line for "
+                      f"{tuple(json.loads(lines[0])[k] for k in ('source', 'id'))}"], errors

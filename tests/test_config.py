@@ -148,6 +148,14 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --bogus GS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--price", "5"), ("--tick", "GS")])
+def test_flag_prefix_is_a_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["prices", flag, value, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body", ['["GS"]', '{"tickers": '])
 def test_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, body):
     path = tmp_path / "config.json"

@@ -21,7 +21,7 @@ from esgsent.corpus import (
 from esgsent.errors import SchemaError, TransportError
 from esgsent.transport import ReplayDocumentTransport
 
-from conftest import make_doc
+from conftest import AWKWARD_STRINGS, make_doc
 
 TWEET_LINE = (
     '{"id": "t1", "source": "tweet", "timestamp": "2022-07-20T12:00:00Z", '
@@ -225,6 +225,53 @@ class TestFetchDocuments:
         )
         docs = fetch_documents("HSBC", july_window, transport)
         assert [doc.id for doc in docs] == ["n1"]
+
+
+def dumps_reference(doc: Document) -> str:
+    """The corpus line as json.dumps writes the document's fields."""
+    obj = {
+        "id": doc.id,
+        "source": doc.source.value,
+        "timestamp": doc.timestamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "ticker": doc.ticker,
+        "text": doc.text,
+    }
+    for name in ("author", "followers", "place", "url", "title"):
+        value = getattr(doc, name)
+        if value is not None:
+            obj[name] = value
+    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+
+
+class TestSerializeMatchesJsonDumps:
+    @pytest.mark.parametrize("text", AWKWARD_STRINGS)
+    def test_strings_in_every_field(self, text):
+        doc = make_doc(text, ticker=text, text=text, author=text, followers=7, place=text, url=text, title=text)
+        assert serialize_document(doc) == dumps_reference(doc)
+
+    @pytest.mark.parametrize(
+        "author",
+        [0, -3, 10**30, 1.5, 1e-7, -0.0, float("nan"), float("inf"), True, False,
+         [1, "x", None, [2.5]], {"k": {"n": None, "s": 'a"b'}}, "", []],
+    )
+    def test_author_of_any_json_type(self, author):
+        doc = make_doc("t1", author=author, followers=0)
+        assert serialize_document(doc) == dumps_reference(doc)
+
+    def test_random_documents(self):
+        rng = random.Random(5)
+        alphabet = 'ab "\\\n\t\x01é日😀/'
+        for _ in range(300):
+            fields = {name: "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 12)))
+                      for name in ("author", "place", "url", "title") if rng.random() < 0.5}
+            doc = make_doc(
+                "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8))),
+                source=rng.choice(list(Source)),
+                text="x" + "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40))),
+                followers=rng.choice([None, rng.randrange(0, 10**6)]),
+                **fields,
+            )
+            assert serialize_document(doc) == dumps_reference(doc)
 
 
 def test_shipped_fixture_lines_round_trip(fixtures_dir):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from esgsent.errors import InvariantError, SchemaError
 from esgsent.sentiment import (
+    NEGATION_WINDOW,
     Lexicon,
     ScoredDocument,
     SentimentLabel,
@@ -20,13 +22,14 @@ from esgsent.sentiment import (
     score_corpus,
     score_document,
     score_tokens,
+    serialize_scored,
     tokenize,
     weight,
     write_scored,
 )
 from esgsent.corpus import Source
 
-from conftest import make_doc
+from conftest import AWKWARD_STRINGS, make_doc
 
 LEX = Lexicon(
     positive_terms=frozenset({"good", "great", "clean", "praised"}),
@@ -150,6 +153,81 @@ class TestScoreTokens:
         assert score_document(doc, LEX) == score_document(doc, LEX)
 
 
+def slice_window_verdict(tokens: list[str], lexicon: Lexicon) -> SentimentVerdict:
+    """The rule written as a look-back: a hit flips when any of the
+    NEGATION_WINDOW tokens before it is a negator."""
+    positives = negatives = 0
+    for i, token in enumerate(tokens):
+        if token in lexicon.positive_terms:
+            polarity = 1
+        elif token in lexicon.negative_terms:
+            polarity = -1
+        else:
+            continue
+        if any(t in lexicon.negators for t in tokens[max(0, i - NEGATION_WINDOW):i]):
+            polarity = -polarity
+        if polarity > 0:
+            positives += 1
+        else:
+            negatives += 1
+    if positives == negatives:
+        return SentimentVerdict(SentimentLabel.NEUTRAL, 0.0)
+    label = SentimentLabel.POSITIVE if positives > negatives else SentimentLabel.NEGATIVE
+    return SentimentVerdict(label, abs(positives - negatives) / (positives + negatives))
+
+
+# "no" is a negator and a positive term.
+NEGATOR_IS_POSITIVE = Lexicon(
+    positive_terms=frozenset({"good", "no"}),
+    negative_terms=frozenset({"bad"}),
+    negators=frozenset({"no", "not"}),
+)
+
+
+class TestOnePassMatchesSliceWindow:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lexicon", [LEX, NEGATOR_IS_POSITIVE], ids=["plain", "negator-is-positive"])
+    def test_random_token_lists(self, seed, lexicon):
+        rng = random.Random(seed)
+        vocabulary = sorted(lexicon.positive_terms | lexicon.negative_terms | lexicon.negators) + ["a", "b", "c"]
+        for _ in range(500):
+            tokens = [rng.choice(vocabulary) for _ in range(rng.randrange(0, 30))]
+            assert score_tokens(tokens, lexicon) == slice_window_verdict(tokens, lexicon), tokens
+
+    @pytest.mark.parametrize(
+        "tokens,label",
+        [
+            (["not", "a", "b", "good"], SentimentLabel.NEGATIVE),  # distance 3: flipped
+            (["not", "a", "b", "c", "good"], SentimentLabel.POSITIVE),  # distance 4: kept
+            (["not", "never", "no", "good"], SentimentLabel.NEGATIVE),  # a run of negators
+            (["not", "never", "a", "b", "c", "good"], SentimentLabel.POSITIVE),  # run ends 4 back
+            (["not", "a", "never", "b", "c", "good"], SentimentLabel.NEGATIVE),  # later one 3 back
+            (["no", "bad", "a", "toxic"], SentimentLabel.POSITIVE),  # one negator, both hits in reach
+        ],
+    )
+    def test_negator_distances(self, tokens, label):
+        verdict = score_tokens(tokens, LEX)
+        assert verdict.label is label
+        assert verdict == slice_window_verdict(tokens, LEX)
+
+    @pytest.mark.parametrize(
+        "tokens,label",
+        [
+            (["no"], SentimentLabel.POSITIVE),  # a negator does not flip itself
+            (["no", "no"], SentimentLabel.NEUTRAL),  # the second is flipped by the first
+            (["not", "no"], SentimentLabel.NEGATIVE),
+            (["no", "a", "b", "c", "no"], SentimentLabel.POSITIVE),
+        ],
+    )
+    def test_negator_that_is_also_a_positive_term(self, tokens, label):
+        verdict = score_tokens(tokens, NEGATOR_IS_POSITIVE)
+        assert verdict.label is label
+        assert verdict == slice_window_verdict(tokens, NEGATOR_IS_POSITIVE)
+
+    def test_polarity_map(self):
+        assert NEGATOR_IS_POSITIVE.polarity == {"good": 1, "no": 1, "bad": -1, "not": 0}
+
+
 class TestLexicon:
     def test_overlap_rejected(self):
         with pytest.raises(InvariantError):
@@ -257,6 +335,23 @@ class TestScoreCorpus:
             ScoredDocument(doc, SentimentVerdict(SentimentLabel.POSITIVE, 0.5), 0.9)
 
 
+@pytest.mark.parametrize("doc_id", AWKWARD_STRINGS)
+@pytest.mark.parametrize(
+    "label,score",
+    [
+        (SentimentLabel.NEUTRAL, 0.0),
+        (SentimentLabel.POSITIVE, 1 / 3),
+        (SentimentLabel.NEGATIVE, 1e-7),
+        (SentimentLabel.NEGATIVE, 0.0),  # composite -0.0
+        (SentimentLabel.POSITIVE, 1.0),
+    ],
+)
+def test_serialize_scored_matches_json_dumps(doc_id, label, score):
+    sd = ScoredDocument.from_verdict(make_doc(doc_id), SentimentVerdict(label, score))
+    obj = {"id": doc_id, "source": "tweet", "label": label.value, "score": score, "composite": sd.composite}
+    assert serialize_scored(sd) == json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+
+
 def test_scored_file_round_trip(tmp_path):
     docs = [make_doc("a", text="clean energy"), make_doc("b", text="toxic spill probe")]
     scored = score_corpus(docs, LEX)
@@ -275,3 +370,14 @@ def test_scored_line_with_bad_composite_is_schema_error(tmp_path, composite_valu
     )
     with pytest.raises(SchemaError):
         read_scored(path, [doc])
+
+
+def test_scored_line_with_inconsistent_composite_names_the_line(tmp_path):
+    path = tmp_path / "scored.jsonl"
+    path.write_text(
+        '\n{"id": "a", "source": "tweet", "label": "negative", "score": 0.5, "composite": 0.5}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match=r"scored\.jsonl:2: composite inconsistent with verdict$"):
+        read_scored(path, [make_doc("a")])
+
