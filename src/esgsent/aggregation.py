@@ -69,9 +69,7 @@ def aggregate_by_ticker(
 ) -> list[TickerAggregate]:
     """One aggregate per ticker, sorted by ticker key.
 
-    Summation runs in (timestamp, id) order regardless of input order,
-    so the result is bit-reproducible under any permutation. Configured
-    tickers with no documents aggregate to (0, 0, 0, Neutral).
+    Configured tickers with no documents aggregate to (0, 0, 0, Neutral).
     """
     groups: dict[str, list[ScoredDocument]] = {key: [] for key in (tickers or [])}
     for sd in scored:
@@ -79,9 +77,9 @@ def aggregate_by_ticker(
 
     aggregates = []
     for key in sorted(groups):
-        docs = sorted(groups[key], key=lambda sd: sd.document.sort_key)
+        docs = groups[key]
         n = len(docs)
-        total = math.fsum(sd.composite for sd in docs)
+        total = math.fsum(sd.verdict.composite for sd in docs)
         mean = total / n if n else 0.0
         aggregates.append(
             TickerAggregate(

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .aggregation import TickerAggregate
-from .errors import DegenerateSeries, InsufficientData
 from .market import PriceSeries, daily_open_returns, percent_change_open
 from .sentiment import ScoredDocument
 from .util import atomic_write_text
@@ -39,7 +38,7 @@ def daily_index(scored: Iterable[ScoredDocument]) -> list[tuple[date, float]]:
     by_day: dict[date, list[float]] = {}
     for sd in scored:
         day = sd.document.timestamp.astimezone(timezone.utc).date()
-        by_day.setdefault(day, []).append(sd.composite)
+        by_day.setdefault(day, []).append(sd.verdict.composite)
     return [(day, math.fsum(values) / len(values)) for day, values in sorted(by_day.items())]
 
 
@@ -56,13 +55,16 @@ def align(
     ]
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Population-form Pearson correlation: cov(x, y) / (sigma_x * sigma_y)."""
+def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
+    """Population-form Pearson correlation: cov(x, y) / (sigma_x * sigma_y).
+
+    None with fewer than MIN_ALIGNED_DAYS points or a constant series.
+    """
     if len(x) != len(y):
         raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if n < MIN_ALIGNED_DAYS:
-        raise InsufficientData(f"need >= {MIN_ALIGNED_DAYS} points, got {n}")
+        return None
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     dx = [v - mean_x for v in x]
@@ -70,7 +72,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ss_x = math.fsum(d * d for d in dx)
     ss_y = math.fsum(d * d for d in dy)
     if ss_x == 0.0 or ss_y == 0.0:
-        raise DegenerateSeries("a constant series has no correlation")
+        return None
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
 
 
@@ -117,21 +119,11 @@ def analyze(
     mean_composite = aggregate.mean_composite
     change = percent_change_open(series)
     aligned = align(daily_index(scored), daily_open_returns(series))
-
-    pearson_r: Optional[float] = None
-    if aligned:
-        sentiment_values = [s for _, s, _ in aligned]
-        return_values = [r for _, _, r in aligned]
-        try:
-            pearson_r = pearson(sentiment_values, return_values)
-        except (InsufficientData, DegenerateSeries):
-            pearson_r = None
-
     return AnalysisResult(
         ticker=aggregate.ticker,
         percent_change=change,
         mean_composite=mean_composite,
-        pearson_r=pearson_r,
+        pearson_r=pearson([s for _, s, _ in aligned], [r for _, _, r in aligned]),
         n_aligned_days=len(aligned),
         sign_agreement=sign_agreement(mean_composite, change),
     )

@@ -50,7 +50,7 @@ from .sentiment import (
     score_corpus,
     write_scored,
 )
-from .transport import PriceTransport, ReplayDocumentTransport, ReplayPriceTransport
+from .transport import ReplayDocumentTransport, ReplayPriceTransport
 from .util import atomic_write_text, format_real
 
 SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "percent_change", "sign_agreement"]
@@ -145,10 +145,10 @@ def cmd_aggregate(config: RunConfig) -> None:
     _aggregate(config, _read_scored(config))
 
 
-def _fetch_series(config: RunConfig, transport: PriceTransport, ticker: str) -> PriceSeries:
+def _fetch_series(config: RunConfig, transport: ReplayPriceTransport, ticker: str) -> PriceSeries:
     """Fetch a ticker's bars, keep the last price_days dated on or before the
     window's end, write them, and return them as written."""
-    series = fetch_prices(ticker, config.window, transport)
+    series = fetch_prices(ticker, transport)
     path = config.prices_path(ticker)
     series = write_prices(tail_n(series, config.price_days, end=config.window.end), path)
     print(f"{ticker}: {len(series)} trading days -> {path}")

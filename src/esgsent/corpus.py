@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import SchemaError
+from .transport import ReplayDocumentTransport
 from .util import json_value, open_text
-
-if TYPE_CHECKING:
-    from .transport import DocumentTransport
 
 logger = logging.getLogger(__name__)
 
@@ -95,6 +93,7 @@ class Document:
 # Corpus line schema: required then optional fields, in serialization order.
 _REQUIRED_FIELDS = ("id", "source", "timestamp", "ticker", "text")
 _OPTIONAL_FIELDS = ("author", "followers", "place", "url", "title")
+_KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
 
 
 def _parse_timestamp(raw: str, doc_id: str) -> datetime:
@@ -124,8 +123,8 @@ def parse_document_payload(payload: dict, *, strict: bool = False) -> Document:
     if missing:
         raise SchemaError(f"document payload missing required field(s): {', '.join(missing)}")
 
-    unknown = sorted(set(payload) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS))
-    if unknown:
+    if not _KNOWN_FIELDS.issuperset(payload):
+        unknown = sorted(set(payload) - _KNOWN_FIELDS)
         if strict:
             raise SchemaError(f"document payload has unknown field(s): {', '.join(unknown)}")
         logger.warning("ignoring unknown document field(s): %s", ", ".join(unknown))
@@ -209,23 +208,22 @@ def filter_window(docs: Iterable[Document], window: TimeWindow) -> list[Document
 def fetch_documents(
     ticker: str,
     window: TimeWindow,
-    transport: "DocumentTransport",
+    transport: ReplayDocumentTransport,
     *,
     strict: bool = False,
 ) -> list[Document]:
-    """Retrieve this ticker's documents through a transport.
+    """Retrieve this ticker's documents through a transport, in transport order.
 
-    Every returned document matches the ticker and lies inside the
-    window; the list is sorted by (timestamp, id).
+    Every returned document matches the ticker and lies inside the window.
     """
     docs = []
-    for payload in transport.fetch(ticker, window):
+    for payload in transport.fetch(ticker):
         doc = parse_document_payload(payload, strict=strict)
         if doc.ticker != ticker:
             continue
         if window.contains(doc.timestamp):
             docs.append(doc)
-    return sorted(docs, key=lambda d: d.sort_key)
+    return docs
 
 
 def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:

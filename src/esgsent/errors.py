@@ -54,10 +54,3 @@ class InsufficientData(PipelineError):
 
     exit_code = 4
     category = "insufficient-data"
-
-
-class DegenerateSeries(PipelineError):
-    """A series has zero variance, so correlation is undefined."""
-
-    exit_code = 4
-    category = "degenerate-series"

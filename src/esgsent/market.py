@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import InsufficientData, InvariantError, SchemaError
+from .transport import ReplayPriceTransport
 from .util import atomic_write_text, format_real, read_text
-
-if TYPE_CHECKING:
-    from .corpus import TimeWindow
-    from .transport import PriceTransport
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -43,8 +41,10 @@ class PriceBar:
 
     def __post_init__(self) -> None:
         for name in ("open", "high", "low", "close"):
-            if getattr(self, name) <= 0:
-                raise InvariantError(f"{self.date}: {name} price must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                problem = "must be positive" if math.isfinite(value) else f"{value} is not finite"
+                raise InvariantError(f"{self.date}: {name} price {problem}")
         if not self.low <= self.open <= self.high:
             raise InvariantError(f"{self.date}: open {self.open} outside [low, high]")
         if not self.low <= self.close <= self.high:
@@ -122,9 +122,9 @@ def write_prices(series: PriceSeries, path: Path) -> PriceSeries:
     return PriceSeries(ticker=series.ticker, bars=tuple(bars))
 
 
-def fetch_prices(ticker: str, window: "TimeWindow", transport: "PriceTransport") -> PriceSeries:
+def fetch_prices(ticker: str, transport: ReplayPriceTransport) -> PriceSeries:
     """Retrieve a ticker's price history through a transport."""
-    payload = transport.fetch(ticker, window)
+    payload = transport.fetch(ticker)
     return parse_prices(payload, ticker, context=f"prices[{ticker}]")
 
 

@@ -46,11 +46,6 @@ _WEIGHTS = {
 }
 
 
-def weight(label: SentimentLabel) -> int:
-    """Signed weight of a sentiment label: +1, 0 or -1."""
-    return _WEIGHTS[label]
-
-
 @dataclass(frozen=True)
 class SentimentVerdict:
     """Label plus a confidence/intensity score in [0, 1]."""
@@ -62,10 +57,10 @@ class SentimentVerdict:
         if not 0.0 <= self.score <= 1.0:
             raise InvariantError(f"sentiment score {self.score} outside [0, 1]")
 
-
-def composite(verdict: SentimentVerdict) -> float:
-    """Signed composite polarity in [-1, 1]: label weight times score."""
-    return weight(verdict.label) * verdict.score
+    @property
+    def composite(self) -> float:
+        """Signed composite polarity in [-1, 1]: label weight times score."""
+        return _WEIGHTS[self.label] * self.score
 
 
 @dataclass(frozen=True)
@@ -95,10 +90,6 @@ class Lexicon:
             **dict.fromkeys(self.positive_terms, 1),
             **dict.fromkeys(self.negative_terms, -1),
         }
-
-    def swapped(self) -> "Lexicon":
-        """Lexicon with positive and negative term lists exchanged."""
-        return Lexicon(self.negative_terms, self.positive_terms, self.negators)
 
 
 def _parse_terms(text: str) -> frozenset[str]:
@@ -201,27 +192,14 @@ def score_document(doc: Document, lexicon: Lexicon) -> SentimentVerdict:
 
 @dataclass(frozen=True)
 class ScoredDocument:
-    """A document with its verdict and the composite derived from it."""
+    """A document with its verdict; the composite is ``verdict.composite``."""
 
     document: Document
     verdict: SentimentVerdict
-    composite: float
-
-    def __post_init__(self) -> None:
-        expected = composite(self.verdict)
-        if self.composite != expected:
-            raise InvariantError(
-                f"composite {self.composite} inconsistent with verdict "
-                f"({self.verdict.label.value}, {self.verdict.score})"
-            )
 
     @property
     def key(self) -> VerdictKey:
         return self.document.key
-
-    @classmethod
-    def from_verdict(cls, doc: Document, verdict: SentimentVerdict) -> "ScoredDocument":
-        return cls(document=doc, verdict=verdict, composite=composite(verdict))
 
 
 _EXTERNAL_HEADER = ["id", "source", "label", "score"]
@@ -280,7 +258,7 @@ def score_corpus(
         verdict = external.get(doc.key)
         if verdict is None:
             verdict = score_document(doc, lexicon)
-        scored.append(ScoredDocument.from_verdict(doc, verdict))
+        scored.append(ScoredDocument(doc, verdict))
     return scored
 
 
@@ -290,7 +268,7 @@ def serialize_scored(sd: ScoredDocument) -> str:
     return (
         f'{{"id": {json_value(sd.document.id)}, "source": "{sd.document.source.value}", '
         f'"label": "{sd.verdict.label.value}", "score": {json_value(sd.verdict.score)}, '
-        f'"composite": {json_value(sd.composite)}}}'
+        f'"composite": {json_value(sd.verdict.composite)}}}'
     )
 
 
@@ -314,9 +292,14 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
             for field_name in ("id", "source", "label", "score", "composite"):
                 if field_name not in obj:
                     raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
+            for field_name in ("id", "source"):
+                if not isinstance(obj[field_name], str):
+                    raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
             key = (obj["source"], obj["id"])
             doc = by_key.get(key)
             if doc is None:
@@ -329,8 +312,7 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
                 stated = float(obj["composite"])
             except (TypeError, ValueError, InvariantError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                scored.append(ScoredDocument(doc, verdict, stated))
-            except InvariantError:
-                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict") from None
+            if stated != verdict.composite:
+                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
+            scored.append(ScoredDocument(doc, verdict))
     return scored

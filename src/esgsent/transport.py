@@ -1,10 +1,8 @@
-"""Document and price transports.
+"""Replay transports: a ticker's recorded documents and price CSV.
 
-A transport delivers a ticker's raw documents or price CSV for a time
-window. The ``DocumentTransport`` and ``PriceTransport`` protocols are
-the contract; the replay transports, which read recorded fixtures from
-disk, are the only implementations shipped, so the pipeline and the test
-suite run offline. A live source plugs in by implementing a protocol.
+``ReplayDocumentTransport`` and ``ReplayPriceTransport`` read recorded
+fixtures from disk. They are the pipeline's only data sources, so the
+pipeline and the test suite run offline.
 
 Fixture layout, one directory per ticker key::
 
@@ -19,27 +17,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Protocol
 
-from .corpus import TimeWindow
 from .errors import SchemaError, TransportError
 from .util import open_text, read_text
 
 TWEET_FIXTURE = "tweets.jsonl"
 NEWS_FIXTURE = "news.jsonl"
 PRICE_FIXTURE = "prices.csv"
-
-
-class DocumentTransport(Protocol):
-    """Yields raw document payloads (decoded JSON objects) for a ticker."""
-
-    def fetch(self, ticker: str, window: TimeWindow) -> Iterable[dict]: ...
-
-
-class PriceTransport(Protocol):
-    """Returns a Yahoo-compatible CSV payload of daily bars for a ticker."""
-
-    def fetch(self, ticker: str, window: TimeWindow) -> str: ...
 
 
 class ReplayDocumentTransport:
@@ -52,7 +36,7 @@ class ReplayDocumentTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
-    def fetch(self, ticker: str, window: TimeWindow) -> list[dict]:
+    def fetch(self, ticker: str) -> list[dict]:
         ticker_dir = self.fixtures_dir / ticker
         if not ticker_dir.is_dir():
             raise TransportError(f"no document fixtures for {ticker} under {self.fixtures_dir}")
@@ -78,7 +62,7 @@ class ReplayPriceTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
-    def fetch(self, ticker: str, window: TimeWindow) -> str:
+    def fetch(self, ticker: str) -> str:
         fixture = self.fixtures_dir / ticker / PRICE_FIXTURE
         if not fixture.exists():
             raise TransportError(f"no price fixture for {ticker} under {self.fixtures_dir}")

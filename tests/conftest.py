@@ -51,7 +51,7 @@ def make_doc(
 
 
 def make_scored(doc: Document, label: SentimentLabel, score: float) -> ScoredDocument:
-    return ScoredDocument.from_verdict(doc, SentimentVerdict(label, score))
+    return ScoredDocument(doc, SentimentVerdict(label, score))
 
 
 def make_series(opens: list[float], *, ticker: str = "GS", start: date = date(2022, 7, 1)) -> PriceSeries:

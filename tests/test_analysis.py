@@ -5,16 +5,47 @@ from __future__ import annotations
 import re
 from datetime import date
 
-from esgsent.analysis import align, pearson
+import pytest
+
+from esgsent.aggregation import AffinityClass, TickerAggregate
+from esgsent.analysis import align, analyze, pearson
 from esgsent.charts import MIN_BODY_PX, render_candlestick_svg
 from esgsent.market import PriceBar, PriceSeries
+from esgsent.sentiment import SentimentLabel
 
-from conftest import make_series
+from conftest import make_doc, make_scored, make_series
 
 
 def test_pearson_matches_hand_computed_value():
     # dx = dy = (-1.5, -0.5, 0.5, 1.5) up to order: sum(dx*dy) = 4, ss_x = ss_y = 5.
     assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == 0.8
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ([1, 2], [1, 3]),
+        ([2, 2, 2], [1, 3, 2]),
+        ([1, 3, 2], [5, 5, 5]),
+    ],
+    ids=["two-points", "constant-x", "constant-y"],
+)
+def test_pearson_is_absent_for_too_few_points_or_a_constant_series(x, y):
+    assert pearson(x, y) is None
+
+
+def test_pearson_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        pearson([1, 2, 3], [1, 2])
+
+
+def test_analyze_with_no_aligned_day_has_no_pearson():
+    # Bars dated 2022-07-01..03; the only document is dated 2022-07-20.
+    scored = [make_scored(make_doc("a", text="good"), SentimentLabel.POSITIVE, 0.5)]
+    aggregate = TickerAggregate("GS", 1, 0.5, 0.5, AffinityClass.AFFINE)
+    result = analyze(scored, make_series([100.0, 101.0, 102.0]), aggregate)
+    assert result.pearson_r is None
+    assert result.n_aligned_days == 0
 
 
 def test_align_drops_weekend_sentiment_days():

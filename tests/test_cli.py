@@ -192,3 +192,34 @@ def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {scored}:{len(lines) + 1}: duplicate scored line for "
                       f"{tuple(json.loads(lines[0])[k] for k in ('source', 'id'))}"], errors
+
+
+def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
+    fixtures = copy_fixtures(tmp_path)
+    lines = price_lines("GS")
+    write_price_lines(fixtures, "GS", [*lines[:-1], "2022-07-29,inf,inf,312.38,316.16,316.16,2244000"])
+    assert run_cli(["run", *flags(fixtures, tmp_path / "out")]) == 2
+    errors = stderr_lines(capsys)
+    assert errors == ["error[invariant]: 2022-07-29: open price inf is not finite"], errors
+
+
+@pytest.mark.parametrize(
+    "mangle,message",
+    [
+        (lambda obj: 5, "scored line must be an object, got int"),
+        (lambda obj: [obj], "scored line must be an object, got list"),
+        (lambda obj: "id source label score composite", "scored line must be an object, got str"),
+        (lambda obj: {**obj, "source": ["tweet"]}, "field 'source' must be a string"),
+        (lambda obj: {**obj, "id": 5}, "field 'id' must be a string"),
+    ],
+    ids=["int", "list", "str", "source-list", "id-int"],
+)
+def test_malformed_scored_line_is_one_schema_error(tmp_path, capsys, mangle, message):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    scored = tmp_path / "scored.jsonl"
+    first, *rest = scored.read_text(encoding="utf-8").splitlines(keepends=True)
+    scored.write_text(json.dumps(mangle(json.loads(first))) + "\n" + "".join(rest), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["aggregate", *flags(FIXTURES_DIR, tmp_path)]) == 2
+    errors = stderr_lines(capsys)
+    assert errors == [f"error[schema]: {scored}:1: {message}"], errors

@@ -214,7 +214,7 @@ class TestFetchDocuments:
                 self._payload("mm", "2022-07-22"),
             ],
         )
-        docs = fetch_documents("HSBC", july_window, transport)
+        docs = dedupe(fetch_documents("HSBC", july_window, transport))
         assert [doc.id for doc in docs] == ["mm", "zz", "aa"]
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):

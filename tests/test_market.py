@@ -1,4 +1,4 @@
-"""Price CSV loading, windowingives, and opening-price change arithmetic."""
+"""Price CSV loading, windowing, and opening-price change arithmetic."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from esgsent.market import (
 )
 from esgsent.transport import ReplayPriceTransport
 
-from conftest import JULY_WINDOW, make_series
+from conftest import make_series
 
 HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
@@ -45,6 +45,14 @@ class TestPriceBar:
     def test_nonpositive_price_rejected(self):
         with pytest.raises(InvariantError):
             PriceBar(date(2022, 7, 1), open=0.0, high=1.0, low=0.0, close=0.5, volume=10)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("column", ["open", "high", "low", "close"])
+    def test_nonfinite_price_rejected(self, column, value):
+        prices = {"open": 100, "high": 110, "low": 95, "close": 101, column: value}
+        text = csv_text([row("2022-07-01", prices["open"], prices["high"], prices["low"], prices["close"])])
+        with pytest.raises(InvariantError, match=f"^2022-07-01: {column} price {value} is not finite$"):
+            parse_prices(text, "GS")
 
 
 class TestLoadPrices:
@@ -175,13 +183,13 @@ class TestDailyReturns:
 class TestFetchPrices:
     def test_replay_fixture(self, fixtures_dir):
         transport = ReplayPriceTransport(fixtures_dir)
-        series = fetch_prices("TSLA", JULY_WINDOW, transport)
+        series = fetch_prices("TSLA", transport)
         assert len(series) == 25
 
     def test_missing_fixture_is_transport_error(self, tmp_path):
         transport = ReplayPriceTransport(tmp_path)
         with pytest.raises(TransportError):
-            fetch_prices("TSLA", JULY_WINDOW, transport)
+            fetch_prices("TSLA", transport)
 
     def test_duplicate_date_fixture_is_invariant_error(self, tmp_path):
         ticker_dir = tmp_path / "TSLA"
@@ -191,7 +199,7 @@ class TestFetchPrices:
             encoding="utf-8",
         )
         with pytest.raises(InvariantError):
-            fetch_prices("TSLA", JULY_WINDOW, ReplayPriceTransport(tmp_path))
+            fetch_prices("TSLA", ReplayPriceTransport(tmp_path))
 
 
 def test_price_round_trip(fixtures_dir, tmp_path):

@@ -14,7 +14,6 @@ from esgsent.sentiment import (
     ScoredDocument,
     SentimentLabel,
     SentimentVerdict,
-    composite,
     default_lexicon,
     import_external_verdicts,
     load_lexicon,
@@ -24,7 +23,6 @@ from esgsent.sentiment import (
     score_tokens,
     serialize_scored,
     tokenize,
-    weight,
     write_scored,
 )
 from esgsent.corpus import Source
@@ -61,7 +59,7 @@ class TestTokenize:
     ],
 )
 def test_weight_mapping(label, expected):
-    assert weight(label) == expected
+    assert SentimentVerdict(label, 1.0).composite == expected
 
 
 @pytest.mark.parametrize(
@@ -73,7 +71,7 @@ def test_weight_mapping(label, expected):
     ],
 )
 def test_composite(label, score, expected):
-    assert composite(SentimentVerdict(label, score)) == expected
+    assert SentimentVerdict(label, score).composite == expected
 
 
 def test_verdict_score_bounds():
@@ -135,7 +133,7 @@ class TestScoreTokens:
     def test_swapping_lexicon_swaps_label_keeps_score(self):
         rng = random.Random(13)
         vocabulary = ["good", "great", "bad", "toxic", "not", "cat", "probe", "praised"]
-        swapped = LEX.swapped()
+        swapped = Lexicon(LEX.negative_terms, LEX.positive_terms, LEX.negators)
         flip = {
             SentimentLabel.POSITIVE: SentimentLabel.NEGATIVE,
             SentimentLabel.NEGATIVE: SentimentLabel.POSITIVE,
@@ -314,7 +312,7 @@ class TestScoreCorpus:
         doc = make_doc("a", text="clean and good")
         external = {doc.key: SentimentVerdict(SentimentLabel.NEGATIVE, 0.8)}
         (scored,) = score_corpus([doc], LEX, external)
-        assert scored.composite == -0.8
+        assert scored.verdict.composite == -0.8
 
     def test_empty_corpus(self):
         assert score_corpus([], LEX) == []
@@ -329,11 +327,6 @@ class TestScoreCorpus:
         (scored,) = score_corpus([doc], LEX)
         assert scored.verdict.label is SentimentLabel.POSITIVE
 
-    def test_composite_consistency_enforced(self):
-        doc = make_doc("a")
-        with pytest.raises(InvariantError):
-            ScoredDocument(doc, SentimentVerdict(SentimentLabel.POSITIVE, 0.5), 0.9)
-
 
 @pytest.mark.parametrize("doc_id", AWKWARD_STRINGS)
 @pytest.mark.parametrize(
@@ -347,8 +340,8 @@ class TestScoreCorpus:
     ],
 )
 def test_serialize_scored_matches_json_dumps(doc_id, label, score):
-    sd = ScoredDocument.from_verdict(make_doc(doc_id), SentimentVerdict(label, score))
-    obj = {"id": doc_id, "source": "tweet", "label": label.value, "score": score, "composite": sd.composite}
+    sd = ScoredDocument(make_doc(doc_id), SentimentVerdict(label, score))
+    obj = {"id": doc_id, "source": "tweet", "label": label.value, "score": score, "composite": sd.verdict.composite}
     assert serialize_scored(sd) == json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
 
 
