@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import InsufficientData, InvariantError, SchemaError
 from .transport import ReplayPriceTransport
-from .util import atomic_write_text, format_real, read_text
+from .util import atomic_write_text, read_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -40,14 +40,17 @@ class PriceBar:
     volume: int
 
     def __post_init__(self) -> None:
-        for name in ("open", "high", "low", "close"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                problem = "must be positive" if math.isfinite(value) else f"{value} is not finite"
-                raise InvariantError(f"{self.date}: {name} price {problem}")
-        if not self.low <= self.open <= self.high:
-            raise InvariantError(f"{self.date}: open {self.open} outside [low, high]")
-        if not self.low <= self.close <= self.high:
+        # The chain holds exactly when every check below passes (NaN fails
+        # every comparison), so a valid bar costs one test; the checks name
+        # what is wrong with an invalid one.
+        if not (0 < self.low <= self.open <= self.high < math.inf and self.low <= self.close <= self.high):
+            for name in ("open", "high", "low", "close"):
+                value = getattr(self, name)
+                if not 0 < value < math.inf:
+                    problem = "must be positive" if math.isfinite(value) else f"{value} is not finite"
+                    raise InvariantError(f"{self.date}: {name} price {problem}")
+            if not self.low <= self.open <= self.high:
+                raise InvariantError(f"{self.date}: open {self.open} outside [low, high]")
             raise InvariantError(f"{self.date}: close {self.close} outside [low, high]")
         if self.volume < 0:
             raise InvariantError(f"{self.date}: volume must be non-negative")
@@ -71,29 +74,28 @@ class PriceSeries:
         return len(self.bars)
 
 
-def _parse_bar(row: dict, context: str) -> PriceBar:
+def _parse_bar(row: list[str], context: str) -> PriceBar:
+    """One CSV row as a bar; columns go by position (Adj Close and any after Volume are unread)."""
     try:
         return PriceBar(
-            date=date.fromisoformat(row["Date"]),
-            open=float(row["Open"]),
-            high=float(row["High"]),
-            low=float(row["Low"]),
-            close=float(row["Close"]),
-            volume=int(row["Volume"]),
+            date.fromisoformat(row[0]), float(row[1]), float(row[2]), float(row[3]), float(row[4]), int(row[6])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         raise SchemaError(f"{context}: malformed price row {row!r}: {exc}") from exc
+    except InvariantError as exc:
+        raise InvariantError(f"{context}: {exc}") from exc
 
 
 def parse_prices(text: str, ticker: str, context: str = "<prices>") -> PriceSeries:
-    """Parse a Yahoo-compatible CSV payload into a sorted, validated series."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != PRICE_HEADER:
-        raise SchemaError(
-            f"{context}: expected header {','.join(PRICE_HEADER)}, "
-            f"got {','.join(reader.fieldnames or [])}"
-        )
-    bars = [_parse_bar(row, context) for row in reader]
+    """Parse a Yahoo-compatible CSV payload into a sorted, validated series.
+
+    Header names may carry padding; blank rows are skipped.
+    """
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, [])
+    if [f.strip() for f in header] != PRICE_HEADER:
+        raise SchemaError(f"{context}: expected header {','.join(PRICE_HEADER)}, got {','.join(header)}")
+    bars = [_parse_bar(row, context) for row in rows if row]
     bars.sort(key=lambda bar: bar.date)
     return PriceSeries(ticker=ticker, bars=tuple(bars))
 
@@ -108,24 +110,26 @@ def write_prices(series: PriceSeries, path: Path) -> PriceSeries:
     """Persist a series in the same Yahoo-compatible schema (Adj Close = Close).
 
     Returns the series as ``load_prices`` reads the file back: each price
-    rounded to the file's 6 decimal places.
+    rounded to the file's 6 decimal places. No field can need CSV quoting.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PRICE_HEADER)
+    lines = [",".join(PRICE_HEADER) + "\n"]
     bars = []
     for bar in series.bars:
-        open_, high, low, close = (format_real(v) for v in (bar.open, bar.high, bar.low, bar.close))
-        writer.writerow([bar.date.isoformat(), open_, high, low, close, close, bar.volume])
-        bars.append(PriceBar(bar.date, float(open_), float(high), float(low), float(close), bar.volume))
-    atomic_write_text(path, buf.getvalue())
+        open_, high, low, close = f"{bar.open:.6f}", f"{bar.high:.6f}", f"{bar.low:.6f}", f"{bar.close:.6f}"
+        lines.append(f"{bar.date},{open_},{high},{low},{close},{close},{bar.volume}\n")
+        if not (float(open_) == bar.open and float(high) == bar.high and float(low) == bar.low
+                and float(close) == bar.close):
+            # Rounding moved a price: rebuild, so the bar is checked as it will be read back.
+            bar = PriceBar(bar.date, float(open_), float(high), float(low), float(close), bar.volume)
+        bars.append(bar)
+    atomic_write_text(path, "".join(lines))
     return PriceSeries(ticker=series.ticker, bars=tuple(bars))
 
 
 def fetch_prices(ticker: str, transport: ReplayPriceTransport) -> PriceSeries:
-    """Retrieve a ticker's price history through a transport."""
+    """Retrieve a ticker's price history through a transport; errors name its fixture file."""
     payload = transport.fetch(ticker)
-    return parse_prices(payload, ticker, context=f"prices[{ticker}]")
+    return parse_prices(payload, ticker, context=str(transport.path(ticker)))
 
 
 def tail_n(series: PriceSeries, n: int, end: Optional[date] = None) -> PriceSeries:

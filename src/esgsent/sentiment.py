@@ -203,6 +203,8 @@ class ScoredDocument:
 
 
 _EXTERNAL_HEADER = ["id", "source", "label", "score"]
+_LABELS = {label.value: label for label in SentimentLabel}
+_SOURCES = frozenset(source.value for source in Source)
 
 
 def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
@@ -221,11 +223,9 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
                 f"got {','.join(reader.fieldnames or [])}"
             )
         for row_no, row in enumerate(reader, start=2):
-            label_raw = (row["label"] or "").strip().lower()
-            try:
-                label = SentimentLabel(label_raw)
-            except ValueError:
-                raise SchemaError(f"{path}:{row_no}: unknown label {row['label']!r}") from None
+            label = _LABELS.get((row["label"] or "").strip().lower())
+            if label is None:
+                raise SchemaError(f"{path}:{row_no}: unknown label {row['label']!r}")
             try:
                 score = float(row["score"])
             except (TypeError, ValueError):
@@ -233,7 +233,7 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
             if not 0.0 <= score <= 1.0:
                 raise SchemaError(f"{path}:{row_no}: score {score} outside [0, 1]")
             source_raw = (row["source"] or "").strip().lower()
-            if source_raw not in (s.value for s in Source):
+            if source_raw not in _SOURCES:
                 raise SchemaError(f"{path}:{row_no}: unknown source {row['source']!r}")
             key = (source_raw, row["id"])
             if key in verdicts:

@@ -62,8 +62,12 @@ class ReplayPriceTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
+    def path(self, ticker: str) -> Path:
+        """Where the ticker's price fixture is."""
+        return self.fixtures_dir / ticker / PRICE_FIXTURE
+
     def fetch(self, ticker: str) -> str:
-        fixture = self.fixtures_dir / ticker / PRICE_FIXTURE
+        fixture = self.path(ticker)
         if not fixture.exists():
             raise TransportError(f"no price fixture for {ticker} under {self.fixtures_dir}")
         return read_text(fixture)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+
+# This checkout's src goes last, so a tree named on PYTHONPATH is the one tested.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from esgsent.corpus import Document, Source, TimeWindow
 from esgsent.market import PriceBar, PriceSeries

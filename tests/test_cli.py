@@ -200,7 +200,8 @@ def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
     write_price_lines(fixtures, "GS", [*lines[:-1], "2022-07-29,inf,inf,312.38,316.16,316.16,2244000"])
     assert run_cli(["run", *flags(fixtures, tmp_path / "out")]) == 2
     errors = stderr_lines(capsys)
-    assert errors == ["error[invariant]: 2022-07-29: open price inf is not finite"], errors
+    path = fixtures / "GS" / "prices.csv"
+    assert errors == [f"error[invariant]: {path}: 2022-07-29: open price inf is not finite"], errors
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
-from datetime import date
+import re
+from datetime import date, timedelta
 
 import pytest
 
 from esgsent.errors import InsufficientData, InvariantError, SchemaError, TransportError
 from esgsent.market import (
+    PRICE_HEADER,
     PriceBar,
+    PriceSeries,
     daily_open_returns,
     fetch_prices,
     load_prices,
@@ -51,8 +56,9 @@ class TestPriceBar:
     def test_nonfinite_price_rejected(self, column, value):
         prices = {"open": 100, "high": 110, "low": 95, "close": 101, column: value}
         text = csv_text([row("2022-07-01", prices["open"], prices["high"], prices["low"], prices["close"])])
-        with pytest.raises(InvariantError, match=f"^2022-07-01: {column} price {value} is not finite$"):
-            parse_prices(text, "GS")
+        message = f"GS/prices.csv: 2022-07-01: {column} price {value} is not finite"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            parse_prices(text, "GS", context="GS/prices.csv")
 
 
 class TestLoadPrices:
@@ -95,6 +101,33 @@ class TestLoadPrices:
         )
         with pytest.raises(InvariantError):
             parse_prices(text, "GS")
+
+
+class TestCsvDialect:
+    ROWS = [row("2022-07-01", 100, 110, 95, 101), row("2022-07-05", 102, 110, 95, 103)]
+
+    def test_padded_header_names_accepted(self):
+        text = " Date, Open , High,Low,Close,Adj Close, Volume\n" + "\n".join(self.ROWS) + "\n"
+        assert parse_prices(text, "GS") == parse_prices(csv_text(self.ROWS), "GS")
+
+    def test_blank_lines_crlf_and_quoted_fields_accepted(self):
+        quoted = ",".join(f'"{field}"' for field in self.ROWS[1].split(","))
+        text = HEADER + "\r\n\r\n" + self.ROWS[0] + "\r\n\r\n" + quoted + "\r\n\r\n"
+        assert parse_prices(text, "GS") == parse_prices(csv_text(self.ROWS), "GS")
+
+    def test_extra_trailing_column_ignored(self):
+        text = csv_text([r + ",x" for r in self.ROWS])
+        assert parse_prices(text, "GS") == parse_prices(csv_text(self.ROWS), "GS")
+
+    def test_short_row_is_one_schema_error_naming_file_and_row(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text(csv_text([self.ROWS[0], "2022-07-05,102,110,95,103,103"]), encoding="utf-8")
+        row_repr = ["2022-07-05", "102", "110", "95", "103", "103"]
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: malformed price row {row_repr!r}: ')}"):
+            load_prices(path, "GS")
+
+    def test_header_only_is_empty_series(self):
+        assert parse_prices(HEADER + "\n", "GS") == PriceSeries("GS", ())
 
 
 class TestTail:
@@ -215,3 +248,37 @@ def test_write_prices_returns_the_series_as_read_back(tmp_path):
     written = write_prices(make_series([100.1234567, 101.7654321]), out)
     assert written == load_prices(out, "GS")
     assert written.bars[0].open == 100.123457
+
+
+def csv_writer_text(series):
+    """The file as csv.writer writes it: the reference for write_prices."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PRICE_HEADER)
+    for bar in series.bars:
+        open_, high, low, close = (f"{v:.6f}" for v in (bar.open, bar.high, bar.low, bar.close))
+        writer.writerow([bar.date.isoformat(), open_, high, low, close, close, bar.volume])
+    return buf.getvalue()
+
+
+def test_write_prices_matches_csv_writer(tmp_path):
+    rng = random.Random(37)
+    bars = []
+    for i in range(500):
+        places = rng.choice([2, 6, 7])  # 7 places round on write
+        low, open_, close, high = sorted(round(rng.uniform(0.5, 5000.0), places) for _ in range(4))
+        if rng.random() < 0.5:
+            open_, close = close, open_
+        volume = rng.choice([0, rng.randrange(10**6), rng.randrange(10**20)])
+        bars.append(PriceBar(date(2000, 1, 1) + timedelta(days=i), open_, high, low, close, volume))
+    series = PriceSeries("GS", tuple(bars))
+    out = tmp_path / "GS.csv"
+    written = write_prices(series, out)
+    assert out.read_bytes() == csv_writer_text(series).encode("utf-8")
+    assert written == load_prices(out, "GS")
+
+
+def test_write_prices_revalidates_a_bar_that_rounding_changes(tmp_path):
+    bar = PriceBar(date(2022, 7, 1), open=1e-7, high=1.0, low=1e-7, close=0.5, volume=10)
+    with pytest.raises(InvariantError, match="^2022-07-01: open price must be positive$"):
+        write_prices(PriceSeries("GS", (bar,)), tmp_path / "GS.csv")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -272,10 +273,22 @@ class TestExternalVerdicts:
         with pytest.raises(SchemaError):
             import_external_verdicts(path)
 
-    def test_unknown_label_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["t1,tweet,bullish,0.5"])
-        with pytest.raises(SchemaError):
+    def _assert_rejected(self, tmp_path, row, problem):
+        path = self._write(tmp_path, ["t0,news,negative,0.5", row])
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: {problem}')}$"):
             import_external_verdicts(path)
+
+    def test_unknown_label_rejected(self, tmp_path):
+        self._assert_rejected(tmp_path, "t1,tweet,bullish,0.5", "unknown label 'bullish'")
+        self._assert_rejected(tmp_path, "t1,tweet", "unknown label None")
+
+    def test_unknown_source_rejected(self, tmp_path):
+        self._assert_rejected(tmp_path, "t1,reddit,positive,0.5", "unknown source 'reddit'")
+        self._assert_rejected(tmp_path, "t1,,positive,0.5", "unknown source ''")
+
+    def test_source_and_label_case_and_padding_ignored(self, tmp_path):
+        path = self._write(tmp_path, ["t1, News , POSITIVE ,0.5"])
+        assert import_external_verdicts(path) == {("news", "t1"): SentimentVerdict(SentimentLabel.POSITIVE, 0.5)}
 
     def test_wrong_header_rejected(self, tmp_path):
         path = self._write(tmp_path, ["t1,tweet,positive,0.5"], header="doc,source,label,score")
@@ -284,11 +297,6 @@ class TestExternalVerdicts:
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = self._write(tmp_path, ["t1,tweet,positive,0.5", "t1,tweet,negative,0.5"])
-        with pytest.raises(SchemaError):
-            import_external_verdicts(path)
-
-    def test_unknown_source_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["t1,reddit,positive,0.5"])
         with pytest.raises(SchemaError):
             import_external_verdicts(path)
 
