@@ -8,8 +8,6 @@ days survive the pipeline.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -103,17 +101,11 @@ AGGREGATE_HEADER = ["ticker", "n_docs", "sum_composite", "mean_composite", "clas
 
 
 def write_aggregates(aggregates: Iterable[TickerAggregate], path: Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(AGGREGATE_HEADER)
+    """One CSV row per aggregate; config-checked ticker keys need no CSV quoting."""
+    lines = [",".join(AGGREGATE_HEADER) + "\n"]
     for agg in aggregates:
-        writer.writerow(
-            [
-                agg.ticker,
-                agg.n_docs,
-                format_real(agg.sum_composite),
-                format_real(agg.mean_composite),
-                agg.classification.value,
-            ]
+        lines.append(
+            f"{agg.ticker},{agg.n_docs},{format_real(agg.sum_composite)},"
+            f"{format_real(agg.mean_composite)},{agg.classification.value}\n"
         )
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, "".join(lines))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import date, timezone
+from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -37,7 +37,7 @@ def daily_index(scored: Iterable[ScoredDocument]) -> list[tuple[date, float]]:
     days without documents are omitted."""
     by_day: dict[date, list[float]] = {}
     for sd in scored:
-        day = sd.document.timestamp.astimezone(timezone.utc).date()
+        day = sd.document.timestamp.date()
         by_day.setdefault(day, []).append(sd.verdict.composite)
     return [(day, math.fsum(values) / len(values)) for day, values in sorted(by_day.items())]
 

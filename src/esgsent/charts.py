@@ -37,10 +37,6 @@ _STYLE = """\
 """
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def render_candlestick_svg(series: PriceSeries) -> str:
     """Render a price series as an SVG candlestick chart."""
     if not series.bars:
@@ -68,24 +64,24 @@ def render_candlestick_svg(series: PriceSeries) -> str:
     )
     out.append(_STYLE)
     out.append(
-        f'  <text class="title" x="{_fmt(MARGIN_LEFT)}" y="18">'
+        f'  <text class="title" x="{MARGIN_LEFT:.2f}" y="18">'
         f"{series.ticker} daily prices ({n} trading days)</text>\n"
     )
 
     # Frame and horizontal gridlines with price labels.
     out.append(
-        f'  <rect class="axis" fill="none" x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" '
-        f'width="{_fmt(PLOT_W)}" height="{_fmt(PLOT_H)}"/>\n'
+        f'  <rect class="axis" fill="none" x="{MARGIN_LEFT:.2f}" y="{MARGIN_TOP:.2f}" '
+        f'width="{PLOT_W:.2f}" height="{PLOT_H:.2f}"/>\n'
     )
     for i in range(N_GRIDLINES):
         level = lo + (hi - lo) * i / (N_GRIDLINES - 1)
         gy = y_of(level)
         out.append(
-            f'  <line class="grid" x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(gy)}" '
-            f'x2="{_fmt(MARGIN_LEFT + PLOT_W)}" y2="{_fmt(gy)}"/>\n'
+            f'  <line class="grid" x1="{MARGIN_LEFT:.2f}" y1="{gy:.2f}" '
+            f'x2="{MARGIN_LEFT + PLOT_W:.2f}" y2="{gy:.2f}"/>\n'
         )
         out.append(
-            f'  <text x="4" y="{_fmt(gy + 4.0)}">{_fmt(level)}</text>\n'
+            f'  <text x="4" y="{gy + 4.0:.2f}">{level:.2f}</text>\n'
         )
 
     # Date labels along the x axis.
@@ -94,7 +90,7 @@ def render_candlestick_svg(series: PriceSeries) -> str:
             continue
         cx = MARGIN_LEFT + (i + 0.5) * slot
         out.append(
-            f'  <text x="{_fmt(cx - 14.0)}" y="{_fmt(HEIGHT - 12.0)}">'
+            f'  <text x="{cx - 14.0:.2f}" y="{HEIGHT - 12.0:.2f}">'
             f"{bar.date.strftime('%m-%d')}</text>\n"
         )
 
@@ -106,12 +102,12 @@ def render_candlestick_svg(series: PriceSeries) -> str:
         body_h = max(MIN_BODY_PX, abs(y_of(bar.open) - y_of(bar.close)))
         out.append(f'  <g class="day {direction}" data-date="{bar.date.isoformat()}">\n')
         out.append(
-            f'    <line class="wick" x1="{_fmt(cx)}" y1="{_fmt(y_of(bar.high))}" '
-            f'x2="{_fmt(cx)}" y2="{_fmt(y_of(bar.low))}"/>\n'
+            f'    <line class="wick" x1="{cx:.2f}" y1="{y_of(bar.high):.2f}" '
+            f'x2="{cx:.2f}" y2="{y_of(bar.low):.2f}"/>\n'
         )
         out.append(
-            f'    <rect x="{_fmt(cx - body_w / 2)}" y="{_fmt(body_top)}" '
-            f'width="{_fmt(body_w)}" height="{_fmt(body_h)}"/>\n'
+            f'    <rect x="{cx - body_w / 2:.2f}" y="{body_top:.2f}" '
+            f'width="{body_w:.2f}" height="{body_h:.2f}"/>\n'
         )
         out.append("  </g>\n")
 

@@ -212,8 +212,9 @@ def cmd_analyze(config: RunConfig) -> None:
 
 def _summary_csv(aggregates: list[TickerAggregate], results: dict[str, AnalysisResult]) -> str:
     lines = [",".join(SUMMARY_HEADER)]
-    for agg in sorted(aggregates, key=lambda agg: (-agg.mean_composite, agg.ticker)):
-        result = results.get(agg.ticker)
+    aggregate_of = {agg.ticker: agg for agg in aggregates}
+    for ticker in rank_affinity(aggregates):
+        agg, result = aggregate_of[ticker], results.get(ticker)
         change = "" if result is None else format_real(result.percent_change)
         agreement = "" if result is None else result.sign_agreement.value
         lines.append(

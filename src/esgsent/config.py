@@ -14,6 +14,7 @@ resolve against the working directory.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -25,6 +26,8 @@ from .errors import ConfigError
 from .util import read_text
 
 DEFAULT_DOCUMENT_DAYS = 10
+# e.g. GS, BRK-B, 0005.HK, ^GSPC, EURUSD=X; no path separator, no markup, no leading '.' or '-'.
+TICKER_KEY = re.compile(r"[A-Z0-9^][A-Z0-9.^=-]*")
 
 
 def default_window() -> TimeWindow:
@@ -82,15 +85,20 @@ def _text(value: object) -> str:
     return value
 
 
+def _ticker(key: object) -> str:
+    """A stripped, uppercased key; the pattern keeps it a safe file name, CSV field and SVG text."""
+    ticker = key.strip().upper() if isinstance(key, str) else ""
+    if not TICKER_KEY.fullmatch(ticker):
+        raise ValueError(f"ticker key {key!r} must match {TICKER_KEY.pattern} once uppercased")
+    return ticker
+
+
 def _tickers(value: object) -> tuple[str, ...]:
-    """``K1,K2,...`` or a list of keys; keys are stripped and uppercased."""
+    """``K1,K2,...`` or a list of keys."""
     keys = value if isinstance(value, list) else _text(value).split(",")
     if not keys:
         raise ValueError("at least one ticker is required")
-    try:
-        tickers = tuple(_text(key).strip().upper() for key in keys)
-    except ValueError:
-        raise ValueError(f"every ticker key must be a non-empty string, got {value!r}") from None
+    tickers = tuple(_ticker(key) for key in keys)
     if len(set(tickers)) != len(tickers):
         raise ValueError(f"duplicate ticker keys in {value!r}")
     return tickers

@@ -42,7 +42,8 @@ class TimeWindow:
             raise ValueError(f"window start {self.start} is after end {self.end}")
 
     def contains(self, ts: datetime) -> bool:
-        return self.start <= ts.astimezone(timezone.utc).date() <= self.end
+        """Whether a UTC timestamp's date lies in the window."""
+        return self.start <= ts.date() <= self.end
 
     @classmethod
     def parse(cls, text: str) -> "TimeWindow":
@@ -74,8 +75,8 @@ class Document:
             raise SchemaError("document id must be non-empty")
         if not self.text.strip():
             raise SchemaError(f"document {self.id!r} has empty text")
-        if self.timestamp.tzinfo is None:
-            raise SchemaError(f"document {self.id!r} timestamp is not timezone-aware")
+        if self.timestamp.tzinfo is not timezone.utc:
+            raise SchemaError(f"document {self.id!r} timestamp is not in UTC")
         if self.followers is not None and self.followers < 0:
             raise SchemaError(f"document {self.id!r} has negative follower count")
 
@@ -104,10 +105,6 @@ def _parse_timestamp(raw: str, doc_id: str) -> datetime:
     if ts.tzinfo is None:
         raise SchemaError(f"document {doc_id!r}: timestamp {raw!r} lacks a UTC offset")
     return ts.astimezone(timezone.utc)
-
-
-def _format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def parse_document_payload(payload: dict, *, strict: bool = False) -> Document:
@@ -174,7 +171,7 @@ def serialize_document(doc: Document) -> str:
     # Source values and timestamps need no JSON escaping.
     line = (
         f'{{"id": {json_value(doc.id)}, "source": "{doc.source.value}", '
-        f'"timestamp": "{_format_timestamp(doc.timestamp)}", '
+        f'"timestamp": "{doc.timestamp:%Y-%m-%dT%H:%M:%SZ}", '
         f'"ticker": {json_value(doc.ticker)}, "text": {json_value(doc.text)}'
     )
     for name in _OPTIONAL_FIELDS:

@@ -58,17 +58,10 @@ class PriceBar:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Date-ordered daily bars for one ticker."""
+    """Daily bars for one ticker, in strictly increasing date order as ``parse_prices`` builds them."""
 
     ticker: str
     bars: tuple[PriceBar, ...]
-
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date == prev.date:
-                raise InvariantError(f"{self.ticker}: duplicate price date {cur.date}")
-            if cur.date < prev.date:
-                raise InvariantError(f"{self.ticker}: bars not in date order at {cur.date}")
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -89,7 +82,8 @@ def _parse_bar(row: list[str], context: str) -> PriceBar:
 def parse_prices(text: str, ticker: str, context: str = "<prices>") -> PriceSeries:
     """Parse a Yahoo-compatible CSV payload into a sorted, validated series.
 
-    Header names may carry padding; blank rows are skipped.
+    Header names may carry padding; blank rows are skipped; a repeated
+    date is an InvariantError.
     """
     rows = csv.reader(io.StringIO(text))
     header = next(rows, [])
@@ -97,6 +91,9 @@ def parse_prices(text: str, ticker: str, context: str = "<prices>") -> PriceSeri
         raise SchemaError(f"{context}: expected header {','.join(PRICE_HEADER)}, got {','.join(header)}")
     bars = [_parse_bar(row, context) for row in rows if row]
     bars.sort(key=lambda bar: bar.date)
+    for prev, cur in zip(bars, bars[1:]):
+        if cur.date == prev.date:
+            raise InvariantError(f"{context}: duplicate price date {cur.date}")
     return PriceSeries(ticker=ticker, bars=tuple(bars))
 
 

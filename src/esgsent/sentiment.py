@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
@@ -119,12 +118,7 @@ def load_lexicon(directory: Path) -> Lexicon:
 
 def default_lexicon() -> Lexicon:
     """The finance-oriented word lists shipped with the package."""
-    root = resources.files("esgsent").joinpath("data", "lexicon")
-    return Lexicon(
-        _parse_terms(root.joinpath("positive.txt").read_text(encoding="utf-8")),
-        _parse_terms(root.joinpath("negative.txt").read_text(encoding="utf-8")),
-        _parse_terms(root.joinpath("negators.txt").read_text(encoding="utf-8")),
-    )
+    return load_lexicon(Path(__file__).parent / "data" / "lexicon")
 
 
 def tokenize(text: str) -> list[str]:
@@ -227,18 +221,18 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
             if label is None:
                 raise SchemaError(f"{path}:{row_no}: unknown label {row['label']!r}")
             try:
-                score = float(row["score"])
+                verdict = SentimentVerdict(label, float(row["score"]))
             except (TypeError, ValueError):
                 raise SchemaError(f"{path}:{row_no}: bad score {row['score']!r}") from None
-            if not 0.0 <= score <= 1.0:
-                raise SchemaError(f"{path}:{row_no}: score {score} outside [0, 1]")
+            except InvariantError as exc:
+                raise SchemaError(f"{path}:{row_no}: {exc}") from exc
             source_raw = (row["source"] or "").strip().lower()
             if source_raw not in _SOURCES:
                 raise SchemaError(f"{path}:{row_no}: unknown source {row['source']!r}")
             key = (source_raw, row["id"])
             if key in verdicts:
                 raise SchemaError(f"{path}:{row_no}: duplicate verdict for {key}")
-            verdicts[key] = SentimentVerdict(label, score)
+            verdicts[key] = verdict
     return verdicts
 
 

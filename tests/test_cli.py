@@ -47,6 +47,18 @@ def test_falsy_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "corpus.jsonl").exists()
 
 
+def test_a_ticker_key_with_a_path_is_a_config_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # Unchecked, "../../GS" would read ./GS/ outside --fixtures and write ./GS.* outside --out.
+    shutil.copytree(FIXTURES_DIR / "GS", tmp_path / "A" / "B" / "GS")
+    shutil.copytree(FIXTURES_DIR / "GS", tmp_path / "GS")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(["run", *flags(Path("A/B"), Path("out"), tickers="GS,../../GS")]) == 2
+    errors = stderr_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error[config]: tickers (from --tickers): "), errors
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_ticker_without_fixture_dir_is_transport_error(tmp_path, capsys):
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path, tickers="GS,NOPE")]) == 3
     errors = stderr_lines(capsys)
@@ -71,7 +83,7 @@ def test_one_ticker_with_one_bar_is_noted_once(tmp_path, capsys):
     assert run_cli(["run", *flags(fixtures, out)]) == 0
     notes = [line for line in stderr_lines(capsys) if line.startswith("note[")]
     assert len(notes) == 1 and notes[0].startswith("note[insufficient-data]: GS:")
-    rows = {row["ticker"]: row for row in csv.DictReader(open(out / "summary.csv", encoding="utf-8"))}
+    rows = {row["ticker"]: row for row in csv.DictReader((out / "summary.csv").read_text(encoding="utf-8").splitlines())}
     assert rows["GS"]["percent_change"] == "" and rows["GS"]["sign_agreement"] == ""
     assert rows["AMZN"]["percent_change"] != ""
     assert not (out / "analysis" / "GS.json").exists()
@@ -116,7 +128,7 @@ def test_report_keeps_only_the_configured_tickers(tmp_path, capsys):
     assert run_cli(["report", "--out", str(tmp_path), "--window", JULY, "--tickers", "GS"]) == 0
     assert "affinity ranking: GS\n" in capsys.readouterr().out
     for name in ("aggregates.csv", "summary.csv"):
-        rows = list(csv.DictReader(open(tmp_path / name, encoding="utf-8")))
+        rows = list(csv.DictReader((tmp_path / name).read_text(encoding="utf-8").splitlines()))
         assert [row["ticker"] for row in rows] == ["GS"], name
 
 

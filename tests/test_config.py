@@ -83,6 +83,12 @@ def test_tickers_accept_the_flag_text_and_a_list(tmp_path, file_value, flag_valu
     assert config_of("--tickers", flag_value).tickers == ("GS", "AMZN")
 
 
+def test_ticker_keys_may_hold_dots_carets_dashes_and_equals(tmp_path):
+    keys = ("BRK-B", "0005.HK", "^GSPC", "EURUSD=X")
+    assert config_of("--config", str(write_config(tmp_path, tickers=["brk-b", *keys[1:]]))).tickers == keys
+    assert config_of("--tickers", ",".join(keys)).tickers == keys
+
+
 def test_text_forms_from_the_file_equal_the_flags(tmp_path):
     path = write_config(tmp_path, window="2022-07-01:2022-07-10", price_days="30", thresholds="0.3,-0.1",
                         strict=True)
@@ -112,6 +118,11 @@ BAD_VALUES = [
     ("tickers", ["GS", "gs"], ["--tickers", "GS,gs"]),
     ("tickers", [], ["--tickers", ""]),
     ("tickers", [{"key": "GS", "display_name": "Goldman Sachs"}], None),
+    ("tickers", ["GS", "../../GS"], ["--tickers", "GS,../../GS"]),
+    ("tickers", ["GS,X"], None),
+    ("tickers", ["A<B"], ["--tickers", "A<B"]),
+    ("tickers", ["."], ["--tickers", "."]),
+    ("tickers", ["-X"], ["--tickers=-X"]),
     ("window", {"start": "2022-07-20", "end": "2022-07-29"}, None),
     ("window", "2022-07-29:2022-07-20", ["--window", "2022-07-29:2022-07-20"]),
     ("thresholds", [0.15, -0.15], None),

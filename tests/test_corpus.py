@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
@@ -83,6 +83,11 @@ class TestParseSerialize:
         payload["timestamp"] = "2022-07-20T12:00:00"
         with pytest.raises(SchemaError):
             parse_document_line(json.dumps(payload))
+
+    def test_document_timestamp_must_be_utc(self):
+        plus_two = timezone(timedelta(hours=2))
+        with pytest.raises(SchemaError, match="not in UTC"):
+            Document("a", Source.TWEET, datetime(2022, 7, 20, 1, tzinfo=plus_two), "GS", "text")
 
     def test_unknown_field_strict_vs_lenient(self, caplog):
         payload = json.loads(TWEET_LINE)
@@ -216,6 +221,16 @@ class TestFetchDocuments:
         )
         docs = dedupe(fetch_documents("HSBC", july_window, transport))
         assert [doc.id for doc in docs] == ["mm", "zz", "aa"]
+
+    def test_offset_timestamp_is_windowed_by_its_utc_date(self, tmp_path, july_window):
+        payload = json.loads(self._payload("n1", "2022-07-20"))
+        payload["timestamp"] = "2022-07-20T01:00:00+02:00"
+        transport = self._write_fixture(tmp_path, "HSBC", [json.dumps(payload)])
+        doc = parse_document_line(json.dumps(payload))
+        assert doc.timestamp == datetime(2022, 7, 19, 23, tzinfo=timezone.utc)
+        assert '"timestamp": "2022-07-19T23:00:00Z"' in serialize_document(doc)
+        assert july_window.start == date(2022, 7, 20)
+        assert fetch_documents("HSBC", july_window, transport) == []
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
         transport = self._write_fixture(

@@ -95,12 +95,14 @@ class TestLoadPrices:
         with pytest.raises(SchemaError):
             parse_prices(text, "GS")
 
-    def test_duplicate_date_is_invariant_error(self):
-        text = csv_text(
-            [row("2022-07-01", 100, 110, 95, 101), row("2022-07-01", 102, 110, 95, 103)]
+    def test_duplicate_date_is_invariant_error(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            csv_text([row("2022-07-01", 100, 110, 95, 101), row("2022-07-01", 102, 110, 95, 103)]),
+            encoding="utf-8",
         )
-        with pytest.raises(InvariantError):
-            parse_prices(text, "GS")
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'{path}: duplicate price date 2022-07-01')}$"):
+            load_prices(path, "GS")
 
 
 class TestCsvDialect:
@@ -231,7 +233,8 @@ class TestFetchPrices:
             csv_text([row("2022-07-01", 100, 110, 95, 101), row("2022-07-01", 100, 110, 95, 101)]),
             encoding="utf-8",
         )
-        with pytest.raises(InvariantError):
+        path = ticker_dir / "prices.csv"
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'{path}: duplicate price date 2022-07-01')}$"):
             fetch_prices("TSLA", ReplayPriceTransport(tmp_path))
 
 

@@ -268,11 +268,6 @@ class TestExternalVerdicts:
         assert verdicts[("tweet", "t1")] == SentimentVerdict(SentimentLabel.POSITIVE, 0.93)
         assert verdicts[("tweet", "t2")] == SentimentVerdict(SentimentLabel.NEUTRAL, 0.51)
 
-    def test_score_above_one_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["t3,tweet,positive,1.2"])
-        with pytest.raises(SchemaError):
-            import_external_verdicts(path)
-
     def _assert_rejected(self, tmp_path, row, problem):
         path = self._write(tmp_path, ["t0,news,negative,0.5", row])
         with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: {problem}')}$"):
@@ -281,6 +276,11 @@ class TestExternalVerdicts:
     def test_unknown_label_rejected(self, tmp_path):
         self._assert_rejected(tmp_path, "t1,tweet,bullish,0.5", "unknown label 'bullish'")
         self._assert_rejected(tmp_path, "t1,tweet", "unknown label None")
+
+    def test_score_above_one_rejected(self, tmp_path):
+        self._assert_rejected(tmp_path, "t3,tweet,positive,1.2", "sentiment score 1.2 outside [0, 1]")
+        self._assert_rejected(tmp_path, "t3,tweet,positive,-0.1", "sentiment score -0.1 outside [0, 1]")
+        self._assert_rejected(tmp_path, "t3,tweet,positive,high", "bad score 'high'")
 
     def test_unknown_source_rejected(self, tmp_path):
         self._assert_rejected(tmp_path, "t1,reddit,positive,0.5", "unknown source 'reddit'")
