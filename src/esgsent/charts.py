@@ -39,11 +39,12 @@ _STYLE = """\
 
 def render_candlestick_svg(series: PriceSeries) -> str:
     """Render a price series as an SVG candlestick chart."""
-    if not series.bars:
+    n = len(series)
+    if not n:
         raise ValueError(f"{series.ticker}: cannot chart an empty series")
 
-    lo = min(bar.low for bar in series.bars)
-    hi = max(bar.high for bar in series.bars)
+    lo = min(series.lows)
+    hi = max(series.highs)
     if hi == lo:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.04 * (hi - lo)
@@ -52,7 +53,6 @@ def render_candlestick_svg(series: PriceSeries) -> str:
     def y_of(value: float) -> float:
         return MARGIN_TOP + (1.0 - (value - lo) / (hi - lo)) * PLOT_H
 
-    n = len(series.bars)
     slot = PLOT_W / n
     body_w = max(1.0, slot * 0.6)
     label_step = max(1, (n + 7) // 8)
@@ -85,29 +85,27 @@ def render_candlestick_svg(series: PriceSeries) -> str:
         )
 
     # Date labels along the x axis.
-    for i, bar in enumerate(series.bars):
-        if i % label_step:
-            continue
+    for i in range(0, n, label_step):
         cx = MARGIN_LEFT + (i + 0.5) * slot
         out.append(
             f'  <text x="{cx - 14.0:.2f}" y="{HEIGHT - 12.0:.2f}">'
-            f"{bar.date.strftime('%m-%d')}</text>\n"
+            f"{series.dates[i].strftime('%m-%d')}</text>\n"
         )
 
     # One group per trading day: wick line then body rect.
-    for i, bar in enumerate(series.bars):
+    width = f"{body_w:.2f}"
+    days = zip(series.dates, series.opens, series.highs, series.lows, series.closes)
+    for i, (day, open_, high, low, close) in enumerate(days):
         cx = MARGIN_LEFT + (i + 0.5) * slot
-        direction = "up" if bar.close >= bar.open else "down"
-        body_top = y_of(max(bar.open, bar.close))
-        body_h = max(MIN_BODY_PX, abs(y_of(bar.open) - y_of(bar.close)))
-        out.append(f'  <g class="day {direction}" data-date="{bar.date.isoformat()}">\n')
-        out.append(
-            f'    <line class="wick" x1="{cx:.2f}" y1="{y_of(bar.high):.2f}" '
-            f'x2="{cx:.2f}" y2="{y_of(bar.low):.2f}"/>\n'
-        )
+        x = f"{cx:.2f}"
+        direction = "up" if close >= open_ else "down"
+        body_top = y_of(max(open_, close))
+        body_h = max(MIN_BODY_PX, abs(y_of(open_) - y_of(close)))
+        out.append(f'  <g class="day {direction}" data-date="{day.isoformat()}">\n')
+        out.append(f'    <line class="wick" x1="{x}" y1="{y_of(high):.2f}" x2="{x}" y2="{y_of(low):.2f}"/>\n')
         out.append(
             f'    <rect x="{cx - body_w / 2:.2f}" y="{body_top:.2f}" '
-            f'width="{body_w:.2f}" height="{body_h:.2f}"/>\n'
+            f'width="{width}" height="{body_h:.2f}"/>\n'
         )
         out.append("  </g>\n")
 

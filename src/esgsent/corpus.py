@@ -126,25 +126,27 @@ def parse_document_payload(payload: dict, *, strict: bool = False) -> Document:
             raise SchemaError(f"document payload has unknown field(s): {', '.join(unknown)}")
         logger.warning("ignoring unknown document field(s): %s", ", ".join(unknown))
 
-    doc_id = str(payload["id"])
+    doc_id = payload["id"]
+    # Optional fields may be absent or null; author may be any JSON value.
+    for name in ("id", "ticker", "text", "place", "url", "title"):
+        value = payload.get(name)
+        if not isinstance(value, str) and (value is not None or name in _REQUIRED_FIELDS):
+            raise SchemaError(f"document {doc_id!r}: {name} must be a string, got {value!r}")
     try:
         source = Source(payload["source"])
     except ValueError:
         raise SchemaError(f"document {doc_id!r}: bad source {payload['source']!r}") from None
 
     followers = payload.get("followers")
-    if followers is not None:
-        try:
-            followers = int(followers)
-        except (TypeError, ValueError):
-            raise SchemaError(f"document {doc_id!r}: bad follower count {followers!r}") from None
+    if followers is not None and type(followers) is not int:
+        raise SchemaError(f"document {doc_id!r}: bad follower count {followers!r}")
 
     return Document(
         id=doc_id,
         source=source,
         timestamp=_parse_timestamp(payload["timestamp"], doc_id),
-        ticker=str(payload["ticker"]),
-        text=str(payload["text"]),
+        ticker=payload["ticker"],
+        text=payload["text"],
         author=payload.get("author"),
         followers=followers,
         place=payload.get("place"),
@@ -168,10 +170,11 @@ def serialize_document(doc: Document) -> str:
     Field order and float-free payload keep serialization byte-stable, so
     parse -> serialize -> parse round-trips to an equal Document.
     """
-    # Source values and timestamps need no JSON escaping.
+    # Source values and timestamps need no JSON escaping. The timestamp is
+    # UTC, so isoformat ends in +00:00; fractional seconds are kept.
     line = (
         f'{{"id": {json_value(doc.id)}, "source": "{doc.source.value}", '
-        f'"timestamp": "{doc.timestamp:%Y-%m-%dT%H:%M:%SZ}", '
+        f'"timestamp": "{doc.timestamp.isoformat()[:-6]}Z", '
         f'"ticker": {json_value(doc.ticker)}, "text": {json_value(doc.text)}'
     )
     for name in _OPTIONAL_FIELDS:

@@ -12,7 +12,7 @@ import pytest
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from esgsent.corpus import Document, Source, TimeWindow
-from esgsent.market import PriceBar, PriceSeries
+from esgsent.market import PriceSeries
 from esgsent.sentiment import ScoredDocument, SentimentLabel, SentimentVerdict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,21 +59,17 @@ def make_scored(doc: Document, label: SentimentLabel, score: float) -> ScoredDoc
 
 
 def make_series(opens: list[float], *, ticker: str = "GS", start: date = date(2022, 7, 1)) -> PriceSeries:
-    """Bars on consecutive calendar days with wide high/low envelopes."""
-    bars = []
-    for i, open_ in enumerate(opens):
-        close = open_
-        bars.append(
-            PriceBar(
-                date=start + timedelta(days=i),
-                open=open_,
-                high=open_ * 1.05,
-                low=open_ * 0.95,
-                close=close,
-                volume=1_000_000 + i,
-            )
-        )
-    return PriceSeries(ticker=ticker, bars=tuple(bars))
+    """Bars on consecutive calendar days with wide high/low envelopes; each closes at its open."""
+    opens = tuple(opens)
+    return PriceSeries(
+        ticker=ticker,
+        dates=tuple(start + timedelta(days=i) for i in range(len(opens))),
+        opens=opens,
+        highs=tuple(open_ * 1.05 for open_ in opens),
+        lows=tuple(open_ * 0.95 for open_ in opens),
+        closes=opens,
+        volumes=tuple(1_000_000 + i for i in range(len(opens))),
+    )
 
 
 def run_cli(argv: list[str]) -> int:

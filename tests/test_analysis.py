@@ -10,7 +10,7 @@ import pytest
 from esgsent.aggregation import AffinityClass, TickerAggregate
 from esgsent.analysis import align, analyze, pearson
 from esgsent.charts import MIN_BODY_PX, render_candlestick_svg
-from esgsent.market import PriceBar, PriceSeries
+from esgsent.market import PriceSeries
 from esgsent.sentiment import SentimentLabel
 
 from conftest import make_doc, make_scored, make_series
@@ -65,15 +65,18 @@ def test_svg_is_deterministic():
 
 
 def test_doji_body_is_drawn_at_least_min_body_px():
-    doji = PriceBar(date(2022, 7, 1), open=100.0, high=105.0, low=95.0, close=100.0, volume=1)
-    wide = PriceBar(date(2022, 7, 2), open=96.0, high=105.0, low=95.0, close=104.0, volume=1)
-    heights = bodies(render_candlestick_svg(PriceSeries("GS", (doji, wide))))
+    # A doji on 07-01, then a wide up day.
+    series = PriceSeries(
+        "GS", (date(2022, 7, 1), date(2022, 7, 2)), opens=(100.0, 96.0), highs=(105.0, 105.0),
+        lows=(95.0, 95.0), closes=(100.0, 104.0), volumes=(1, 1),
+    )
+    heights = bodies(render_candlestick_svg(series))
     assert heights[0] == MIN_BODY_PX
     assert heights[1] > MIN_BODY_PX
 
 
 def test_flat_series_with_hi_equal_lo_renders():
-    flat = PriceSeries("GS", tuple(PriceBar(date(2022, 7, d), 100.0, 100.0, 100.0, 100.0, 1) for d in (1, 2)))
+    flat = PriceSeries("GS", (date(2022, 7, 1), date(2022, 7, 2)), *[(100.0, 100.0)] * 4, volumes=(1, 1))
     svg = render_candlestick_svg(flat)
     assert bodies(svg) == [MIN_BODY_PX, MIN_BODY_PX]
     # The price axis widens to 100 +/- 1, then pads 4% of that range each side.

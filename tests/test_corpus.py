@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -52,9 +53,40 @@ class TestParseSerialize:
         assert doc.title == "headline"
 
     def test_round_trip_equality(self):
-        for line in (TWEET_LINE, NEWS_LINE):
+        fractional = TWEET_LINE.replace("12:00:00Z", "12:00:00.750+00:00")
+        for line in (TWEET_LINE, NEWS_LINE, fractional):
             doc = parse_document_line(line)
             assert parse_document_line(serialize_document(doc)) == doc
+        assert '"timestamp": "2022-07-20T12:00:00.750000Z"' in serialize_document(parse_document_line(fractional))
+        assert '"timestamp": "2022-07-20T12:00:00Z"' in serialize_document(parse_document_line(TWEET_LINE))
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("id", None, "document None: id must be a string, got None"),
+            ("id", 7, "document 7: id must be a string, got 7"),
+            ("ticker", 5, "document 't1': ticker must be a string, got 5"),
+            ("text", None, "document 't1': text must be a string, got None"),
+            ("text", ["bad", "loss"], "document 't1': text must be a string, got ['bad', 'loss']"),
+            ("place", 5, "document 't1': place must be a string, got 5"),
+            ("url", {"a": 1}, "document 't1': url must be a string, got {'a': 1}"),
+            ("title", 5, "document 't1': title must be a string, got 5"),
+            ("followers", 2.9, "document 't1': bad follower count 2.9"),
+            ("followers", True, "document 't1': bad follower count True"),
+            ("followers", "5", "document 't1': bad follower count '5'"),
+        ],
+    )
+    def test_field_of_the_wrong_json_type_is_one_schema_error(self, name, value, message):
+        payload = json.loads(TWEET_LINE)
+        payload[name] = value
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_document_line(json.dumps(payload))
+
+    def test_null_optional_field_reads_as_absent(self):
+        payload = json.loads(NEWS_LINE)
+        payload.update(title=None, place=None, followers=None)
+        doc = parse_document_line(json.dumps(payload))
+        assert doc.title is None and doc.place is None and doc.followers is None
 
     def test_malformed_json_is_schema_error(self):
         with pytest.raises(SchemaError):
