@@ -99,8 +99,9 @@ def render_candlestick_svg(series: PriceSeries) -> str:
         cx = MARGIN_LEFT + (i + 0.5) * slot
         x = f"{cx:.2f}"
         direction = "up" if close >= open_ else "down"
-        body_top = y_of(max(open_, close))
-        body_h = max(MIN_BODY_PX, abs(y_of(open_) - y_of(close)))
+        y_open, y_close = y_of(open_), y_of(close)
+        body_top = min(y_open, y_close)  # y_of falls as the price rises
+        body_h = max(MIN_BODY_PX, abs(y_open - y_close))
         out.append(f'  <g class="day {direction}" data-date="{day.isoformat()}">\n')
         out.append(f'    <line class="wick" x1="{x}" y1="{y_of(high):.2f}" x2="{x}" y2="{y_of(low):.2f}"/>\n')
         out.append(

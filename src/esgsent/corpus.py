@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import json_value, open_text
+from .util import json_lines, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -205,6 +205,14 @@ def filter_window(docs: Iterable[Document], window: TimeWindow) -> list[Document
     return [doc for doc in docs if window.contains(doc.timestamp)]
 
 
+def _parse_at(path: Path, lineno: int, payload: object, strict: bool) -> Document:
+    """parse_document_payload, with a SchemaError prefixed by ``<path>:<lineno>: ``."""
+    try:
+        return parse_document_payload(payload, strict=strict)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+
+
 def fetch_documents(
     ticker: str,
     window: TimeWindow,
@@ -215,29 +223,19 @@ def fetch_documents(
     """Retrieve this ticker's documents through a transport, in transport order.
 
     Every returned document matches the ticker and lies inside the window.
+    A bad payload's SchemaError names its fixture file and line.
     """
     docs = []
-    for payload in transport.fetch(ticker):
-        doc = parse_document_payload(payload, strict=strict)
-        if doc.ticker != ticker:
-            continue
-        if window.contains(doc.timestamp):
+    for fixture, lineno, payload in transport.fetch(ticker):
+        doc = _parse_at(fixture, lineno, payload, strict)
+        if doc.ticker == ticker and window.contains(doc.timestamp):
             docs.append(doc)
     return docs
 
 
 def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:
     """Load a corpus file (one JSON document per line, blank lines skipped)."""
-    docs = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                docs.append(parse_document_line(line, strict=strict))
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    return docs
+    return [_parse_at(path, lineno, payload, strict) for lineno, payload in json_lines(path)]
 
 
 def write_corpus(docs: Iterable[Document], path: Path) -> None:

@@ -33,8 +33,9 @@ PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 _CONVERTERS = ((date.fromisoformat, 0), (float, 1), (float, 2), (float, 3), (float, 4), (int, 6))
 
 
-def _check_bar(day: date, open_: float, high: float, low: float, close: float, volume: int) -> None:
-    """Raise InvariantError naming what is wrong with one trading day's prices or volume."""
+def _check_bar(context: object, day: date, open_: float, high: float, low: float, close: float,
+               volume: int) -> None:
+    """Raise InvariantError ``<context>: <day>: <problem>`` if a day's prices or volume are wrong."""
     # The chain holds exactly when every check below passes (NaN fails
     # every comparison), so a valid bar costs one test; the checks name
     # what is wrong with an invalid one.
@@ -42,12 +43,12 @@ def _check_bar(day: date, open_: float, high: float, low: float, close: float, v
         for name, value in (("open", open_), ("high", high), ("low", low), ("close", close)):
             if not 0 < value < math.inf:
                 problem = "must be positive" if math.isfinite(value) else f"{value} is not finite"
-                raise InvariantError(f"{day}: {name} price {problem}")
+                raise InvariantError(f"{context}: {day}: {name} price {problem}")
         if not low <= open_ <= high:
-            raise InvariantError(f"{day}: open {open_} outside [low, high]")
-        raise InvariantError(f"{day}: close {close} outside [low, high]")
+            raise InvariantError(f"{context}: {day}: open {open_} outside [low, high]")
+        raise InvariantError(f"{context}: {day}: close {close} outside [low, high]")
     if volume < 0:
-        raise InvariantError(f"{day}: volume must be non-negative")
+        raise InvariantError(f"{context}: {day}: volume must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,7 @@ def _parse_row(row: list[str], context: str) -> tuple:
         bar = tuple(convert(row[i]) for convert, i in _CONVERTERS)
     except (IndexError, ValueError) as exc:
         raise SchemaError(f"{context}: malformed price row {row!r}: {exc}") from exc
-    try:
-        _check_bar(*bar)
-    except InvariantError as exc:
-        raise InvariantError(f"{context}: {exc}") from exc
+    _check_bar(context, *bar)
     return bar
 
 
@@ -105,10 +103,13 @@ def parse_prices(text: str, ticker: str, context: str = "<prices>") -> PriceSeri
     order names the error.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
-    if [f.strip() for f in header] != PRICE_HEADER:
-        raise SchemaError(f"{context}: expected header {','.join(PRICE_HEADER)}, got {','.join(header)}")
-    rows = list(filter(None, reader))
+    try:
+        header = next(reader, [])
+        if [f.strip() for f in header] != PRICE_HEADER:
+            raise SchemaError(f"{context}: expected header {','.join(PRICE_HEADER)}, got {','.join(header)}")
+        rows = list(filter(None, reader))
+    except csv.Error as exc:
+        raise SchemaError(f"{context}:{reader.line_num}: {exc}") from exc
     # The per-row path runs only to name the first bad row (or for a file with none).
     columns = _columns(rows) or list(zip(*(_parse_row(row, context) for row in rows))) or [()] * 6
     dates = columns[0]
@@ -141,7 +142,7 @@ def write_prices(series: PriceSeries, path: Path) -> PriceSeries:
         # Rounding moved a price: check each bar it moved as it will be read back.
         for day, volume, bar, rounded in zip(series.dates, series.volumes, zip(*columns), zip(*read_back)):
             if rounded != bar:
-                _check_bar(day, *rounded, volume)
+                _check_bar(path, day, *rounded, volume)
     rows = zip(series.dates, *text, series.volumes)
     body = "".join([f"{day},{o},{h},{lo},{c},{c},{vol}\n" for day, o, h, lo, c, vol in rows])
     atomic_write_text(path, ",".join(PRICE_HEADER) + "\n" + body)

@@ -9,7 +9,6 @@ produced transformer verdicts. The composite score is the label weight
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping, Optional
 
 from .corpus import Document, Source
 from .errors import InvariantError, SchemaError
-from .util import atomic_write_text, json_value, open_text, read_text
+from .util import atomic_write_text, json_lines, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -211,28 +210,33 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
     verdicts: dict[VerdictKey, SentimentVerdict] = {}
     with open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames != _EXTERNAL_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(_EXTERNAL_HEADER)}, "
-                f"got {','.join(reader.fieldnames or [])}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            label = _LABELS.get((row["label"] or "").strip().lower())
-            if label is None:
-                raise SchemaError(f"{path}:{row_no}: unknown label {row['label']!r}")
-            try:
-                verdict = SentimentVerdict(label, float(row["score"]))
-            except (TypeError, ValueError):
-                raise SchemaError(f"{path}:{row_no}: bad score {row['score']!r}") from None
-            except InvariantError as exc:
-                raise SchemaError(f"{path}:{row_no}: {exc}") from exc
-            source_raw = (row["source"] or "").strip().lower()
-            if source_raw not in _SOURCES:
-                raise SchemaError(f"{path}:{row_no}: unknown source {row['source']!r}")
-            key = (source_raw, row["id"])
-            if key in verdicts:
-                raise SchemaError(f"{path}:{row_no}: duplicate verdict for {key}")
-            verdicts[key] = verdict
+        # Errors name the row by reader.line_num: its last line in the file, blank lines counted.
+        try:
+            if reader.fieldnames != _EXTERNAL_HEADER:
+                raise SchemaError(
+                    f"{path}: expected header {','.join(_EXTERNAL_HEADER)}, "
+                    f"got {','.join(reader.fieldnames or [])}"
+                )
+            for row in reader:
+                label = _LABELS.get((row["label"] or "").strip().lower())
+                if label is None:
+                    raise SchemaError(f"{path}:{reader.line_num}: unknown label {row['label']!r}")
+                try:
+                    verdict = SentimentVerdict(label, float(row["score"]))
+                except (TypeError, ValueError):
+                    raise SchemaError(f"{path}:{reader.line_num}: bad score {row['score']!r}") from None
+                except InvariantError as exc:
+                    raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+                source_raw = (row["source"] or "").strip().lower()
+                if source_raw not in _SOURCES:
+                    raise SchemaError(f"{path}:{reader.line_num}: unknown source {row['source']!r}")
+                key = (source_raw, row["id"])
+                if key in verdicts:
+                    raise SchemaError(f"{path}:{reader.line_num}: duplicate verdict for {key}")
+                verdicts[key] = verdict
+        except csv.Error as exc:
+            # DictReader.line_num moves only once a row is read; its csv.reader's has counted this one.
+            raise SchemaError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     return verdicts
 
 
@@ -278,35 +282,28 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
     by_key = {doc.key: doc for doc in documents}
     seen: set[VerdictKey] = set()
     scored = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
-            for field_name in ("id", "source", "label", "score", "composite"):
-                if field_name not in obj:
-                    raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
-            for field_name in ("id", "source"):
-                if not isinstance(obj[field_name], str):
-                    raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
-            key = (obj["source"], obj["id"])
-            doc = by_key.get(key)
-            if doc is None:
-                raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
-            if key in seen:
-                raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
-            seen.add(key)
-            try:
-                verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
-                stated = float(obj["composite"])
-            except (TypeError, ValueError, InvariantError) as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            if stated != verdict.composite:
-                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
-            scored.append(ScoredDocument(doc, verdict))
+    for lineno, obj in json_lines(path):
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
+        for field_name in ("id", "source", "label", "score", "composite"):
+            if field_name not in obj:
+                raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
+        for field_name in ("id", "source"):
+            if not isinstance(obj[field_name], str):
+                raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
+        key = (obj["source"], obj["id"])
+        doc = by_key.get(key)
+        if doc is None:
+            raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
+        if key in seen:
+            raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
+        seen.add(key)
+        try:
+            verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
+            stated = float(obj["composite"])
+        except (TypeError, ValueError, InvariantError) as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        if stated != verdict.composite:
+            raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
+        scored.append(ScoredDocument(doc, verdict))
     return scored

@@ -15,11 +15,10 @@ Fixture layout, one directory per ticker key::
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .errors import SchemaError, TransportError
-from .util import open_text, read_text
+from .errors import TransportError
+from .util import json_lines, read_text
 
 TWEET_FIXTURE = "tweets.jsonl"
 NEWS_FIXTURE = "news.jsonl"
@@ -27,7 +26,7 @@ PRICE_FIXTURE = "prices.csv"
 
 
 class ReplayDocumentTransport:
-    """Reads recorded tweet and news payloads for a ticker.
+    """Reads recorded tweet and news payloads for a ticker, each with its file and line.
 
     The ticker's fixture directory must exist; a missing per-source file
     just means no records of that source were captured.
@@ -36,23 +35,15 @@ class ReplayDocumentTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
-    def fetch(self, ticker: str) -> list[dict]:
+    def fetch(self, ticker: str) -> list[tuple[Path, int, object]]:
         ticker_dir = self.fixtures_dir / ticker
         if not ticker_dir.is_dir():
             raise TransportError(f"no document fixtures for {ticker} under {self.fixtures_dir}")
-        payloads: list[dict] = []
+        payloads: list[tuple[Path, int, object]] = []
         for name in (TWEET_FIXTURE, NEWS_FIXTURE):
             fixture = ticker_dir / name
-            if not fixture.exists():
-                continue
-            with open_text(fixture) as handle:
-                for lineno, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        payloads.append(json.loads(line))
-                    except json.JSONDecodeError as exc:
-                        raise SchemaError(f"{fixture}:{lineno}: malformed JSON: {exc}") from exc
+            if fixture.exists():
+                payloads.extend((fixture, lineno, payload) for lineno, payload in json_lines(fixture))
         return payloads
 
 

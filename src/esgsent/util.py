@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
-from .errors import InputError
+from .errors import InputError, SchemaError
 
 _encode_str = json.encoder.encode_basestring
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
@@ -45,6 +45,17 @@ def read_text(path: Path) -> str:
     """The whole of a UTF-8 text file; a decode error names the file."""
     with open_text(path) as handle:
         return handle.read()
+
+
+def json_lines(path: Path) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line; bad JSON is a SchemaError naming path:line."""
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -193,6 +193,32 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
     assert len(errors) == 1 and errors[0].startswith(expected), errors
 
 
+@pytest.mark.parametrize(
+    "stage,name,record,problem",
+    [
+        ("ingest", "fixtures/GS/tweets.jsonl", '{"id": "bad", "source": "tweet"}',
+         "document payload missing required field(s): timestamp, ticker, text"),
+        ("ingest", "fixtures/GS/news.jsonl",
+         '{"id": "bad", "source": "news", "timestamp": "July", "ticker": "GS", "text": "x"}',
+         "document 'bad': bad timestamp 'July'"),
+        ("score", "out/corpus.jsonl",
+         '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": 5}',
+         "document 'bad': text must be a string, got 5"),
+        ("aggregate", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+)
+def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, stage, name, record, problem):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out)]) == 0
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([*lines[:2], "\n", record + "\n", *lines[2:]]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([stage, *flags(fixtures, out)]) == 2
+    errors = stderr_lines(capsys)
+    assert errors == [f"error[schema]: {path}:4: {problem}"], errors
+
+
 def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
     scored = tmp_path / "scored.jsonl"

@@ -21,6 +21,7 @@ from esgsent.corpus import (
 )
 from esgsent.errors import SchemaError, TransportError
 from esgsent.transport import ReplayDocumentTransport
+from esgsent.util import json_lines
 
 from conftest import AWKWARD_STRINGS, make_doc
 
@@ -343,3 +344,16 @@ def test_sort_key_total_order():
         assert left.sort_key <= right.sort_key
     # distinct ids guarantee strictness of the total order
     assert len({doc.sort_key for doc in docs}) == len(docs)
+
+
+def test_json_lines_skips_blank_lines_and_numbers_the_rest_by_file_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n  \r\n[2]\n"x"', encoding="utf-8")
+    assert list(json_lines(path)) == [(1, {"a": 1}), (4, [2]), (5, "x")]
+
+
+def test_json_lines_names_the_file_and_line_of_malformed_json(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: Expecting value')}"):
+        list(json_lines(path))

@@ -147,6 +147,17 @@ class TestCsvDialect:
     def test_header_only_is_empty_series(self):
         assert parse_prices(HEADER + "\n", "GS") == PriceSeries("GS", (), (), (), (), (), ())
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_limit_is_one_schema_error_naming_file_and_line(self, tmp_path, line):
+        # csv.reader refuses a field longer than 131,072 characters with csv.Error.
+        lines = [HEADER, *self.ROWS]
+        lines[line - 1] = lines[line - 1].replace(",", "," + "1" * 200_000, 1)
+        path = tmp_path / "prices.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path}:{line}: field larger than field limit (131072)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_prices(path, "GS")
+
 
 def random_rows(rng, n):
     """n valid text rows on distinct dates in random order, each with 7 or 8 fields."""
@@ -430,5 +441,6 @@ def test_write_prices_matches_csv_writer(tmp_path):
 
 def test_write_prices_revalidates_a_bar_that_rounding_changes(tmp_path):
     series = series_of([(date(2022, 7, 1), 1e-7, 1.0, 1e-7, 0.5, 10)])
-    with pytest.raises(InvariantError, match="^2022-07-01: open price must be positive$"):
-        write_prices(series, tmp_path / "GS.csv")
+    path = tmp_path / "GS.csv"
+    with pytest.raises(InvariantError, match=f"^{re.escape(f'{path}: 2022-07-01: open price must be positive')}$"):
+        write_prices(series, path)

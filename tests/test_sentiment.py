@@ -269,9 +269,11 @@ class TestExternalVerdicts:
         assert verdicts[("tweet", "t2")] == SentimentVerdict(SentimentLabel.NEUTRAL, 0.51)
 
     def _assert_rejected(self, tmp_path, row, problem):
-        path = self._write(tmp_path, ["t0,news,negative,0.5", row])
-        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: {problem}')}$"):
-            import_external_verdicts(path)
+        # Rows are named by their line in the file, so a blank line before a row counts.
+        for rows, line in ((["t0,news,negative,0.5", row], 3), (["t0,news,negative,0.5", "", row], 4)):
+            path = self._write(tmp_path, rows)
+            with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:{line}: {problem}')}$"):
+                import_external_verdicts(path)
 
     def test_unknown_label_rejected(self, tmp_path):
         self._assert_rejected(tmp_path, "t1,tweet,bullish,0.5", "unknown label 'bullish'")
@@ -298,6 +300,16 @@ class TestExternalVerdicts:
     def test_duplicate_key_rejected(self, tmp_path):
         path = self._write(tmp_path, ["t1,tweet,positive,0.5", "t1,tweet,negative,0.5"])
         with pytest.raises(SchemaError):
+            import_external_verdicts(path)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_limit_is_one_schema_error_naming_file_and_line(self, tmp_path, line):
+        # csv.reader refuses a field longer than 131,072 characters with csv.Error.
+        lines = ["id,source,label,score", "t1,tweet,positive,0.5", "t2,tweet,negative,0.5"]
+        lines[line - 1] = "x" * 200_000 + lines[line - 1]
+        path = self._write(tmp_path, lines[1:], header=lines[0])
+        message = f"{path}:{line}: field larger than field limit (131072)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             import_external_verdicts(path)
 
 
