@@ -117,7 +117,7 @@ def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
     )
     scored = score_corpus(docs, lexicon, external)
     write_scored(scored, config.scored_path)
-    n_external = sum(1 for sd in scored if external and sd.key in external)
+    n_external = sum(sd.key in external for sd in scored) if external else 0
     print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
     return scored
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
@@ -55,46 +56,68 @@ class TimeWindow:
             raise ValueError(f"bad window {text!r}: expected START:END ISO dates") from exc
 
 
-@dataclass(frozen=True)
-class Document:
-    """One tweet or news article, ticker-tagged and UTC-timestamped."""
-
+class _DocumentFields(NamedTuple):
     id: str
     source: Source
     timestamp: datetime
     ticker: str
     text: str
-    author: Optional[str] = None
-    followers: Optional[int] = None
-    place: Optional[str] = None
-    url: Optional[str] = None
-    title: Optional[str] = None
+    author: object  # any JSON value
+    followers: Optional[int]
+    place: Optional[str]
+    url: Optional[str]
+    title: Optional[str]
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class Document(_DocumentFields):
+    """One tweet or news article, ticker-tagged and UTC-timestamped.
+
+    An immutable tuple of the fields above. The constructor checks that the
+    id is non-empty, the text is not blank, the timestamp is in UTC and the
+    follower count is not negative; ``_replace`` and ``_make`` go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        source: Source,
+        timestamp: datetime,
+        ticker: str,
+        text: str,
+        author: object = None,
+        followers: Optional[int] = None,
+        place: Optional[str] = None,
+        url: Optional[str] = None,
+        title: Optional[str] = None,
+    ) -> "Document":
+        if not id:
             raise SchemaError("document id must be non-empty")
-        if not self.text.strip():
-            raise SchemaError(f"document {self.id!r} has empty text")
-        if self.timestamp.tzinfo is not timezone.utc:
-            raise SchemaError(f"document {self.id!r} timestamp is not in UTC")
-        if self.followers is not None and self.followers < 0:
-            raise SchemaError(f"document {self.id!r} has negative follower count")
+        if not text.strip():
+            raise SchemaError(f"document {id!r} has empty text")
+        if timestamp.tzinfo is not timezone.utc:
+            raise SchemaError(f"document {id!r} timestamp is not in UTC")
+        if followers is not None and followers < 0:
+            raise SchemaError(f"document {id!r} has negative follower count")
+        return tuple.__new__(cls, (id, source, timestamp, ticker, text, author, followers, place, url, title))
 
-    @property
-    def key(self) -> tuple[str, str]:
-        """(source, id) pair, unique after deduplication."""
-        return (self.source.value, self.id)
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "Document":
+        return cls(*iterable)
 
-    @property
-    def sort_key(self) -> tuple[datetime, str]:
-        """(timestamp, id): the id breaks ties, giving a total order."""
-        return (self.timestamp, self.id)
+    # Both keys are read in C: _value_ is the Source member's value as a
+    # plain attribute, where Enum.value is a Python-level property.
+    key = property(attrgetter("source._value_", "id"), doc="(source, id) pair, unique after deduplication.")
+    sort_key = property(attrgetter("timestamp", "id"), doc="(timestamp, id): the id breaks ties, giving a total order.")
 
 
 # Corpus line schema: required then optional fields, in serialization order.
 _REQUIRED_FIELDS = ("id", "source", "timestamp", "ticker", "text")
 _OPTIONAL_FIELDS = ("author", "followers", "place", "url", "title")
+_REQUIRED = frozenset(_REQUIRED_FIELDS)
 _KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
+_SOURCE_OF = {source.value: source for source in Source}
 
 
 def _parse_timestamp(raw: str, doc_id: str) -> datetime:
@@ -116,42 +139,43 @@ def parse_document_payload(payload: dict, *, strict: bool = False) -> Document:
     if not isinstance(payload, dict):
         raise SchemaError(f"document payload must be an object, got {type(payload).__name__}")
 
-    missing = [name for name in _REQUIRED_FIELDS if name not in payload]
-    if missing:
+    # One set comparison each; the field-by-field passes run only to word an error.
+    fields = payload.keys()
+    if not fields >= _REQUIRED:
+        missing = [name for name in _REQUIRED_FIELDS if name not in payload]
         raise SchemaError(f"document payload missing required field(s): {', '.join(missing)}")
-
-    if not _KNOWN_FIELDS.issuperset(payload):
-        unknown = sorted(set(payload) - _KNOWN_FIELDS)
+    if not fields <= _KNOWN_FIELDS:
+        unknown = sorted(fields - _KNOWN_FIELDS)
         if strict:
             raise SchemaError(f"document payload has unknown field(s): {', '.join(unknown)}")
         logger.warning("ignoring unknown document field(s): %s", ", ".join(unknown))
 
-    doc_id = payload["id"]
+    get = payload.get
+    doc_id, ticker, text = payload["id"], payload["ticker"], payload["text"]
+    place, url, title = get("place"), get("url"), get("title")
     # Optional fields may be absent or null; author may be any JSON value.
-    for name in ("id", "ticker", "text", "place", "url", "title"):
-        value = payload.get(name)
-        if not isinstance(value, str) and (value is not None or name in _REQUIRED_FIELDS):
-            raise SchemaError(f"document {doc_id!r}: {name} must be a string, got {value!r}")
+    if not (
+        isinstance(doc_id, str) and isinstance(ticker, str) and isinstance(text, str)
+        and (place is None or isinstance(place, str))
+        and (url is None or isinstance(url, str))
+        and (title is None or isinstance(title, str))
+    ):
+        for name in ("id", "ticker", "text", "place", "url", "title"):
+            value = get(name)
+            if not isinstance(value, str) and (value is not None or name in _REQUIRED):
+                raise SchemaError(f"document {doc_id!r}: {name} must be a string, got {value!r}")
     try:
-        source = Source(payload["source"])
-    except ValueError:
+        source = _SOURCE_OF[payload["source"]]
+    except (KeyError, TypeError):
         raise SchemaError(f"document {doc_id!r}: bad source {payload['source']!r}") from None
 
-    followers = payload.get("followers")
+    followers = get("followers")
     if followers is not None and type(followers) is not int:
         raise SchemaError(f"document {doc_id!r}: bad follower count {followers!r}")
 
     return Document(
-        id=doc_id,
-        source=source,
-        timestamp=_parse_timestamp(payload["timestamp"], doc_id),
-        ticker=payload["ticker"],
-        text=payload["text"],
-        author=payload.get("author"),
-        followers=followers,
-        place=payload.get("place"),
-        url=payload.get("url"),
-        title=payload.get("title"),
+        doc_id, source, _parse_timestamp(payload["timestamp"], doc_id), ticker, text,
+        get("author"), followers, place, url, title,
     )
 
 
@@ -192,11 +216,11 @@ def dedupe(docs: Iterable[Document]) -> list[Document]:
     """
     seen: set[tuple[str, str]] = set()
     out: list[Document] = []
-    for doc in sorted(docs, key=lambda d: d.sort_key):
-        if doc.key in seen:
-            continue
-        seen.add(doc.key)
-        out.append(doc)
+    for doc in sorted(docs, key=Document.sort_key.fget):
+        key = doc.key
+        if key not in seen:
+            seen.add(key)
+            out.append(doc)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .corpus import Document, Source
 from .errors import InvariantError, SchemaError
@@ -183,9 +183,8 @@ def score_document(doc: Document, lexicon: Lexicon) -> SentimentVerdict:
     return score_tokens(tokenize(scoring_text(doc)), lexicon)
 
 
-@dataclass(frozen=True)
-class ScoredDocument:
-    """A document with its verdict; the composite is ``verdict.composite``."""
+class ScoredDocument(NamedTuple):
+    """A document with its verdict, as an immutable tuple; the composite is ``verdict.composite``."""
 
     document: Document
     verdict: SentimentVerdict
@@ -209,34 +208,37 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
     """
     verdicts: dict[VerdictKey, SentimentVerdict] = {}
     with open_text(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         # Errors name the row by reader.line_num: its last line in the file, blank lines counted.
         try:
-            if reader.fieldnames != _EXTERNAL_HEADER:
-                raise SchemaError(
-                    f"{path}: expected header {','.join(_EXTERNAL_HEADER)}, "
-                    f"got {','.join(reader.fieldnames or [])}"
-                )
+            header = next(reader, [])
+            if header != _EXTERNAL_HEADER:
+                raise SchemaError(f"{path}: expected header {','.join(_EXTERNAL_HEADER)}, got {','.join(header)}")
             for row in reader:
-                label = _LABELS.get((row["label"] or "").strip().lower())
+                if len(row) != 4:
+                    if not row:  # a blank line
+                        continue
+                    # A short row's missing cells read as None; cells after the fourth are ignored.
+                    row = (row + [None] * 3)[:4]
+                doc_id, source_raw, label_raw, score_raw = row
+                label = _LABELS.get((label_raw or "").strip().lower())
                 if label is None:
-                    raise SchemaError(f"{path}:{reader.line_num}: unknown label {row['label']!r}")
+                    raise SchemaError(f"{path}:{reader.line_num}: unknown label {label_raw!r}")
                 try:
-                    verdict = SentimentVerdict(label, float(row["score"]))
+                    verdict = SentimentVerdict(label, float(score_raw))
                 except (TypeError, ValueError):
-                    raise SchemaError(f"{path}:{reader.line_num}: bad score {row['score']!r}") from None
+                    raise SchemaError(f"{path}:{reader.line_num}: bad score {score_raw!r}") from None
                 except InvariantError as exc:
                     raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-                source_raw = (row["source"] or "").strip().lower()
-                if source_raw not in _SOURCES:
-                    raise SchemaError(f"{path}:{reader.line_num}: unknown source {row['source']!r}")
-                key = (source_raw, row["id"])
+                source = (source_raw or "").strip().lower()
+                if source not in _SOURCES:
+                    raise SchemaError(f"{path}:{reader.line_num}: unknown source {source_raw!r}")
+                key = (source, doc_id)
                 if key in verdicts:
                     raise SchemaError(f"{path}:{reader.line_num}: duplicate verdict for {key}")
                 verdicts[key] = verdict
         except csv.Error as exc:
-            # DictReader.line_num moves only once a row is read; its csv.reader's has counted this one.
-            raise SchemaError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
     return verdicts
 
 
@@ -250,10 +252,11 @@ def score_corpus(
     An external verdict wins when one exists for the document's key;
     the lexicon scores everything else.
     """
-    external = external or {}
+    # An empty or absent map costs no key per document.
+    external = external or None
     scored = []
     for doc in docs:
-        verdict = external.get(doc.key)
+        verdict = external and external.get(doc.key)
         if verdict is None:
             verdict = score_document(doc, lexicon)
         scored.append(ScoredDocument(doc, verdict))

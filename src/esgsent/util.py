@@ -47,15 +47,25 @@ def read_text(path: Path) -> str:
         return handle.read()
 
 
+def _decode(path: Path, lineno: int, text: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+
+
 def json_lines(path: Path) -> Iterator[tuple[int, object]]:
     """(line number, value) of each non-blank line; bad JSON is a SchemaError naming path:line."""
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if line.strip():
-                try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if line.isspace():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError:
+                # Decoded again without the line break, so the error's position is on this line.
+                value = _decode(path, lineno, line.rstrip("\n"))
+            yield lineno, value
 
 
 def atomic_write_text(path: Path, text: str) -> None:

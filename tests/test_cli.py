@@ -165,6 +165,28 @@ def test_non_utf8_corpus_is_one_io_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows,n_external",
+    [
+        (None, 0),
+        ([], 0),
+        # Only a (source, id) key of the corpus counts.
+        (["tw-gs-0720a,tweet,negative,0.5", "tw-gs-0720a,news,positive,0.5", "tw-none,tweet,positive,0.5"], 1),
+    ],
+)
+def test_score_counts_the_documents_with_an_external_verdict(tmp_path, capsys, rows, n_external):
+    out = tmp_path / "out"
+    assert run_cli(["ingest", *flags(FIXTURES_DIR, out)]) == 0
+    argv = ["score", *flags(FIXTURES_DIR, out)]
+    if rows is not None:
+        (tmp_path / "verdicts.csv").write_text("\n".join(["id,source,label,score", *rows]) + "\n", encoding="utf-8")
+        argv += ["--external-verdicts", str(tmp_path / "verdicts.csv")]
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    n_docs = len((out / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
+    assert f"scored {n_docs} documents ({n_external} external) -> " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "stage,name",
     [
         ("aggregate", "out/scored.jsonl"),

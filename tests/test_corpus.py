@@ -105,10 +105,12 @@ class TestParseSerialize:
         with pytest.raises(SchemaError):
             parse_document_line(json.dumps(payload))
 
-    def test_bad_source_rejected(self):
+    @pytest.mark.parametrize("source", ["blog", "TWEET", ["tweet"], None])
+    def test_bad_source_rejected(self, source):
         payload = json.loads(TWEET_LINE)
-        payload["source"] = "blog"
-        with pytest.raises(SchemaError):
+        payload["source"] = source
+        message = f"document 't1': bad source {source!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse_document_line(json.dumps(payload))
 
     def test_naive_timestamp_rejected(self):
@@ -117,10 +119,32 @@ class TestParseSerialize:
         with pytest.raises(SchemaError):
             parse_document_line(json.dumps(payload))
 
-    def test_document_timestamp_must_be_utc(self):
-        plus_two = timezone(timedelta(hours=2))
-        with pytest.raises(SchemaError, match="not in UTC"):
-            Document("a", Source.TWEET, datetime(2022, 7, 20, 1, tzinfo=plus_two), "GS", "text")
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("id", "", "document id must be non-empty"),
+            ("text", " \n\t", "document 'a' has empty text"),
+            ("timestamp", datetime(2022, 7, 20, 1, tzinfo=timezone(timedelta(hours=2))),
+             "document 'a' timestamp is not in UTC"),
+            ("followers", -1, "document 'a' has negative follower count"),
+        ],
+    )
+    def test_document_constructor_checks_each_field(self, name, value, message):
+        fields = {"id": "a", "source": Source.TWEET, "timestamp": datetime(2022, 7, 20, tzinfo=timezone.utc),
+                  "ticker": "GS", "text": "text", name: value}
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            Document(**fields)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            make_doc("a")._replace(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["id", "source", "timestamp", "ticker", "text", "author", "followers", "place", "url", "title", "extra"]
+    )
+    def test_document_is_immutable(self, name):
+        doc = make_doc("a")
+        with pytest.raises(AttributeError):
+            setattr(doc, name, "x")
+        assert doc == make_doc("a")
 
     def test_unknown_field_strict_vs_lenient(self, caplog):
         payload = json.loads(TWEET_LINE)
@@ -352,8 +376,18 @@ def test_json_lines_skips_blank_lines_and_numbers_the_rest_by_file_line(tmp_path
     assert list(json_lines(path)) == [(1, {"a": 1}), (4, [2]), (5, "x")]
 
 
-def test_json_lines_names_the_file_and_line_of_malformed_json(tmp_path):
+@pytest.mark.parametrize(
+    "bad_line,error",
+    [
+        ('{"a": ', "Expecting value: line 1 column 7 (char 6)"),
+        ('{"id": "bad",', "Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
+        ('{"a": 1} {"b": 2}', "Extra data: line 1 column 10 (char 9)"),
+    ],
+)
+@pytest.mark.parametrize("last", [False, True])
+def test_json_lines_names_the_file_and_line_of_malformed_json(tmp_path, bad_line, error, last):
+    # The position is on the record's own line, whether or not a line break ends it.
     path = tmp_path / "records.jsonl"
-    path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
-    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: Expecting value')}"):
+    path.write_text('{"a": 1}\n\n' + bad_line + ("" if last else '\n{"b": 2}\n'), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: {error}')}$"):
         list(json_lines(path))

@@ -263,10 +263,13 @@ class TestExternalVerdicts:
         return path
 
     def test_rows_parse(self, tmp_path):
-        path = self._write(tmp_path, ["t1,tweet,positive,0.93", "t2,tweet,Neutral,0.51"])
-        verdicts = import_external_verdicts(path)
-        assert verdicts[("tweet", "t1")] == SentimentVerdict(SentimentLabel.POSITIVE, 0.93)
-        assert verdicts[("tweet", "t2")] == SentimentVerdict(SentimentLabel.NEUTRAL, 0.51)
+        # Cells after the fourth are ignored.
+        path = self._write(tmp_path, ["t1,tweet,positive,0.93", "t2,tweet,Neutral,0.51", "t3,news,negative,0.2,x,"])
+        assert import_external_verdicts(path) == {
+            ("tweet", "t1"): SentimentVerdict(SentimentLabel.POSITIVE, 0.93),
+            ("tweet", "t2"): SentimentVerdict(SentimentLabel.NEUTRAL, 0.51),
+            ("news", "t3"): SentimentVerdict(SentimentLabel.NEGATIVE, 0.2),
+        }
 
     def _assert_rejected(self, tmp_path, row, problem):
         # Rows are named by their line in the file, so a blank line before a row counts.
@@ -292,9 +295,20 @@ class TestExternalVerdicts:
         path = self._write(tmp_path, ["t1, News , POSITIVE ,0.5"])
         assert import_external_verdicts(path) == {("news", "t1"): SentimentVerdict(SentimentLabel.POSITIVE, 0.5)}
 
-    def test_wrong_header_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["t1,tweet,positive,0.5"], header="doc,source,label,score")
-        with pytest.raises(SchemaError):
+    @pytest.mark.parametrize(
+        "text,got",
+        [
+            ("doc,source,label,score\nt1,tweet,positive,0.5\n", "doc,source,label,score"),
+            ("id,source,label\nt1,tweet,positive,0.5\n", "id,source,label"),
+            ("", ""),
+            ("\nid,source,label,score\nt1,tweet,positive,0.5\n", ""),
+        ],
+    )
+    def test_wrong_header_rejected(self, tmp_path, text, got):
+        path = tmp_path / "verdicts.csv"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: expected header id,source,label,score, got {got}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             import_external_verdicts(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -314,13 +328,14 @@ class TestExternalVerdicts:
 
 
 class TestScoreCorpus:
-    def test_three_docs_no_external(self):
+    @pytest.mark.parametrize("external", [None, {}])
+    def test_three_docs_no_external(self, external):
         docs = [
             make_doc("a", text="clean and good"),
             make_doc("b", text="toxic probe"),
             make_doc("c", text="nothing relevant"),
         ]
-        scored = score_corpus(docs, LEX)
+        scored = score_corpus(docs, LEX, external)
         assert [sd.document.id for sd in scored] == ["a", "b", "c"]
         assert [sd.verdict.label for sd in scored] == [
             SentimentLabel.POSITIVE,
@@ -329,10 +344,17 @@ class TestScoreCorpus:
         ]
 
     def test_external_verdict_wins(self):
-        doc = make_doc("a", text="clean and good")
+        doc, other = make_doc("a", text="clean and good"), make_doc("b", text="clean and good")
         external = {doc.key: SentimentVerdict(SentimentLabel.NEGATIVE, 0.8)}
-        (scored,) = score_corpus([doc], LEX, external)
-        assert scored.verdict.composite == -0.8
+        scored = score_corpus([doc, other], LEX, external)
+        assert [sd.verdict.composite for sd in scored] == [-0.8, 1.0]
+
+    @pytest.mark.parametrize("name", ["document", "verdict", "extra"])
+    def test_scored_document_is_immutable(self, name):
+        sd = ScoredDocument(make_doc("a"), SentimentVerdict(SentimentLabel.NEUTRAL, 0.0))
+        with pytest.raises(AttributeError):
+            setattr(sd, name, None)
+        assert sd.document == make_doc("a")
 
     def test_empty_corpus(self):
         assert score_corpus([], LEX) == []
