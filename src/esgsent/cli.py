@@ -1,4 +1,4 @@
-"""Command-line pipeline: ingest -> score -> aggregate -> prices -> analyze -> report.
+"""Command-line pipeline: ingest -> score -> prices -> report.
 
 ``run`` hands each stage's result to the next in memory and computes
 every value once: the corpus and the scored documents are never re-read,
@@ -10,11 +10,11 @@ Every file ``run`` writes is written once.
 Each subcommand runs one stage on its own: it reads the files the earlier
 stages wrote under the output directory, keeps only the documents of the
 configured tickers inside the configured window, and writes the files
-``run`` writes for that stage. ``analyze`` and ``report`` use the same
-per-ticker loop on the price files ``prices`` wrote; ``analyze``
-aggregates in memory, and ``report`` recomputes the aggregates and
-analyses under the current thresholds. Documents and prices come from
-recorded fixtures through the replay transports; no live transport ships.
+``run`` writes for that stage. ``report`` runs the same per-ticker loop
+on the price files ``prices`` wrote, so it rewrites the aggregates,
+analyses, charts and summary under the current thresholds. Documents and
+prices come from recorded fixtures through the replay transports; no live
+transport ships.
 
 Settings come from the flags and the ``--config`` file (see ``config``).
 
@@ -127,24 +127,6 @@ def cmd_score(config: RunConfig) -> None:
     _score(config, [doc for doc in _read_corpus(config) if _in_scope(config, doc)])
 
 
-def _aggregate(config: RunConfig, scored: list[ScoredDocument]) -> list[TickerAggregate]:
-    aggregates = aggregate_by_ticker(scored, tickers=config.tickers, thresholds=config.thresholds)
-    write_aggregates(aggregates, config.aggregates_path)
-    for agg in aggregates:
-        print(
-            f"{agg.ticker}: n={agg.n_docs} sum={format_real(agg.sum_composite)} "
-            f"mean={format_real(agg.mean_composite)} {agg.classification.value}"
-        )
-    print("affinity ranking: " + " > ".join(rank_affinity(aggregates)))
-    print(f"aggregates -> {config.aggregates_path}")
-    return aggregates
-
-
-def cmd_aggregate(config: RunConfig) -> None:
-    """Aggregate composites per ticker and classify ESG affinity."""
-    _aggregate(config, _read_scored(config))
-
-
 def _fetch_series(config: RunConfig, transport: ReplayPriceTransport, ticker: str) -> PriceSeries:
     """Fetch a ticker's bars, keep the last price_days dated on or before the
     window's end, write them, and return them as written."""
@@ -162,20 +144,38 @@ def cmd_prices(config: RunConfig) -> None:
         _fetch_series(config, transport, ticker)
 
 
-def _analyze_tickers(
-    config: RunConfig,
-    scored: list[ScoredDocument],
-    aggregates: list[TickerAggregate],
-    series_of: SeriesSource,
-    *,
-    charts: bool,
-) -> dict[str, AnalysisResult]:
-    """The per-ticker loop: get one ticker's series, analyze that ticker's
-    documents only, and write its analysis (and chart).
+def _summary_csv(ranked: list[TickerAggregate], results: dict[str, AnalysisResult]) -> str:
+    lines = [",".join(SUMMARY_HEADER)]
+    for agg in ranked:
+        result = results.get(agg.ticker)
+        change = "" if result is None else format_real(result.percent_change)
+        agreement = "" if result is None else result.sign_agreement.value
+        lines.append(
+            f"{agg.ticker},{agg.n_docs},{format_real(agg.mean_composite)},"
+            f"{agg.classification.value},{change},{agreement}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource) -> None:
+    """Aggregate and classify; then, one ticker at a time, get its series,
+    analyze its documents only, and write its analysis and chart; then write
+    the summary.
 
     A ticker whose series is too short gets a note and no files; when no
     ticker has enough data the run fails with InsufficientData.
     """
+    aggregates = aggregate_by_ticker(scored, tickers=config.tickers, thresholds=config.thresholds)
+    write_aggregates(aggregates, config.aggregates_path)
+    for agg in aggregates:
+        print(
+            f"{agg.ticker}: n={agg.n_docs} sum={format_real(agg.sum_composite)} "
+            f"mean={format_real(agg.mean_composite)} {agg.classification.value}"
+        )
+    ranking = rank_affinity(aggregates)
+    print("affinity ranking: " + " > ".join(ranking))
+    print(f"aggregates -> {config.aggregates_path}")
+
     docs_by_ticker: dict[str, list[ScoredDocument]] = {}
     for sd in scored:
         docs_by_ticker.setdefault(sd.document.ticker, []).append(sd)
@@ -189,8 +189,7 @@ def _analyze_tickers(
             _note("insufficient-data", str(exc))
             continue
         write_analysis(result, config.analysis_path(ticker))
-        if charts:
-            atomic_write_text(config.chart_path(ticker), render_candlestick_svg(series))
+        atomic_write_text(config.chart_path(ticker), render_candlestick_svg(series))
         results[ticker] = result
         r_text = "absent" if result.pearson_r is None else f"{result.pearson_r:+.4f}"
         print(
@@ -200,41 +199,14 @@ def _analyze_tickers(
         )
     if not results:
         raise InsufficientData("no ticker had enough data to analyze")
-    return results
 
-
-def cmd_analyze(config: RunConfig) -> None:
-    """Correlate daily sentiment with daily returns per ticker."""
-    scored = _read_scored(config)
-    aggregates = aggregate_by_ticker(scored, tickers=config.tickers, thresholds=config.thresholds)
-    _analyze_tickers(config, scored, aggregates, lambda t: _load_series(config, t), charts=False)
-
-
-def _summary_csv(aggregates: list[TickerAggregate], results: dict[str, AnalysisResult]) -> str:
-    lines = [",".join(SUMMARY_HEADER)]
-    aggregate_of = {agg.ticker: agg for agg in aggregates}
-    for ticker in rank_affinity(aggregates):
-        agg, result = aggregate_of[ticker], results.get(ticker)
-        change = "" if result is None else format_real(result.percent_change)
-        agreement = "" if result is None else result.sign_agreement.value
-        lines.append(
-            f"{agg.ticker},{agg.n_docs},{format_real(agg.mean_composite)},"
-            f"{agg.classification.value},{change},{agreement}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource) -> None:
-    """Aggregate, run the per-ticker loop with charts, and write the summary."""
-    aggregates = _aggregate(config, scored)
-    results = _analyze_tickers(config, scored, aggregates, series_of, charts=True)
-    atomic_write_text(config.summary_path, _summary_csv(aggregates, results))
+    atomic_write_text(config.summary_path, _summary_csv([aggregate_of[t] for t in ranking], results))
     print(f"summary -> {config.summary_path}")
     print(f"charts  -> {config.out / 'charts'}")
 
 
 def cmd_report(config: RunConfig) -> None:
-    """Emit aggregates, summary CSV, per-ticker candlestick SVGs and analysis JSONs."""
+    """Write aggregates, per-ticker analysis JSONs and candlestick SVGs, and the summary CSV."""
     _report(config, _read_scored(config), lambda t: _load_series(config, t))
 
 
@@ -272,10 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("ingest", cmd_ingest, "fetch documents into the corpus file"),
         ("score", cmd_score, "score the corpus with the lexicon (and external verdicts)"),
-        ("aggregate", cmd_aggregate, "aggregate composites per ticker and classify"),
         ("prices", cmd_prices, "fetch and window per-ticker price history"),
-        ("analyze", cmd_analyze, "correlate daily sentiment with daily returns"),
-        ("report", cmd_report, "write summary CSV, candlestick SVGs and analysis JSONs"),
+        ("report", cmd_report, "write aggregates, analysis JSONs, candlestick SVGs and summary CSV"),
         ("run", cmd_run, "run every stage in order"),
     ):
         stage = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -51,9 +52,10 @@ class TimeWindow:
         """Parse ``START:END`` with ISO dates, e.g. ``2022-07-20:2022-07-29``."""
         try:
             start_s, end_s = text.split(":")
-            return cls(date.fromisoformat(start_s), date.fromisoformat(end_s))
+            start, end = date.fromisoformat(start_s), date.fromisoformat(end_s)
         except ValueError as exc:
             raise ValueError(f"bad window {text!r}: expected START:END ISO dates") from exc
+        return cls(start, end)
 
 
 class _DocumentFields(NamedTuple):
@@ -120,10 +122,20 @@ _KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
 _SOURCE_OF = {source.value: source for source in Source}
 
 
+# The one timestamp form: YYYY-MM-DDTHH:MM:SS, optional .fff or .ffffff, then Z or
+# +HH:MM / -HH:MM. Checked before fromisoformat, which accepts more forms from 3.11 on.
+_TIMESTAMP_FORM = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+    r"(?:\.[0-9]{3}|\.[0-9]{6})?(?:Z|[+-][0-9]{2}:[0-9]{2})?"
+).fullmatch
+
+
 def _parse_timestamp(raw: str, doc_id: str) -> datetime:
     try:
+        if _TIMESTAMP_FORM(raw) is None:
+            raise ValueError("not the documented form")
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except (ValueError, AttributeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"document {doc_id!r}: bad timestamp {raw!r}") from exc
     if ts.tzinfo is None:
         raise SchemaError(f"document {doc_id!r}: timestamp {raw!r} lacks a UTC offset")

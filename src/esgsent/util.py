@@ -14,6 +14,11 @@ from .errors import InputError, SchemaError
 
 _encode_str = json.encoder.encode_basestring
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+# The mode open(path, "w") would give a new file; mkstemp makes its file 0600.
+# Reading the umask means setting it, so it is read once, here.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
 
 
 def json_value(value: object) -> str:
@@ -69,13 +74,18 @@ def json_lines(path: Path) -> Iterator[tuple[int, object]]:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write a file via temp-file-and-rename so readers never see partial output."""
+    """Write a file via temp-file-and-rename so readers never see partial output.
+
+    The file gets the mode that open(path, "w") gives a new file under the
+    process's umask, also when it replaces a file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp_name, _FILE_MODE)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -4,15 +4,24 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import esgsent
 from conftest import FIXTURES_DIR, REPO_ROOT, run_cli
 
-STAGES = ("ingest", "score", "aggregate", "prices", "analyze", "report")
+STAGES = ("ingest", "score", "prices", "report")
 JULY = "2022-07-20:2022-07-29"
+# What report writes for GS and AMZN.
+REPORT_FILES = ["aggregates.csv", "summary.csv"] + [
+    f"{kind}/{key}.{ext}" for kind, ext in (("analysis", "json"), ("charts", "svg")) for key in ("GS", "AMZN")
+]
 
 
 def copy_fixtures(tmp_path: Path, keys=("GS", "AMZN")) -> Path:
@@ -116,10 +125,24 @@ def test_run_equals_chained_subcommands_at_seven_decimals(tmp_path):
     assert run_cli(["run", *flags(fixtures, run_out)]) == 0
     for stage in STAGES:
         assert run_cli([stage, *flags(fixtures, chained_out)]) == 0, stage
-    compared = ["summary.csv"] + [f"{kind}/{key}.{ext}" for kind, ext in (("analysis", "json"), ("charts", "svg"))
-                                  for key in ("GS", "AMZN")]
-    for rel in compared:
+    for rel in REPORT_FILES:
         assert (run_out / rel).read_bytes() == (chained_out / rel).read_bytes(), rel
+
+
+def test_run_writes_every_file_with_the_mode_of_the_umask(tmp_path):
+    # esgsent reads the umask when it is imported, so each run is a new process that inherits it.
+    env = {**os.environ, "PYTHONPATH": str(Path(esgsent.__file__).parent.parent)}
+    argv = [sys.executable, "-m", "esgsent", "run", *flags(FIXTURES_DIR, tmp_path)]
+    written = {"corpus.jsonl", "scored.jsonl", "prices/GS.csv", "prices/AMZN.csv", *REPORT_FILES}
+    umask = os.umask(0o022)
+    try:
+        for _ in range(2):  # The second run replaces files that are 0644.
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            modes = {path.relative_to(tmp_path).as_posix(): stat.S_IMODE(path.stat().st_mode)
+                     for path in tmp_path.rglob("*") if path.is_file()}
+            assert modes == dict.fromkeys(written, 0o644)
+    finally:
+        os.umask(umask)
 
 
 def test_report_keeps_only_the_configured_tickers(tmp_path, capsys):
@@ -132,15 +155,15 @@ def test_report_keeps_only_the_configured_tickers(tmp_path, capsys):
         assert [row["ticker"] for row in rows] == ["GS"], name
 
 
-def test_analyze_keeps_only_documents_inside_the_window(tmp_path):
+def test_report_keeps_only_documents_inside_the_window(tmp_path):
     narrow = "2022-07-25:2022-07-29"
     full, fresh = tmp_path / "full", tmp_path / "fresh"
     assert run_cli(["run", *flags(FIXTURES_DIR, full)]) == 0
     before = (full / "analysis" / "GS.json").read_bytes()
-    assert run_cli(["analyze", *flags(FIXTURES_DIR, full, window=narrow)]) == 0
+    # The price files stay those of the full window: both windows end on 29 July.
+    assert run_cli(["report", *flags(FIXTURES_DIR, full, window=narrow)]) == 0
     assert run_cli(["run", *flags(FIXTURES_DIR, fresh, window=narrow)]) == 0
-    for key in ("GS", "AMZN"):
-        rel = f"analysis/{key}.json"
+    for rel in REPORT_FILES:
         assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
     assert (full / "analysis" / "GS.json").read_bytes() != before
 
@@ -189,7 +212,7 @@ def test_score_counts_the_documents_with_an_external_verdict(tmp_path, capsys, r
 @pytest.mark.parametrize(
     "stage,name",
     [
-        ("aggregate", "out/scored.jsonl"),
+        ("report", "out/scored.jsonl"),
         ("report", "out/prices/GS.csv"),
         ("ingest", "fixtures/GS/tweets.jsonl"),
         ("prices", "fixtures/GS/prices.csv"),
@@ -226,7 +249,7 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
         ("score", "out/corpus.jsonl",
          '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": 5}',
          "document 'bad': text must be a string, got 5"),
-        ("aggregate", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("report", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
     ],
 )
 def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, stage, name, record, problem):
@@ -272,8 +295,15 @@ def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
         (lambda obj: "id source label score composite", "scored line must be an object, got str"),
         (lambda obj: {**obj, "source": ["tweet"]}, "field 'source' must be a string"),
         (lambda obj: {**obj, "id": 5}, "field 'id' must be a string"),
+        (lambda obj: {**obj, "label": "bullish"}, "'bullish' is not a valid SentimentLabel"),
+        (lambda obj: {**obj, "score": 1.5}, "sentiment score 1.5 outside [0, 1]"),
+        (lambda obj: {**obj, "score": -0.25}, "sentiment score -0.25 outside [0, 1]"),
+        (lambda obj: {**obj, "score": "high"}, "could not convert string to float: 'high'"),
+        (lambda obj: {**obj, "composite": "high"}, "could not convert string to float: 'high'"),
+        (lambda obj: {**obj, "composite": obj["composite"] + 0.5}, "composite inconsistent with verdict"),
     ],
-    ids=["int", "list", "str", "source-list", "id-int"],
+    ids=["int", "list", "str", "source-list", "id-int", "label-unknown", "score-above-1", "score-below-0",
+         "score-text", "composite-text", "composite-mismatch"],
 )
 def test_malformed_scored_line_is_one_schema_error(tmp_path, capsys, mangle, message):
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
@@ -281,6 +311,6 @@ def test_malformed_scored_line_is_one_schema_error(tmp_path, capsys, mangle, mes
     first, *rest = scored.read_text(encoding="utf-8").splitlines(keepends=True)
     scored.write_text(json.dumps(mangle(json.loads(first))) + "\n" + "".join(rest), encoding="utf-8")
     capsys.readouterr()
-    assert run_cli(["aggregate", *flags(FIXTURES_DIR, tmp_path)]) == 2
+    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {scored}:1: {message}"], errors

@@ -104,36 +104,39 @@ def test_text_forms_from_the_file_equal_the_flags(tmp_path):
 
 
 BAD_VALUES = [
-    # (key, value in the config file, flag argv or None when the flag has no such form)
-    ("strict", "false", None),
-    ("strict", 1, None),
-    ("lexicon", "", ["--lexicon", ""]),
-    ("external_verdicts", "", ["--external-verdicts", ""]),
-    ("fixtures", None, ["--fixtures", " "]),
-    ("price_days", 2.9, ["--price-days", "2.9"]),
-    ("price_days", True, ["--price-days", "true"]),
-    ("price_days", 1, ["--price-days", "1"]),
-    ("price_days", "", ["--price-days", ""]),
-    ("tickers", "GS,,AMZN", ["--tickers", "GS,,AMZN"]),
-    ("tickers", ["GS", "gs"], ["--tickers", "GS,gs"]),
-    ("tickers", [], ["--tickers", ""]),
-    ("tickers", [{"key": "GS", "display_name": "Goldman Sachs"}], None),
-    ("tickers", ["GS", "../../GS"], ["--tickers", "GS,../../GS"]),
-    ("tickers", ["GS,X"], None),
-    ("tickers", ["A<B"], ["--tickers", "A<B"]),
-    ("tickers", ["."], ["--tickers", "."]),
-    ("tickers", ["-X"], ["--tickers=-X"]),
-    ("window", {"start": "2022-07-20", "end": "2022-07-29"}, None),
-    ("window", "2022-07-29:2022-07-20", ["--window", "2022-07-29:2022-07-20"]),
-    ("thresholds", [0.15, -0.15], None),
-    ("thresholds", {"affine_min": 0.15, "averse_max": -0.15}, None),
-    ("thresholds", "0.15", ["--thresholds", "0.15"]),
-    ("thresholds", "-0.15,0.15", ["--thresholds=-0.15,0.15"]),
+    # (key, value in the config file, flag argv or None when the flag has no such form,
+    #  the message after the key and source, or None to check only that prefix)
+    ("strict", "false", None, None),
+    ("strict", 1, None, None),
+    ("lexicon", "", ["--lexicon", ""], None),
+    ("external_verdicts", "", ["--external-verdicts", ""], None),
+    ("fixtures", None, ["--fixtures", " "], None),
+    ("price_days", 2.9, ["--price-days", "2.9"], None),
+    ("price_days", True, ["--price-days", "true"], None),
+    ("price_days", 1, ["--price-days", "1"], None),
+    ("price_days", "", ["--price-days", ""], None),
+    ("tickers", "GS,,AMZN", ["--tickers", "GS,,AMZN"], None),
+    ("tickers", ["GS", "gs"], ["--tickers", "GS,gs"], None),
+    ("tickers", [], ["--tickers", ""], None),
+    ("tickers", [{"key": "GS", "display_name": "Goldman Sachs"}], None, None),
+    ("tickers", ["GS", "../../GS"], ["--tickers", "GS,../../GS"], None),
+    ("tickers", ["GS,X"], None, None),
+    ("tickers", ["A<B"], ["--tickers", "A<B"], None),
+    ("tickers", ["."], ["--tickers", "."], None),
+    ("tickers", ["-X"], ["--tickers=-X"], None),
+    ("window", {"start": "2022-07-20", "end": "2022-07-29"}, None, None),
+    ("window", "2022-07-29:2022-07-20", ["--window", "2022-07-29:2022-07-20"],
+     "window start 2022-07-29 is after end 2022-07-20"),
+    ("thresholds", [0.15, -0.15], None, None),
+    ("thresholds", {"affine_min": 0.15, "averse_max": -0.15}, None, None),
+    ("thresholds", "0.15", ["--thresholds", "0.15"], None),
+    ("thresholds", "-0.15,0.15", ["--thresholds=-0.15,0.15"], None),
 ]
 
 
-@pytest.mark.parametrize("key,file_value,flag_argv", BAD_VALUES)
-def test_a_bad_value_is_one_config_error_naming_key_and_source(tmp_path, capsys, key, file_value, flag_argv):
+@pytest.mark.parametrize("key,file_value,flag_argv,message", BAD_VALUES)
+def test_a_bad_value_is_one_config_error_naming_key_and_source(tmp_path, capsys, key, file_value, flag_argv,
+                                                                message):
     out = tmp_path / "out"
     path = write_config(tmp_path, **{key: file_value})
     cases = [(["--config", str(path)], str(path))]
@@ -143,6 +146,8 @@ def test_a_bad_value_is_one_config_error_naming_key_and_source(tmp_path, capsys,
         assert run_cli(["run", *argv, "--out", str(out)]) == 2, source
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error[config]: {key} (from {source}): "), errors
+        if message is not None:
+            assert errors[0] == f"error[config]: {key} (from {source}): {message}"
         assert not out.exists()
 
 

@@ -113,11 +113,44 @@ class TestParseSerialize:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse_document_line(json.dumps(payload))
 
-    def test_naive_timestamp_rejected(self):
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            ("2022-07-20T12:34:56Z", datetime(2022, 7, 20, 12, 34, 56, tzinfo=timezone.utc)),
+            ("2022-07-20T12:00:00.750Z", datetime(2022, 7, 20, 12, 0, 0, 750000, tzinfo=timezone.utc)),
+            ("2022-07-20T12:00:00.000001Z", datetime(2022, 7, 20, 12, 0, 0, 1, tzinfo=timezone.utc)),
+            ("2022-07-20T01:00:00+02:00", datetime(2022, 7, 19, 23, tzinfo=timezone.utc)),
+            ("2022-07-20T12:00:00.750-05:30", datetime(2022, 7, 20, 17, 30, 0, 750000, tzinfo=timezone.utc)),
+            ("2022-07-20T12:00:00", "timestamp '2022-07-20T12:00:00' lacks a UTC offset"),
+            # Accepted by datetime.fromisoformat from Python 3.11 on, not on 3.10.
+            ("2022-W29-3T12:00:00Z", "bad timestamp '2022-W29-3T12:00:00Z'"),
+            ("20220720T120000Z", "bad timestamp '20220720T120000Z'"),
+            ("2022-07-20T12:00:00.75Z", "bad timestamp '2022-07-20T12:00:00.75Z'"),
+            ("2022-07-20T12:00:00.7500Z", "bad timestamp '2022-07-20T12:00:00.7500Z'"),
+            ("2022-07-20T12:00:00+0200", "bad timestamp '2022-07-20T12:00:00+0200'"),
+            ("2022-07-20T12:00Z", "bad timestamp '2022-07-20T12:00Z'"),
+            # Accepted by fromisoformat on every version, but not the documented form.
+            ("2022-07-20 12:00:00Z", "bad timestamp '2022-07-20 12:00:00Z'"),
+            ("2022-07-20T12:00:00+02:00:00", "bad timestamp '2022-07-20T12:00:00+02:00:00'"),
+            # A trailing line break, which a $ anchor would let through, and a non-ASCII digit.
+            ("2022-07-20T12:00:00Z\n", "bad timestamp '2022-07-20T12:00:00Z\\n'"),
+            ("２022-07-20T12:00:00Z", "bad timestamp '２022-07-20T12:00:00Z'"),
+            # The documented form, but no such day or time.
+            ("2022-02-30T12:00:00Z", "bad timestamp '2022-02-30T12:00:00Z'"),
+            ("2022-07-20T25:00:00Z", "bad timestamp '2022-07-20T25:00:00Z'"),
+            ("July", "bad timestamp 'July'"),
+            (20220720, "bad timestamp 20220720"),
+            (None, "bad timestamp None"),
+        ],
+    )
+    def test_one_timestamp_form_on_every_python(self, raw, expected):
         payload = json.loads(TWEET_LINE)
-        payload["timestamp"] = "2022-07-20T12:00:00"
-        with pytest.raises(SchemaError):
-            parse_document_line(json.dumps(payload))
+        payload["timestamp"] = raw
+        if isinstance(expected, datetime):
+            assert parse_document_line(json.dumps(payload)).timestamp == expected
+        else:
+            with pytest.raises(SchemaError, match="^" + re.escape("document 't1': " + expected) + "$"):
+                parse_document_line(json.dumps(payload))
 
     @pytest.mark.parametrize(
         "name,value,message",

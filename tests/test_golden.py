@@ -8,7 +8,7 @@ from pathlib import Path
 from conftest import FIXTURES_DIR, GOLDEN_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli, run_golden_pipeline
 
 GOLDEN_FILES = sorted(p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.rglob("*") if p.is_file())
-STAGES = ("ingest", "score", "aggregate", "prices", "analyze", "report")
+STAGES = ("ingest", "score", "prices", "report")
 
 
 def test_golden_set_has_twelve_files():
