@@ -49,12 +49,15 @@ class TimeWindow:
 
     @classmethod
     def parse(cls, text: str) -> "TimeWindow":
-        """Parse ``START:END`` with ISO dates, e.g. ``2022-07-20:2022-07-29``."""
+        """Parse ``START:END`` with YYYY-MM-DD dates, e.g. ``2022-07-20:2022-07-29``."""
         try:
             start_s, end_s = text.split(":")
             start, end = date.fromisoformat(start_s), date.fromisoformat(end_s)
         except ValueError as exc:
             raise ValueError(f"bad window {text!r}: expected START:END ISO dates") from exc
+        # From Python 3.11 on fromisoformat also reads 20220720 and 2022-W29-3.
+        if f"{start}:{end}" != text:
+            raise ValueError(f"bad window {text!r}: expected START:END dates as YYYY-MM-DD")
         return cls(start, end)
 
 

@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import operator
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
@@ -29,8 +30,21 @@ from .transport import ReplayPriceTransport
 from .util import atomic_write_text, read_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
+
+
+def _iso_date(text: str) -> date:
+    """A YYYY-MM-DD date; a text that date.fromisoformat rejects keeps its error."""
+    day = date.fromisoformat(text)
+    # From Python 3.11 on fromisoformat also reads 20220720 and 2022-W29-3.
+    if str(day) != text:
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return day
+
+
 # How each read column converts, by position in a row.
-_CONVERTERS = ((date.fromisoformat, 0), (float, 1), (float, 2), (float, 3), (float, 4), (int, 6))
+_CONVERTERS = ((_iso_date, 0), (float, 1), (float, 2), (float, 3), (float, 4), (int, 6))
+# A date column joined by line breaks, every date YYYY-MM-DD: checked in C, then read by fromisoformat.
+_DATE_COLUMN = re.compile(r"\d\d\d\d-\d\d-\d\d(?:\n\d\d\d\d-\d\d-\d\d)*", re.ASCII).fullmatch
 
 
 def _check_bar(context: object, day: date, open_: float, high: float, low: float, close: float,
@@ -82,8 +96,13 @@ def _columns(rows: list[list[str]]) -> Optional[list[tuple]]:
     text = list(zip(*rows))
     if len(text) < 7:  # zip stops at the shortest row: a short row is never truncated
         return None
+    dates = "\n".join(text[0])
+    # 11 characters a date, less one: no date holds a line break of its own.
+    if _DATE_COLUMN(dates) is None or len(dates) != 11 * len(rows) - 1:
+        return None
     try:
-        columns = [tuple(map(convert, text[i])) for convert, i in _CONVERTERS]
+        columns = [tuple(map(date.fromisoformat, text[0]))]
+        columns += [tuple(map(convert, text[i])) for convert, i in _CONVERTERS[1:]]
     except ValueError:
         return None
     _, opens, highs, lows, closes, volumes = columns

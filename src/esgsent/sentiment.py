@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from math import copysign
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -37,11 +39,8 @@ class SentimentLabel(Enum):
     NEGATIVE = "negative"
 
 
-_WEIGHTS = {
-    SentimentLabel.POSITIVE: 1,
-    SentimentLabel.NEUTRAL: 0,
-    SentimentLabel.NEGATIVE: -1,
-}
+# Keyed by label value: a str hashes in C, an Enum member in Python.
+_WEIGHTS = {"positive": 1, "neutral": 0, "negative": -1}
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class SentimentVerdict:
     @property
     def composite(self) -> float:
         """Signed composite polarity in [-1, 1]: label weight times score."""
-        return _WEIGHTS[self.label] * self.score
+        return _WEIGHTS[self.label._value_] * self.score
 
 
 @dataclass(frozen=True)
@@ -277,6 +276,15 @@ def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
     atomic_write_text(path, "".join(serialize_scored(sd) + "\n" for sd in scored))
 
 
+# Scored line schema, in serialization order.
+_SCORED_FIELDS = ("id", "source", "label", "score", "composite")
+_SCORED = frozenset(_SCORED_FIELDS)
+_scored_items = itemgetter(*_SCORED_FIELDS)
+# read_scored reuses at most this many verdicts: lexicon scores take few
+# distinct values (55 on 42,500 lines), external scores are mostly distinct.
+_VERDICT_CACHE_SIZE = 256
+
+
 def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocument]:
     """Load a scored file back, re-attaching documents by (source, id) key.
 
@@ -285,28 +293,56 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
     by_key = {doc.key: doc for doc in documents}
     seen: set[VerdictKey] = set()
     scored = []
+    # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
+    verdicts: dict[tuple[str, float], tuple[SentimentVerdict, float]] = {}
     for lineno, obj in json_lines(path):
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
-        for field_name in ("id", "source", "label", "score", "composite"):
-            if field_name not in obj:
-                raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
-        for field_name in ("id", "source"):
-            if not isinstance(obj[field_name], str):
-                raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
-        key = (obj["source"], obj["id"])
-        doc = by_key.get(key)
-        if doc is None:
-            raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
-        if key in seen:
-            raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
-        seen.add(key)
-        try:
-            verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
-            stated = float(obj["composite"])
-        except (TypeError, ValueError, InvariantError) as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        if stated != verdict.composite:
-            raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
-        scored.append(ScoredDocument(doc, verdict))
+        # A line of exact types, a known label and a score in [0, 1] is read here.
+        # -0.0 equals 0.0 as a key, so it is read below and keeps its sign.
+        if type(obj) is dict and obj.keys() >= _SCORED:
+            doc_id, source, label, score, stated = _scored_items(obj)
+            if (type(doc_id) is str and type(source) is str and type(label) is str
+                    and type(score) is float and type(stated) is float and label in _LABELS
+                    and 0.0 <= score <= 1.0 and (score or copysign(1.0, score) > 0)):
+                hit = verdicts.get((label, score))
+                if hit is None:
+                    verdict = SentimentVerdict(_LABELS[label], score)
+                    hit = verdict, verdict.composite
+                    if len(verdicts) < _VERDICT_CACHE_SIZE:
+                        verdicts[label, score] = hit
+                key = (source, doc_id)
+                doc = by_key.get(key)
+                # A line that fails a check is read again below, which words the error.
+                if doc is not None and key not in seen and stated == hit[1]:
+                    seen.add(key)
+                    scored.append(ScoredDocument(doc, hit[0]))
+                    continue
+        scored.append(_read_scored_line(path, lineno, obj, by_key, seen))
     return scored
+
+
+def _read_scored_line(path: Path, lineno: int, obj: object, by_key: Mapping[VerdictKey, Document],
+                      seen: set[VerdictKey]) -> ScoredDocument:
+    """One scored line of any accepted form (an int, numeric-string or bool score too), checked field by field."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
+    for field_name in _SCORED_FIELDS:
+        if field_name not in obj:
+            raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
+    for field_name in ("id", "source"):
+        if not isinstance(obj[field_name], str):
+            raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
+    key = (obj["source"], obj["id"])
+    doc = by_key.get(key)
+    if doc is None:
+        raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
+    if key in seen:
+        raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
+    seen.add(key)
+    try:
+        verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
+        stated = float(obj["composite"])
+    except (TypeError, ValueError, InvariantError) as exc:
+        raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+    if stated != verdict.composite:
+        raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
+    return ScoredDocument(doc, verdict)

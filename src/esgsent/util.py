@@ -14,6 +14,8 @@ from .errors import InputError, SchemaError
 
 _encode_str = json.encoder.encode_basestring
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+# (value, end) of the JSON value at an index, as json.loads decodes it, without its three Python frames.
+_SCAN_ONCE = json.JSONDecoder().scan_once
 # The mode open(path, "w") would give a new file; mkstemp makes its file 0600.
 # Reading the umask means setting it, so it is read once, here.
 _UMASK = os.umask(0o022)
@@ -60,16 +62,32 @@ def _decode(path: Path, lineno: int, text: str) -> object:
 
 
 def json_lines(path: Path) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each non-blank line; bad JSON is a SchemaError naming path:line."""
+    """(line number, value) of each non-blank line; bad JSON is a SchemaError naming path:line.
+
+    Each value is what ``json.loads`` gives for the line, and a line it
+    rejects is a SchemaError with its message. Lines end at ``\\n``, ``\\r``
+    or ``\\r\\n`` only, never at U+2028 or U+0085, which may stand raw
+    inside a JSON string. Only JSON whitespace (space, tab, CR, LF) may
+    surround a value; a line that ``str.isspace`` finds blank is skipped.
+    """
+    scan = _SCAN_ONCE
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
+            # The C scanner decodes a value that starts the line; anything it
+            # rejects or leaves text after goes through json.loads.
             try:
-                value = json.loads(line)
-            except json.JSONDecodeError:
-                # Decoded again without the line break, so the error's position is on this line.
-                value = _decode(path, lineno, line.rstrip("\n"))
+                value, end = scan(line, 0)
+                scanned = not line[end:].strip(" \t\n\r")
+            except (StopIteration, ValueError):
+                scanned = False
+            if not scanned:
+                if line.isspace():
+                    continue
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError:
+                    # Decoded again without the line break, so the error's position is on this line.
+                    value = _decode(path, lineno, line.rstrip("\n"))
             yield lineno, value
 
 

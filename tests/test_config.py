@@ -179,3 +179,26 @@ def test_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsy
     assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith(f"error[config]: config {path} ")
+
+
+@pytest.mark.parametrize("text", ["2022-07-20:2022-07-29", "0001-01-01:9999-12-31", "2022-07-20:2022-07-20"])
+def test_window_of_yyyy_mm_dd_dates_accepted(text):
+    start, end = text.split(":")
+    window = config_of("--window", text).window
+    assert (window.start, window.end) == (date.fromisoformat(start), date.fromisoformat(end))
+
+
+@pytest.mark.parametrize("start", ["20220720", "2022W293", "2022-W29", "2022-W29-3", "2022-7-20", "2022-07-20T00:00"])
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_window_of_other_date_forms_is_a_config_error_on_every_python(tmp_path, capsys, start, side):
+    text = f"{start}:2022-07-29" if side == "start" else f"2022-07-01:{start}"
+    try:
+        date.fromisoformat(start)  # from Python 3.11 on the first four read as 20 July
+        reason = "expected START:END dates as YYYY-MM-DD"
+    except ValueError:
+        reason = "expected START:END ISO dates"
+    out = tmp_path / "out"
+    assert run_cli(["run", "--window", text, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[config]: window (from --window): bad window {text!r}: {reason}"]
+    assert not out.exists()

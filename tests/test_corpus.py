@@ -424,3 +424,32 @@ def test_json_lines_names_the_file_and_line_of_malformed_json(tmp_path, bad_line
     path.write_text('{"a": 1}\n\n' + bad_line + ("" if last else '\n{"b": 2}\n'), encoding="utf-8")
     with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: {error}')}$"):
         list(json_lines(path))
+
+
+# Pieces of lines for the decoder check: what may stand before a value, the
+# value, and what may follow it. \x0b and \x85 are str.isspace but not JSON
+# whitespace; U+0085 and U+2028 inside a string are not line breaks.
+BEFORE = ["", " ", "\t", "\x0b", "\x85"]
+VALUES = [
+    '{"id": "a", "n": 1}', '[1, 2.5, "x", null, true]', '"text"', "0", "-0.0", "12345678901234567890",
+    "NaN", "-Infinity", "1e400", '{"k": 1, "k": 2}', '"raw \x85 and \u2028 inside"', '"\\ud800"',
+    '{"id": "bad",', '{"a": [1, {"b": ', "[]", '""', "nul",
+]
+AFTER = ["", " ", "\t", " \t ", "\x0b", "\x85", "x", " {\"b\": 2}", ' "two"', "]"]
+
+
+def test_json_lines_decodes_as_json_loads(tmp_path):
+    """Every line reads as json.loads reads it, or is a SchemaError with its message where json.loads raises."""
+    rng = random.Random(2210)
+    path = tmp_path / "records.jsonl"
+    for _ in range(600):
+        line = rng.choice(BEFORE) + rng.choice(VALUES) + rng.choice(AFTER)
+        path.write_text(line + rng.choice(["\n", "\r\n", ""]), encoding="utf-8")
+        try:
+            expected = json.loads(line)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:1: malformed JSON: {exc}')}$"):
+                list(json_lines(path))
+            continue
+        # repr tells NaN, -0.0, 1 and 1.0, True and 1 apart, and shows key order.
+        assert repr(list(json_lines(path))) == repr([(1, expected)]), line

@@ -198,6 +198,23 @@ def conversion_error(convert, text):
     return str(info.value)
 
 
+def fromisoformat_error(text):
+    """date.fromisoformat's message for text, or None where this Python reads it."""
+    try:
+        date.fromisoformat(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def date_error(text):
+    """Why a price row's date is rejected: fromisoformat's own message, else the form."""
+    return fromisoformat_error(text) or f"date {text!r} is not YYYY-MM-DD"
+
+
+# Read by date.fromisoformat from Python 3.11 on, rejected by it on 3.10.
+OTHER_ISO_FORMS = ["20220720", "2022W293", "2022-W29", "2022-W29-3"]
+
 PRICE_COLUMNS = {1: "open", 2: "high", 3: "low", 4: "close"}
 SCHEMA_KINDS = ["bad date", "bad price", "bad volume", "short row"]
 INVARIANT_KINDS = ["nan", "inf", "-inf", "zero price", "negative price", "open outside", "close outside",
@@ -212,6 +229,9 @@ def make_bad(rng, fields, kind):
     if kind == "bad date":
         fields[0] = "2022-13-01"
         reason = conversion_error(date.fromisoformat, fields[0])
+    elif kind == "other date form":
+        fields[0] = rng.choice([*OTHER_ISO_FORMS, day.replace("-", "")])
+        reason = date_error(fields[0])
     elif kind == "bad price":
         fields[column] = rng.choice(["abc", "1.2.3", ""])
         reason = conversion_error(float, fields[column])
@@ -251,7 +271,7 @@ class TestColumnarParse:
             text = price_text(rng, rows)
             assert rows_of(parse_prices(text, "GS")) == reference_rows(text)
 
-    @pytest.mark.parametrize("kind", SCHEMA_KINDS + INVARIANT_KINDS)
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS + INVARIANT_KINDS + ["other date form"])
     def test_one_bad_row_raises_its_per_row_error(self, kind):
         rng = random.Random(kind)
         for _ in range(20):
@@ -275,6 +295,35 @@ class TestColumnarParse:
             with pytest.raises(error) as info:
                 parse_prices(price_text(rng, rows), "GS", context="GS/prices.csv")
             assert type(info.value) is error and str(info.value) == message
+
+
+class TestDateForm:
+    """A price date is YYYY-MM-DD on every Python version."""
+
+    @pytest.mark.parametrize("day", ["2022-07-20", "0001-01-01", "9999-12-31"])
+    def test_yyyy_mm_dd_accepted(self, day):
+        series = parse_prices(csv_text([row(day, 100, 110, 95, 101)]), "GS")
+        assert series.dates == (date.fromisoformat(day),)
+
+    @pytest.mark.parametrize(
+        "day", [*OTHER_ISO_FORMS, "2022-7-20", "2022-07-20T00:00", " 2022-07-20", "２022-07-20", "2022-02-30"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_other_forms_rejected_with_the_row(self, day, position):
+        rows = [row("2022-07-19", 100, 110, 95, 101), row("2022-07-21", 100, 110, 95, 101)]
+        rows[position] = row(day, 100, 110, 95, 101)
+        fields = rows[position].split(",")
+        message = f"GS/prices.csv: malformed price row {fields!r}: {date_error(day)}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_prices(csv_text(rows), "GS", context="GS/prices.csv")
+
+    def test_date_holding_a_line_break_rejected(self):
+        # A quoted field may hold a line break; joined, the column would read as one more date.
+        day = "2022-07-20\n2022-07-21"
+        fields = [day, "100", "110", "95", "101", "101", "1000"]
+        text = csv_text([row("2022-07-19", 100, 110, 95, 101), ",".join(f'"{f}"' for f in fields)])
+        message = f"GS/prices.csv: malformed price row {fields!r}: {date_error(day)}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_prices(text, "GS", context="GS/prices.csv")
 
 
 class TestTail:

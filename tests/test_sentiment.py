@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
@@ -416,3 +417,68 @@ def test_scored_line_with_inconsistent_composite_names_the_line(tmp_path):
     with pytest.raises(SchemaError, match=r"scored\.jsonl:2: composite inconsistent with verdict$"):
         read_scored(path, [make_doc("a")])
 
+
+def scored_line(doc_id="a", label="positive", score="0.5", composite="0.5", source="tweet"):
+    return f'{{"id": "{doc_id}", "source": "{source}", "label": "{label}", "score": {score}, "composite": {composite}}}'
+
+
+def read_lines(tmp_path, lines, ids="abc"):
+    path = tmp_path / "scored.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return read_scored(path, [make_doc(doc_id) for doc_id in ids])
+
+
+class TestScoredLineForms:
+    """Forms a scored line may take besides the one write_scored writes, each read as float() reads it."""
+
+    @pytest.mark.parametrize(
+        "label,score,composite,expected",
+        [
+            ("positive", "1", "1", (SentimentLabel.POSITIVE, 1.0)),  # int score and composite
+            ("negative", '"0.25"', '"-0.25"', (SentimentLabel.NEGATIVE, 0.25)),  # numeric strings
+            ("positive", "true", "1.0", (SentimentLabel.POSITIVE, 1.0)),  # bools
+            ("neutral", "false", "false", (SentimentLabel.NEUTRAL, 0.0)),
+            ("neutral", "0", "0", (SentimentLabel.NEUTRAL, 0.0)),
+        ],
+    )
+    def test_non_float_score_reads_as_float(self, tmp_path, label, score, composite, expected):
+        (sd,) = read_lines(tmp_path, [scored_line(label=label, score=score, composite=composite)])
+        assert sd.verdict == SentimentVerdict(*expected)
+        assert type(sd.verdict.score) is float and repr(sd.verdict.score) == repr(expected[1])
+
+    def test_extra_fields_and_reordered_keys(self, tmp_path):
+        line = ('{"composite": -0.5, "extra": [1, {"x": null}], "score": 0.5, "label": "negative", '
+                '"id": "a", "source": "tweet"}')
+        (sd,) = read_lines(tmp_path, [line])
+        assert sd == ScoredDocument(make_doc("a"), SentimentVerdict(SentimentLabel.NEGATIVE, 0.5))
+
+    @pytest.mark.parametrize("order", ["negative zero first", "positive zero first"])
+    def test_negative_zero_score_keeps_its_sign(self, tmp_path, order):
+        lines = [scored_line("a", "neutral", "0.0", "0.0"), scored_line("b", "neutral", "-0.0", "-0.0")]
+        if order == "negative zero first":
+            lines.reverse()
+        scored = {sd.document.id: sd.verdict.score for sd in read_lines(tmp_path, lines)}
+        assert math.copysign(1.0, scored["a"]) == 1.0
+        assert math.copysign(1.0, scored["b"]) == -1.0
+
+    def test_same_label_and_score_give_equal_verdicts(self, tmp_path):
+        lines = [scored_line("a"), scored_line("b"), scored_line("c", score="0.25", composite="0.25")]
+        a, b, c = read_lines(tmp_path, lines)
+        assert a.verdict == b.verdict == SentimentVerdict(SentimentLabel.POSITIVE, 0.5)
+        assert c.verdict == SentimentVerdict(SentimentLabel.POSITIVE, 0.25)
+
+    @pytest.mark.parametrize(
+        "bad_line,message",
+        [
+            (scored_line("c", composite="-0.5"), "composite inconsistent with verdict"),
+            (scored_line("a"), "duplicate scored line for ('tweet', 'a')"),
+            (scored_line("z"), "scored line has no corpus document ('tweet', 'z')"),
+            (scored_line("c", source="news"), "scored line has no corpus document ('news', 'c')"),
+            (scored_line("c", score="1.5", composite="1.5"), "sentiment score 1.5 outside [0, 1]"),
+            (scored_line("c", score="NaN", composite="NaN"), "sentiment score nan outside [0, 1]"),
+            (scored_line("c", label="Positive"), "'Positive' is not a valid SentimentLabel"),
+        ],
+    )
+    def test_bad_line_after_a_reused_verdict_names_its_own_line(self, tmp_path, bad_line, message):
+        with pytest.raises(SchemaError, match=f"scored\\.jsonl:4: {re.escape(message)}$"):
+            read_lines(tmp_path, [scored_line("a"), scored_line("b"), "", bad_line])
