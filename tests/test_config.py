@@ -115,6 +115,10 @@ BAD_VALUES = [
     ("price_days", True, ["--price-days", "true"], None),
     ("price_days", 1, ["--price-days", "1"], None),
     ("price_days", "", ["--price-days", ""], None),
+    ("price_days", "2_0", ["--price-days", "2_0"], "expected an integer, got '2_0'"),
+    ("price_days", " 20 ", ["--price-days", " 20 "], "expected an integer, got ' 20 '"),
+    ("price_days", "\u0662\u0660", ["--price-days", "\u0662\u0660"], None),
+    ("price_days", "+20", ["--price-days", "+20"], None),
     ("tickers", "GS,,AMZN", ["--tickers", "GS,,AMZN"], None),
     ("tickers", ["GS", "gs"], ["--tickers", "GS,gs"], None),
     ("tickers", [], ["--tickers", ""], None),

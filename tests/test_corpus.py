@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -17,7 +18,9 @@ from esgsent.corpus import (
     fetch_documents,
     filter_window,
     parse_document_line,
+    read_corpus,
     serialize_document,
+    write_corpus,
 )
 from esgsent.errors import SchemaError, TransportError
 from esgsent.transport import ReplayDocumentTransport
@@ -387,6 +390,38 @@ def test_shipped_fixture_lines_round_trip(fixtures_dir):
     for line in lines:
         doc = parse_document_line(line)
         assert parse_document_line(serialize_document(doc)) == doc
+
+
+class TestWriteCorpus:
+    @staticmethod
+    def docs(n: int, text: str = "placeholder text") -> list[Document]:
+        return [make_doc(f"t{i}", text=text, author=f"user{i}", followers=i) for i in range(n)]
+
+    def test_a_failure_part_way_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        first = self.docs(3)
+        write_corpus(first, path)
+        before = path.read_bytes()
+        assert read_corpus(path) == first
+        # The bad author is met only after 1,000 lines have gone to the temporary file.
+        with pytest.raises(TypeError):
+            write_corpus([*self.docs(1000), make_doc("bad", author=object())], path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_holds_no_buffer_the_size_of_the_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        docs = self.docs(5000, text="words of an esg tweet " * 9)
+        tracemalloc.start()
+        try:
+            write_corpus(docs, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_500_000
+        assert peak < size / 10, (peak, size)
+        assert read_corpus(path) == docs
 
 
 def test_sort_key_total_order():
