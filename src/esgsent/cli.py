@@ -12,9 +12,11 @@ stages wrote under the output directory, keeps only the documents of the
 configured tickers inside the configured window, and writes the files
 ``run`` writes for that stage. ``report`` runs the same per-ticker loop
 on the price files ``prices`` wrote, so it rewrites the aggregates,
-analyses, charts and summary under the current thresholds. Documents and
-prices come from recorded fixtures through the replay transports; no live
-transport ships.
+analyses, charts and summary under the current thresholds. Of each price
+file it keeps the last ``price_days`` bars up to the window's end, as
+``prices`` does: it can narrow the stored history but not widen it.
+Documents and prices come from recorded fixtures through the replay
+transports; no live transport ships.
 
 Settings come from the flags and the ``--config`` file (see ``config``).
 
@@ -22,13 +24,13 @@ Exit codes: 0 success; 2 config error (a bad flag or config file value),
 schema or invariant error (bad input data), or io error (an input file
 that cannot be read or decoded); 3 transport error; 4 insufficient data
 (fatal contexts only). Failures print a single
-``error[<category>]: <message>`` line on stderr.
+``error[<category>]: <message>`` line on stderr; every other diagnostic is
+a ``note[<category>]: <message>`` line there.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from collections import Counter
 from typing import Callable, Optional
@@ -51,15 +53,11 @@ from .sentiment import (
     write_scored,
 )
 from .transport import ReplayDocumentTransport, ReplayPriceTransport
-from .util import atomic_write_text, format_real
+from .util import atomic_write_text, format_real, note
 
 SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "percent_change", "sign_agreement"]
 
 SeriesSource = Callable[[str], PriceSeries]
-
-
-def _note(category: str, message: str) -> None:
-    print(f"note[{category}]: {message}", file=sys.stderr)
 
 
 def _read_corpus(config: RunConfig) -> list[Document]:
@@ -86,7 +84,7 @@ def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
     path = config.prices_path(ticker)
     if not path.exists():
         raise InsufficientData(f"{ticker}: no price data at {path} (run 'prices' first)")
-    return load_prices(path, ticker)
+    return tail_n(load_prices(path, ticker), config.price_days, end=config.window.end)
 
 
 def cmd_ingest(config: RunConfig) -> list[Document]:
@@ -106,7 +104,7 @@ def cmd_ingest(config: RunConfig) -> list[Document]:
         print(f"{ticker}: {counts.get(ticker, 0)} documents")
     print(f"corpus -> {config.corpus_path}")
     if not docs:
-        print("warning: corpus is empty for this window", file=sys.stderr)
+        note("insufficient-data", "corpus is empty for this window")
     return docs
 
 
@@ -186,7 +184,7 @@ def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSo
             series = series_of(ticker)
             result = analyze(docs_by_ticker.get(ticker, []), series, aggregate_of[ticker])
         except InsufficientData as exc:
-            _note("insufficient-data", str(exc))
+            note("insufficient-data", str(exc))
             continue
         write_analysis(result, config.analysis_path(ticker))
         atomic_write_text(config.chart_path(ticker), render_candlestick_svg(series))
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         args.func(resolve_config(args))
     except PipelineError as exc:

@@ -10,20 +10,19 @@ diffable.
 from __future__ import annotations
 
 import json
-import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import atomic_write_lines, json_lines, json_value
+from .util import atomic_write_lines, json_lines, json_value, note
 
-logger = logging.getLogger(__name__)
 
 class Source(Enum):
     """Where a document came from."""
@@ -145,11 +144,12 @@ def _parse_timestamp(raw: str, doc_id: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def parse_document_payload(payload: dict, *, strict: bool = False) -> Document:
+def parse_document_payload(payload: dict, *, strict: bool = False,
+                           ignored: Optional[Counter[tuple[str, ...]]] = None) -> Document:
     """Build a Document from a decoded JSON object.
 
-    Unknown fields raise SchemaError in strict mode and are otherwise
-    ignored with a warning.
+    Unknown fields raise SchemaError in strict mode. Otherwise they are
+    ignored, and ``ignored``, when given, counts their sorted names.
     """
     if not isinstance(payload, dict):
         raise SchemaError(f"document payload must be an object, got {type(payload).__name__}")
@@ -163,7 +163,8 @@ def parse_document_payload(payload: dict, *, strict: bool = False) -> Document:
         unknown = sorted(fields - _KNOWN_FIELDS)
         if strict:
             raise SchemaError(f"document payload has unknown field(s): {', '.join(unknown)}")
-        logger.warning("ignoring unknown document field(s): %s", ", ".join(unknown))
+        if ignored is not None:
+            ignored[tuple(unknown)] += 1
 
     get = payload.get
     doc_id, ticker, text = payload["id"], payload["ticker"], payload["text"]
@@ -244,12 +245,25 @@ def filter_window(docs: Iterable[Document], window: TimeWindow) -> list[Document
     return [doc for doc in docs if window.contains(doc.timestamp)]
 
 
-def _parse_at(path: Path, lineno: int, payload: object, strict: bool) -> Document:
-    """parse_document_payload, with a SchemaError prefixed by ``<path>:<lineno>: ``."""
-    try:
-        return parse_document_payload(payload, strict=strict)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+def _parse_records(records: Iterable[tuple[Path, int, object]], strict: bool) -> Iterator[Document]:
+    """parse_document_payload over (file, line, payload) records, a SchemaError prefixed by ``<file>:<line>: ``.
+
+    Without strict, each file whose records had unknown fields gets one note naming them and counting the records.
+    """
+    ignored: dict[Path, Counter[tuple[str, ...]]] = {}
+    path = None
+    for record_path, lineno, payload in records:
+        if record_path is not path:
+            path, counts = record_path, ignored.setdefault(record_path, Counter())
+        try:
+            doc = parse_document_payload(payload, strict=strict, ignored=counts)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        yield doc
+    for path, counts in ignored.items():
+        if counts:
+            names = ", ".join(sorted(set().union(*counts)))
+            note("schema", f"{path}: ignored unknown field(s) {names} in {counts.total()} record(s)")
 
 
 def fetch_documents(
@@ -264,17 +278,13 @@ def fetch_documents(
     Every returned document matches the ticker and lies inside the window.
     A bad payload's SchemaError names its fixture file and line.
     """
-    docs = []
-    for fixture, lineno, payload in transport.fetch(ticker):
-        doc = _parse_at(fixture, lineno, payload, strict)
-        if doc.ticker == ticker and window.contains(doc.timestamp):
-            docs.append(doc)
-    return docs
+    docs = _parse_records(transport.fetch(ticker), strict)
+    return [doc for doc in docs if doc.ticker == ticker and window.contains(doc.timestamp)]
 
 
 def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:
     """Load a corpus file (one JSON document per line, blank lines skipped)."""
-    return [_parse_at(path, lineno, payload, strict) for lineno, payload in json_lines(path)]
+    return list(_parse_records(((path, lineno, payload) for lineno, payload in json_lines(path)), strict))
 
 
 def write_corpus(docs: Iterable[Document], path: Path) -> None:

@@ -278,7 +278,6 @@ def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
 
 # Scored line schema, in serialization order.
 _SCORED_FIELDS = ("id", "source", "label", "score", "composite")
-_SCORED = frozenset(_SCORED_FIELDS)
 _scored_items = itemgetter(*_SCORED_FIELDS)
 # read_scored reuses at most this many verdicts: lexicon scores take few
 # distinct values (55 on 42,500 lines), external scores are mostly distinct.
@@ -288,7 +287,10 @@ _VERDICT_CACHE_SIZE = 256
 def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocument]:
     """Load a scored file back, re-attaching documents by (source, id) key.
 
-    Each document is scored once: a repeated (source, id) key is rejected.
+    Each line is read in one pass whose checks run in a fixed order; the
+    first that fails is a SchemaError naming ``<path>:<line>``. Each document
+    is scored once: a repeated key is rejected. A score or composite may be
+    anything ``float()`` reads.
     """
     by_key = {doc.key: doc for doc in documents}
     seen: set[VerdictKey] = set()
@@ -296,53 +298,35 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
     # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
     verdicts: dict[tuple[str, float], tuple[SentimentVerdict, float]] = {}
     for lineno, obj in json_lines(path):
-        # A line of exact types, a known label and a score in [0, 1] is read here.
-        # -0.0 equals 0.0 as a key, so it is read below and keeps its sign.
-        if type(obj) is dict and obj.keys() >= _SCORED:
+        if type(obj) is not dict:
+            raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
+        try:
             doc_id, source, label, score, stated = _scored_items(obj)
-            if (type(doc_id) is str and type(source) is str and type(label) is str
-                    and type(score) is float and type(stated) is float and label in _LABELS
-                    and 0.0 <= score <= 1.0 and (score or copysign(1.0, score) > 0)):
-                hit = verdicts.get((label, score))
-                if hit is None:
-                    verdict = SentimentVerdict(_LABELS[label], score)
-                    hit = verdict, verdict.composite
-                    if len(verdicts) < _VERDICT_CACHE_SIZE:
-                        verdicts[label, score] = hit
-                key = (source, doc_id)
-                doc = by_key.get(key)
-                # A line that fails a check is read again below, which words the error.
-                if doc is not None and key not in seen and stated == hit[1]:
-                    seen.add(key)
-                    scored.append(ScoredDocument(doc, hit[0]))
-                    continue
-        scored.append(_read_scored_line(path, lineno, obj, by_key, seen))
+        except KeyError as exc:  # itemgetter looks the fields up in order
+            raise SchemaError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+        if type(doc_id) is not str or type(source) is not str:
+            raise SchemaError(f"{path}:{lineno}: field {'source' if type(doc_id) is str else 'id'!r} must be a string")
+        key = (source, doc_id)
+        doc = by_key.get(key)
+        if doc is None:
+            raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
+        if key in seen:
+            raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
+        seen.add(key)
+        # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
+        cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
+        hit = verdicts.get((label, score)) if cacheable else None
+        try:
+            if hit is None:
+                member = _LABELS.get(label) if type(label) is str else None
+                # SentimentLabel(label) runs only to word the error for a label that is no label value.
+                verdict = SentimentVerdict(member or SentimentLabel(label), float(score))
+                hit = verdict, verdict.composite
+                if cacheable and len(verdicts) < _VERDICT_CACHE_SIZE:
+                    verdicts[label, score] = hit
+            if float(stated) != hit[1]:
+                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
+        except (TypeError, ValueError, InvariantError) as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        scored.append(ScoredDocument(doc, hit[0]))
     return scored
-
-
-def _read_scored_line(path: Path, lineno: int, obj: object, by_key: Mapping[VerdictKey, Document],
-                      seen: set[VerdictKey]) -> ScoredDocument:
-    """One scored line of any accepted form (an int, numeric-string or bool score too), checked field by field."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
-    for field_name in _SCORED_FIELDS:
-        if field_name not in obj:
-            raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
-    for field_name in ("id", "source"):
-        if not isinstance(obj[field_name], str):
-            raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
-    key = (obj["source"], obj["id"])
-    doc = by_key.get(key)
-    if doc is None:
-        raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
-    if key in seen:
-        raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
-    seen.add(key)
-    try:
-        verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
-        stated = float(obj["composite"])
-    except (TypeError, ValueError, InvariantError) as exc:
-        raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    if stated != verdict.composite:
-        raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
-    return ScoredDocument(doc, verdict)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,6 +22,11 @@ _SCAN_ONCE = json.JSONDecoder().scan_once
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 _FILE_MODE = 0o666 & ~_UMASK
+
+
+def note(category: str, message: str) -> None:
+    """Print one ``note[<category>]: <message>`` line on stderr."""
+    print(f"note[{category}]: {message}", file=sys.stderr)
 
 
 def json_value(value: object) -> str:
@@ -54,13 +60,6 @@ def read_text(path: Path) -> str:
         return handle.read()
 
 
-def _decode(path: Path, lineno: int, text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-
-
 def json_lines(path: Path) -> Iterator[tuple[int, object]]:
     """(line number, value) of each non-blank line; bad JSON is a SchemaError naming path:line.
 
@@ -83,11 +82,11 @@ def json_lines(path: Path) -> Iterator[tuple[int, object]]:
             if not scanned:
                 if line.isspace():
                     continue
+                # The line break is JSON whitespace; without it an error's position is on this line.
                 try:
-                    value = json.loads(line)
-                except json.JSONDecodeError:
-                    # Decoded again without the line break, so the error's position is on this line.
-                    value = _decode(path, lineno, line.rstrip("\n"))
+                    value = json.loads(line.rstrip("\n"))
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             yield lineno, value
 
 

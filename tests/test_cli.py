@@ -168,6 +168,19 @@ def test_report_keeps_only_documents_inside_the_window(tmp_path):
     assert (full / "analysis" / "GS.json").read_bytes() != before
 
 
+def test_report_narrows_the_stored_prices_to_the_window_end_and_price_days(tmp_path):
+    narrow = ["--window", "2022-07-20:2022-07-25", "--price-days", "5"]
+    full, fresh = tmp_path / "full", tmp_path / "fresh"
+    assert run_cli(["run", *flags(FIXTURES_DIR, full, window="2022-07-01:2022-07-31")]) == 0
+    assert run_cli(["report", "--out", str(full), "--tickers", "GS,AMZN", *narrow]) == 0
+    assert run_cli(["run", "--fixtures", str(FIXTURES_DIR), "--out", str(fresh), "--tickers", "GS,AMZN", *narrow]) == 0
+    for rel in REPORT_FILES:
+        assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+    # The stored series is 20 bars up to 29 July; the fresh one is 5 bars up to 25 July.
+    assert len((full / "prices" / "GS.csv").read_text(encoding="utf-8").splitlines()) == 1 + 20
+    assert (fresh / "prices" / "GS.csv").read_text(encoding="utf-8").splitlines()[-1].startswith("2022-07-25,")
+
+
 @pytest.mark.parametrize("make_path", [lambda tmp: tmp / "missing.csv", lambda tmp: tmp])
 def test_unreadable_external_verdicts_is_one_io_error(tmp_path, capsys, make_path):
     argv = ["run", *flags(FIXTURES_DIR, tmp_path / "out"), "--external-verdicts", str(make_path(tmp_path))]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import shutil
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
@@ -26,7 +27,7 @@ from esgsent.errors import SchemaError, TransportError
 from esgsent.transport import ReplayDocumentTransport
 from esgsent.util import json_lines
 
-from conftest import AWKWARD_STRINGS, make_doc
+from conftest import AWKWARD_STRINGS, FIXTURES_DIR, make_doc, run_cli
 
 TWEET_LINE = (
     '{"id": "t1", "source": "tweet", "timestamp": "2022-07-20T12:00:00Z", '
@@ -182,16 +183,34 @@ class TestParseSerialize:
             setattr(doc, name, "x")
         assert doc == make_doc("a")
 
-    def test_unknown_field_strict_vs_lenient(self, caplog):
+    def test_unknown_field_strict_vs_lenient(self, tmp_path, capsys):
         payload = json.loads(TWEET_LINE)
         payload["retweets"] = 9
         line = json.dumps(payload)
         with pytest.raises(SchemaError, match="retweets"):
             parse_document_line(line, strict=True)
-        with caplog.at_level("WARNING"):
-            doc = parse_document_line(line)
-        assert doc.id == "t1"
-        assert "retweets" in caplog.text
+        assert parse_document_line(line).id == "t1"
+        # A run prints one note per input file that had unknown fields, not one per record.
+        fixtures = tmp_path / "fixtures" / "GS"
+        shutil.copytree(FIXTURES_DIR / "GS", fixtures)
+        extra = {"tweets.jsonl": ["retweets"], "news.jsonl": ["lang", "paywall"]}
+        for name, fields in extra.items():
+            records = [json.loads(text) for text in (fixtures / name).read_text(encoding="utf-8").splitlines()]
+            for i, record in enumerate(records):
+                record.update((field, i) for field in fields[: i + 1])
+            (fixtures / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        argv = ["run", "--fixtures", str(fixtures.parent), "--out", str(tmp_path / "out"), "--tickers", "GS",
+                "--window", "2022-07-20:2022-07-29"]
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"note[schema]: {fixtures / 'tweets.jsonl'}: ignored unknown field(s) retweets in 5 record(s)",
+            f"note[schema]: {fixtures / 'news.jsonl'}: ignored unknown field(s) lang, paywall in 4 record(s)",
+        ]
+        assert run_cli([*argv, "--strict"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[schema]: {fixtures / 'tweets.jsonl'}:1: document payload has unknown field(s): retweets"
+        ]
 
     def test_negative_followers_rejected(self):
         payload = json.loads(TWEET_LINE)

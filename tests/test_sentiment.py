@@ -28,6 +28,7 @@ from esgsent.sentiment import (
     write_scored,
 )
 from esgsent.corpus import Source
+from esgsent.util import json_lines
 
 from conftest import AWKWARD_STRINGS, make_doc
 
@@ -482,3 +483,112 @@ class TestScoredLineForms:
     def test_bad_line_after_a_reused_verdict_names_its_own_line(self, tmp_path, bad_line, message):
         with pytest.raises(SchemaError, match=f"scored\\.jsonl:4: {re.escape(message)}$"):
             read_lines(tmp_path, [scored_line("a"), scored_line("b"), "", bad_line])
+
+
+def reference_scored_line(path, lineno, obj, by_key, seen):
+    """The field-by-field reader read_scored replaced, kept as the reference for its checks and messages."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
+    for field_name in ("id", "source", "label", "score", "composite"):
+        if field_name not in obj:
+            raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
+    for field_name in ("id", "source"):
+        if not isinstance(obj[field_name], str):
+            raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
+    key = (obj["source"], obj["id"])
+    doc = by_key.get(key)
+    if doc is None:
+        raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
+    if key in seen:
+        raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
+    seen.add(key)
+    try:
+        verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
+        stated = float(obj["composite"])
+    except (TypeError, ValueError, InvariantError) as exc:
+        raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+    if stated != verdict.composite:
+        raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
+    return ScoredDocument(doc, verdict)
+
+
+def reference_read_scored(path, docs):
+    by_key = {doc.key: doc for doc in docs}
+    seen = set()
+    return [reference_scored_line(path, lineno, obj, by_key, seen) for lineno, obj in json_lines(path)]
+
+
+# Pieces of a scored line: each good list, then forms that are still read, then bad ones.
+REF_LABELS = (["positive", "neutral", "negative"], [], ["Positive", "mixed", 1, None, True, ["positive"], {"positive": 1}])
+REF_SCORES = ([0.5, 0.25, 1 / 3, 0.0, 1.0, 1e-7], [0, 1, "0.5", " 0.25 ", True, False, -0.0], ["x", math.nan, 1.5, None, [0.5]])
+REF_IDS = ["a", "b", "c", "d", "e", "f"]
+
+
+def pick(rng, pieces):
+    """A good piece mostly, another accepted form often, a bad one sometimes."""
+    good, other, bad = pieces
+    roll = rng.random()
+    return rng.choice(bad if roll < 0.06 else other if other and roll < 0.3 else good)
+
+
+def random_scored_line(rng, used_ids):
+    """One scored line's JSON text: mostly good, else bad in one of the ways read_scored checks."""
+    if rng.random() < 0.02:
+        return rng.choice(["[1, 2]", '"positive"', "3", "null", "true"])
+    label, score = pick(rng, REF_LABELS), pick(rng, REF_SCORES)
+    try:
+        composite = {"positive": 1, "neutral": 0, "negative": -1}[label] * float(score)
+    except (KeyError, TypeError, ValueError):
+        composite = 0.5
+    roll = rng.random()
+    if roll < 0.03:
+        composite += 0.25  # mismatched
+    elif roll < 0.05:
+        composite = rng.choice([None, [composite], "x"])
+    elif roll < 0.2:
+        composite = repr(composite)  # a numeric string
+    roll = rng.random()
+    if used_ids and roll < 0.03:
+        doc_id = rng.choice(used_ids)  # a repeated key
+    elif roll < 0.05:
+        doc_id = "zz"  # a key of no document
+    else:
+        doc_id = rng.choice([i for i in REF_IDS if i not in used_ids])
+    obj = {"id": doc_id, "source": "news" if rng.random() < 0.02 else "tweet", "label": label, "score": score,
+           "composite": composite}
+    if rng.random() < 0.03:
+        for name in rng.sample(["id", "source"], rng.randint(1, 2)):
+            obj[name] = rng.choice([7, None, ["a"]])
+    if rng.random() < 0.02:
+        del obj[rng.choice(list(obj))]  # a missing field
+    if rng.random() < 0.1:
+        obj["extra"] = [1, {"x": None}]
+    items = list(obj.items())
+    if rng.random() < 0.2:
+        rng.shuffle(items)
+    used_ids.append(doc_id)
+    return json.dumps(dict(items))
+
+
+def test_read_scored_equals_the_field_by_field_reference(tmp_path):
+    """Same verdicts, score signs included, or the same SchemaError on the same line."""
+    rng = random.Random(2210_00731)
+    docs = [make_doc(doc_id) for doc_id in REF_IDS]
+    path = tmp_path / "scored.jsonl"
+    outcomes = set()
+    for _ in range(600):
+        used_ids = []
+        lines = [random_scored_line(rng, used_ids) for _ in range(rng.randint(1, 6))]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            expected = reference_read_scored(path, docs)
+        except SchemaError as exc:
+            outcomes.add("error")
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
+                read_scored(path, docs)
+            continue
+        outcomes.add("read")
+        got = read_scored(path, docs)
+        assert got == expected, lines
+        assert [repr(sd.verdict.score) for sd in got] == [repr(sd.verdict.score) for sd in expected], lines
+    assert outcomes == {"error", "read"}
