@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .sentiment import ScoredDocument
 from .util import atomic_write_text, format_real
@@ -60,19 +60,25 @@ class TickerAggregate:
     classification: AffinityClass
 
 
+def group_by_ticker(
+    scored: Iterable[ScoredDocument], tickers: Iterable[str] = ()
+) -> dict[str, list[ScoredDocument]]:
+    """Each ticker's scored documents in input order, in one pass; every
+    key of ``tickers`` gets a list, empty when it has no documents."""
+    groups: dict[str, list[ScoredDocument]] = {key: [] for key in tickers}
+    for sd in scored:
+        groups.setdefault(sd.ticker, []).append(sd)
+    return groups
+
+
 def aggregate_by_ticker(
-    scored: Iterable[ScoredDocument],
-    tickers: Optional[Sequence[str]] = None,
+    groups: Mapping[str, Sequence[ScoredDocument]],
     thresholds: AffinityThresholds = AffinityThresholds(),
 ) -> list[TickerAggregate]:
-    """One aggregate per ticker, sorted by ticker key.
+    """One aggregate per ticker of ``groups`` (see group_by_ticker), sorted by ticker key.
 
-    Configured tickers with no documents aggregate to (0, 0, 0, Neutral).
+    A ticker with no documents aggregates to (0, 0, 0, Neutral).
     """
-    groups: dict[str, list[ScoredDocument]] = {key: [] for key in (tickers or [])}
-    for sd in scored:
-        groups.setdefault(sd.document.ticker, []).append(sd)
-
     aggregates = []
     for key in sorted(groups):
         docs = groups[key]

@@ -37,7 +37,7 @@ def daily_index(scored: Iterable[ScoredDocument]) -> list[tuple[date, float]]:
     days without documents are omitted."""
     by_day: dict[date, list[float]] = {}
     for sd in scored:
-        day = sd.document.timestamp.date()
+        day = sd.timestamp.date()
         by_day.setdefault(day, []).append(sd.verdict.composite)
     return [(day, math.fsum(values) / len(values)) for day, values in sorted(by_day.items())]
 

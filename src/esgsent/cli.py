@@ -10,11 +10,14 @@ Every file ``run`` writes is written once.
 Each subcommand runs one stage on its own: it reads the files the earlier
 stages wrote under the output directory, keeps only the documents of the
 configured tickers inside the configured window, and writes the files
-``run`` writes for that stage. ``report`` runs the same per-ticker loop
-on the price files ``prices`` wrote, so it rewrites the aggregates,
-analyses, charts and summary under the current thresholds. Of each price
-file it keeps the last ``price_days`` bars up to the window's end, as
-``prices`` does: it can narrow the stored history but not widen it.
+``run`` writes for that stage. ``report`` reads ``scored.jsonl``, whose
+lines carry each document's ticker and timestamp, and not
+``corpus.jsonl``; it trusts the scored file to be that of the corpus. It
+runs the same per-ticker loop on the price files ``prices`` wrote, so it
+rewrites the aggregates, analyses, charts and summary under the current
+thresholds. Of each price file it keeps the last ``price_days`` bars up
+to the window's end, as ``prices`` does: it can narrow the stored history
+but not widen it.
 Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 
@@ -33,10 +36,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from . import __version__
-from .aggregation import TickerAggregate, aggregate_by_ticker, rank_affinity, write_aggregates
+from .aggregation import TickerAggregate, aggregate_by_ticker, group_by_ticker, rank_affinity, write_aggregates
 from .analysis import AnalysisResult, analyze, write_analysis
 from .charts import render_candlestick_svg
 from .config import RunConfig, resolve_config
@@ -67,17 +70,16 @@ def _read_corpus(config: RunConfig) -> list[Document]:
     return read_corpus(config.corpus_path, strict=config.strict)
 
 
-def _in_scope(config: RunConfig, doc: Document) -> bool:
+def _in_scope(config: RunConfig, doc: Union[Document, ScoredDocument]) -> bool:
     """Whether a document is of a configured ticker and inside the configured window."""
     return doc.ticker in config.tickers and config.window.contains(doc.timestamp)
 
 
 def _read_scored(config: RunConfig) -> list[ScoredDocument]:
-    """The scored documents in scope; every scored line must match a corpus document."""
-    docs = _read_corpus(config)
+    """The scored documents in scope, from the scored file alone."""
     if not config.scored_path.exists():
         raise SchemaError(f"scored file not found: {config.scored_path} (run 'score' first)")
-    return [sd for sd in read_scored(config.scored_path, docs) if _in_scope(config, sd.document)]
+    return [sd for sd in read_scored(config.scored_path) if _in_scope(config, sd)]
 
 
 def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
@@ -114,6 +116,9 @@ def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
     )
     scored = score_corpus(docs, lexicon, external)
+    # A scored record keeps only the id, ticker and timestamp of its document;
+    # with the caller's list gone, the documents are freed before the scored text is built.
+    del docs
     write_scored(scored, config.scored_path)
     n_external = sum(sd.key in external for sd in scored) if external else 0
     print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
@@ -156,14 +161,15 @@ def _summary_csv(ranked: list[TickerAggregate], results: dict[str, AnalysisResul
 
 
 def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource) -> None:
-    """Aggregate and classify; then, one ticker at a time, get its series,
-    analyze its documents only, and write its analysis and chart; then write
-    the summary.
+    """Group the documents by ticker once, then aggregate and classify; then,
+    one ticker at a time, get its series, analyze its documents only, and
+    write its analysis and chart; then write the summary.
 
     A ticker whose series is too short gets a note and no files; when no
     ticker has enough data the run fails with InsufficientData.
     """
-    aggregates = aggregate_by_ticker(scored, tickers=config.tickers, thresholds=config.thresholds)
+    groups = group_by_ticker(scored, config.tickers)
+    aggregates = aggregate_by_ticker(groups, config.thresholds)
     write_aggregates(aggregates, config.aggregates_path)
     for agg in aggregates:
         print(
@@ -174,15 +180,12 @@ def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSo
     print("affinity ranking: " + " > ".join(ranking))
     print(f"aggregates -> {config.aggregates_path}")
 
-    docs_by_ticker: dict[str, list[ScoredDocument]] = {}
-    for sd in scored:
-        docs_by_ticker.setdefault(sd.document.ticker, []).append(sd)
     aggregate_of = {agg.ticker: agg for agg in aggregates}
     results: dict[str, AnalysisResult] = {}
     for ticker in config.tickers:
         try:
             series = series_of(ticker)
-            result = analyze(docs_by_ticker.get(ticker, []), series, aggregate_of[ticker])
+            result = analyze(groups[ticker], series, aggregate_of[ticker])
         except InsufficientData as exc:
             note("insufficient-data", str(exc))
             continue

@@ -144,6 +144,13 @@ def _parse_timestamp(raw: str, doc_id: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def format_timestamp(ts: datetime) -> str:
+    """A UTC timestamp as ``corpus.jsonl`` and ``scored.jsonl`` write it:
+    ``YYYY-MM-DDTHH:MM:SS``, ``.ffffff`` when it has fractional seconds, then ``Z``."""
+    # isoformat of a UTC datetime ends in +00:00.
+    return f"{ts.isoformat()[:-6]}Z"
+
+
 def parse_document_payload(payload: dict, *, strict: bool = False,
                            ignored: Optional[Counter[tuple[str, ...]]] = None) -> Document:
     """Build a Document from a decoded JSON object.
@@ -210,11 +217,10 @@ def serialize_document(doc: Document) -> str:
     Field order and float-free payload keep serialization byte-stable, so
     parse -> serialize -> parse round-trips to an equal Document.
     """
-    # Source values and timestamps need no JSON escaping. The timestamp is
-    # UTC, so isoformat ends in +00:00; fractional seconds are kept.
+    # Source values and timestamps need no JSON escaping.
     line = (
         f'{{"id": {json_value(doc.id)}, "source": "{doc.source.value}", '
-        f'"timestamp": "{doc.timestamp.isoformat()[:-6]}Z", '
+        f'"timestamp": "{format_timestamp(doc.timestamp)}", '
         f'"ticker": {json_value(doc.ticker)}, "text": {json_value(doc.text)}'
     )
     for name in _OPTIONAL_FIELDS:

@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import copysign
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .corpus import Document, Source
+from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, format_timestamp
 from .errors import InvariantError, SchemaError
 from .util import atomic_write_text, json_lines, json_value, open_text, read_text
 
@@ -58,6 +59,18 @@ class SentimentVerdict:
     def composite(self) -> float:
         """Signed composite polarity in [-1, 1]: label weight times score."""
         return _WEIGHTS[self.label._value_] * self.score
+
+    @cached_property
+    def scored_fields(self) -> str:
+        """The label, score and composite fields of a scored line, as JSON text.
+
+        Built once per verdict: lexicon verdicts are shared (see _verdict).
+        """
+        # Label values need no JSON escaping.
+        return (
+            f'"label": "{self.label._value_}", "score": {json_value(self.score)}, '
+            f'"composite": {json_value(self.composite)}'
+        )
 
 
 @dataclass(frozen=True)
@@ -183,19 +196,25 @@ def score_document(doc: Document, lexicon: Lexicon) -> SentimentVerdict:
 
 
 class ScoredDocument(NamedTuple):
-    """A document with its verdict, as an immutable tuple; the composite is ``verdict.composite``."""
+    """One line of ``scored.jsonl``: a document's key, UTC timestamp and
+    ticker with its verdict, as an immutable tuple.
 
-    document: Document
+    It holds everything ``report`` needs of a document, so the scored file
+    reads back on its own; the composite is ``verdict.composite``.
+    """
+
+    id: str
+    source: Source
+    timestamp: datetime
+    ticker: str
     verdict: SentimentVerdict
 
-    @property
-    def key(self) -> VerdictKey:
-        return self.document.key
+    # Read in C, as Document.key is.
+    key = property(attrgetter("source._value_", "id"), doc="(source, id) pair, unique in a scored file.")
 
 
 _EXTERNAL_HEADER = ["id", "source", "label", "score"]
 _LABELS = {label.value: label for label in SentimentLabel}
-_SOURCES = frozenset(source.value for source in Source)
 
 
 def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
@@ -230,7 +249,7 @@ def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
                 except InvariantError as exc:
                     raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
                 source = (source_raw or "").strip().lower()
-                if source not in _SOURCES:
+                if source not in _SOURCE_OF:
                     raise SchemaError(f"{path}:{reader.line_num}: unknown source {source_raw!r}")
                 key = (source, doc_id)
                 if key in verdicts:
@@ -258,17 +277,17 @@ def score_corpus(
         verdict = external and external.get(doc.key)
         if verdict is None:
             verdict = score_document(doc, lexicon)
-        scored.append(ScoredDocument(doc, verdict))
+        scored.append(ScoredDocument(doc.id, doc.source, doc.timestamp, doc.ticker, verdict))
     return scored
 
 
 def serialize_scored(sd: ScoredDocument) -> str:
-    """One scored line: document key, label, score, composite."""
-    # Source and label values need no JSON escaping.
+    """One scored line: document key, UTC timestamp, ticker, label, score, composite."""
+    # Source values and timestamps need no JSON escaping.
     return (
-        f'{{"id": {json_value(sd.document.id)}, "source": "{sd.document.source.value}", '
-        f'"label": "{sd.verdict.label.value}", "score": {json_value(sd.verdict.score)}, '
-        f'"composite": {json_value(sd.verdict.composite)}}}'
+        f'{{"id": {json_value(sd.id)}, "source": "{sd.source._value_}", '
+        f'"timestamp": "{format_timestamp(sd.timestamp)}", "ticker": {json_value(sd.ticker)}, '
+        f'{sd.verdict.scored_fields}}}'
     )
 
 
@@ -277,22 +296,22 @@ def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
 
 
 # Scored line schema, in serialization order.
-_SCORED_FIELDS = ("id", "source", "label", "score", "composite")
+_SCORED_FIELDS = ("id", "source", "timestamp", "ticker", "label", "score", "composite")
 _scored_items = itemgetter(*_SCORED_FIELDS)
 # read_scored reuses at most this many verdicts: lexicon scores take few
 # distinct values (55 on 42,500 lines), external scores are mostly distinct.
 _VERDICT_CACHE_SIZE = 256
 
 
-def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocument]:
-    """Load a scored file back, re-attaching documents by (source, id) key.
+def read_scored(path: Path) -> list[ScoredDocument]:
+    """Load a scored file back, one record per line, in file order.
 
     Each line is read in one pass whose checks run in a fixed order; the
     first that fails is a SchemaError naming ``<path>:<line>``. Each document
-    is scored once: a repeated key is rejected. A score or composite may be
+    is scored once: a repeated key is rejected. The timestamp follows the
+    corpus rule and is converted to UTC. A score or composite may be
     anything ``float()`` reads.
     """
-    by_key = {doc.key: doc for doc in documents}
     seen: set[VerdictKey] = set()
     scored = []
     # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
@@ -301,15 +320,22 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
         if type(obj) is not dict:
             raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
         try:
-            doc_id, source, label, score, stated = _scored_items(obj)
+            doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
         except KeyError as exc:  # itemgetter looks the fields up in order
             raise SchemaError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-        if type(doc_id) is not str or type(source) is not str:
-            raise SchemaError(f"{path}:{lineno}: field {'source' if type(doc_id) is str else 'id'!r} must be a string")
-        key = (source, doc_id)
-        doc = by_key.get(key)
-        if doc is None:
-            raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
+        if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
+            name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
+            raise SchemaError(f"{path}:{lineno}: field {name!r} must be a string")
+        source = _SOURCE_OF.get(source_value)
+        if source is None:
+            raise SchemaError(f"{path}:{lineno}: unknown source {source_value!r}")
+        if not doc_id:
+            raise SchemaError(f"{path}:{lineno}: field 'id' must be non-empty")
+        try:
+            timestamp = _parse_timestamp(raw_timestamp, doc_id)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        key = (source_value, doc_id)
         if key in seen:
             raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
         seen.add(key)
@@ -328,5 +354,5 @@ def read_scored(path: Path, documents: Iterable[Document]) -> list[ScoredDocumen
                 raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
         except (TypeError, ValueError, InvariantError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        scored.append(ScoredDocument(doc, hit[0]))
+        scored.append(ScoredDocument(doc_id, source, timestamp, ticker, hit[0]))
     return scored

@@ -22,6 +22,9 @@ _SCAN_ONCE = json.JSONDecoder().scan_once
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 _FILE_MODE = 0o666 & ~_UMASK
+# Characters atomic_write_text hands to the file at a time. A slice and its
+# encoding take at most 4 bytes per character each: 256 KiB together.
+_WRITE_SLICE = 1 << 15
 
 
 def note(category: str, message: str) -> None:
@@ -116,8 +119,12 @@ def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write a whole text file as atomic_write_lines does."""
-    atomic_write_lines(path, (text,))
+    """Write a whole text file as atomic_write_lines does.
+
+    The text goes to the file in slices of _WRITE_SLICE characters, so its
+    encoding never holds a copy of the whole text.
+    """
+    atomic_write_lines(path, (text[i:i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE)))
 
 
 def format_real(value: float, places: int = 6) -> str:

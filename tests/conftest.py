@@ -54,8 +54,13 @@ def make_doc(
     return Document(id=doc_id, source=source, timestamp=ts, ticker=ticker, text=text, **extra)
 
 
+def scored_of(doc: Document, verdict: SentimentVerdict) -> ScoredDocument:
+    """The scored record score_corpus builds for a document and its verdict."""
+    return ScoredDocument(doc.id, doc.source, doc.timestamp, doc.ticker, verdict)
+
+
 def make_scored(doc: Document, label: SentimentLabel, score: float) -> ScoredDocument:
-    return ScoredDocument(doc, SentimentVerdict(label, score))
+    return scored_of(doc, SentimentVerdict(label, score))
 
 
 def make_series(opens: list[float], *, ticker: str = "GS", start: date = date(2022, 7, 1)) -> PriceSeries:

@@ -13,6 +13,7 @@ from esgsent.aggregation import (
     AffinityThresholds,
     aggregate_by_ticker,
     classify,
+    group_by_ticker,
     rank_affinity,
 )
 from esgsent.sentiment import SentimentLabel
@@ -31,41 +32,51 @@ def scored_from_composites(composites, ticker="GS", start_id=0):
     return out
 
 
+def aggregate(scored, tickers=()):
+    return aggregate_by_ticker(group_by_ticker(scored, tickers))
+
+
 class TestAggregate:
     def test_hand_arithmetic(self):
         scored = scored_from_composites([0.9, -0.4, 0.5])
-        (agg,) = aggregate_by_ticker(scored)
+        (agg,) = aggregate(scored)
         assert agg.n_docs == 3
         assert agg.sum_composite == pytest.approx(1.0, abs=1e-15)
         assert agg.mean_composite == pytest.approx(1.0 / 3, abs=1e-15)
 
+    def test_group_by_ticker_keeps_input_order_and_every_configured_ticker(self):
+        scored = scored_from_composites([0.5, -0.5], ticker="TSLA") + scored_from_composites([0.1], ticker="GS")
+        groups = group_by_ticker(scored, ["AMZN", "GS"])
+        assert list(groups) == ["AMZN", "GS", "TSLA"]
+        assert groups == {"AMZN": [], "GS": scored[2:], "TSLA": scored[:2]}
+
     def test_empty_input_with_configured_tickers(self):
-        aggs = aggregate_by_ticker([], tickers=["AMZN", "GS"])
+        aggs = aggregate([], tickers=["AMZN", "GS"])
         assert [a.ticker for a in aggs] == ["AMZN", "GS"]
         for agg in aggs:
             assert (agg.n_docs, agg.sum_composite, agg.mean_composite) == (0, 0.0, 0.0)
             assert agg.classification is AffinityClass.NEUTRAL
 
     def test_singleton(self):
-        (agg,) = aggregate_by_ticker(scored_from_composites([-0.8]))
+        (agg,) = aggregate(scored_from_composites([-0.8]))
         assert agg.sum_composite == -0.8
         assert agg.mean_composite == -0.8
         assert agg.classification is AffinityClass.AVERSE
 
     def test_output_sorted_by_ticker(self):
         scored = scored_from_composites([0.5], ticker="TSLA") + scored_from_composites([0.5], ticker="AMZN")
-        aggs = aggregate_by_ticker(scored)
+        aggs = aggregate(scored)
         assert [a.ticker for a in aggs] == ["AMZN", "TSLA"]
 
     def test_order_invariance(self):
         rng = random.Random(5)
         scored = scored_from_composites([0.9, -0.4, 0.5, 0.25, -1.0, 0.75], ticker="GS")
         scored += scored_from_composites([0.1, -0.3, 1.0], ticker="HSBC", start_id=50)
-        baseline = aggregate_by_ticker(scored)
+        baseline = aggregate(scored)
         for _ in range(20):
             shuffled = scored[:]
             rng.shuffle(shuffled)
-            assert aggregate_by_ticker(shuffled) == baseline
+            assert aggregate(shuffled) == baseline
 
     def test_positive_scaling_preserves_rank_and_scales_moments(self):
         base = {
@@ -79,8 +90,8 @@ class TestAggregate:
         for ticker, values in base.items():
             plain += scored_from_composites(values, ticker=ticker)
             scaled += scored_from_composites([scale * v for v in values], ticker=ticker)
-        aggs_plain = aggregate_by_ticker(plain)
-        aggs_scaled = aggregate_by_ticker(scaled)
+        aggs_plain = aggregate(plain)
+        aggs_scaled = aggregate(scaled)
         for before, after in zip(aggs_plain, aggs_scaled):
             assert after.sum_composite == scale * before.sum_composite
             assert after.mean_composite == scale * before.mean_composite
@@ -89,9 +100,9 @@ class TestAggregate:
     def test_concatenated_corpora_add(self):
         first = scored_from_composites([0.5, -0.25, 0.75])
         second = scored_from_composites([0.1, 0.9], start_id=10)
-        (agg_first,) = aggregate_by_ticker(first)
-        (agg_second,) = aggregate_by_ticker(second)
-        (agg_both,) = aggregate_by_ticker(first + second)
+        (agg_first,) = aggregate(first)
+        (agg_second,) = aggregate(second)
+        (agg_both,) = aggregate(first + second)
         assert agg_both.n_docs == agg_first.n_docs + agg_second.n_docs
         assert agg_both.sum_composite == pytest.approx(
             agg_first.sum_composite + agg_second.sum_composite, abs=1e-12
@@ -139,21 +150,21 @@ class TestRank:
             "HSBC": [-0.7],
         }.items():
             scored += scored_from_composites(values, ticker=ticker)
-        assert rank_affinity(aggregate_by_ticker(scored)) == ["GS", "AMZN", "TSLA", "HSBC"]
+        assert rank_affinity(aggregate(scored)) == ["GS", "AMZN", "TSLA", "HSBC"]
 
     def test_ties_break_alphabetically(self):
         scored = scored_from_composites([0.5], ticker="TSLA")
         scored += scored_from_composites([0.5], ticker="AMZN", start_id=5)
         scored += scored_from_composites([0.5], ticker="GS", start_id=9)
-        assert rank_affinity(aggregate_by_ticker(scored)) == ["AMZN", "GS", "TSLA"]
+        assert rank_affinity(aggregate(scored)) == ["AMZN", "GS", "TSLA"]
 
     def test_singleton(self):
-        assert rank_affinity(aggregate_by_ticker(scored_from_composites([0.2]))) == ["GS"]
+        assert rank_affinity(aggregate(scored_from_composites([0.2]))) == ["GS"]
 
 
 def test_mean_is_sum_over_count():
     rng = random.Random(23)
     values = [rng.uniform(-1, 1) for _ in range(37)]
-    (agg,) = aggregate_by_ticker(scored_from_composites(values))
+    (agg,) = aggregate(scored_from_composites(values))
     assert agg.mean_composite == pytest.approx(math.fsum(values) / len(values), abs=1e-15)
     assert abs(agg.mean_composite) <= 1.0

@@ -145,6 +145,17 @@ def test_run_writes_every_file_with_the_mode_of_the_umask(tmp_path):
         os.umask(umask)
 
 
+def test_report_reads_no_corpus(tmp_path):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    written = {rel: (tmp_path / rel).read_bytes() for rel in REPORT_FILES}
+    (tmp_path / "corpus.jsonl").unlink()
+    for rel in REPORT_FILES:
+        (tmp_path / rel).unlink()
+    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    for rel in REPORT_FILES:
+        assert (tmp_path / rel).read_bytes() == written[rel], rel
+
+
 def test_report_keeps_only_the_configured_tickers(tmp_path, capsys):
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path, tickers="GS,AMZN,TSLA,HSBC")]) == 0
     capsys.readouterr()
@@ -308,6 +319,13 @@ def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
         (lambda obj: "id source label score composite", "scored line must be an object, got str"),
         (lambda obj: {**obj, "source": ["tweet"]}, "field 'source' must be a string"),
         (lambda obj: {**obj, "id": 5}, "field 'id' must be a string"),
+        (lambda obj: {**obj, "ticker": 5}, "field 'ticker' must be a string"),
+        (lambda obj: {**obj, "source": "blog"}, "unknown source 'blog'"),
+        (lambda obj: {**obj, "id": ""}, "field 'id' must be non-empty"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "timestamp"}, "missing field 'timestamp'"),
+        (lambda obj: {**obj, "timestamp": "July"}, "document 'tw-gs-0720a': bad timestamp 'July'"),
+        (lambda obj: {**obj, "timestamp": "2022-07-20T00:15:00"},
+         "document 'tw-gs-0720a': timestamp '2022-07-20T00:15:00' lacks a UTC offset"),
         (lambda obj: {**obj, "label": "bullish"}, "'bullish' is not a valid SentimentLabel"),
         (lambda obj: {**obj, "score": 1.5}, "sentiment score 1.5 outside [0, 1]"),
         (lambda obj: {**obj, "score": -0.25}, "sentiment score -0.25 outside [0, 1]"),
@@ -315,8 +333,9 @@ def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
         (lambda obj: {**obj, "composite": "high"}, "could not convert string to float: 'high'"),
         (lambda obj: {**obj, "composite": obj["composite"] + 0.5}, "composite inconsistent with verdict"),
     ],
-    ids=["int", "list", "str", "source-list", "id-int", "label-unknown", "score-above-1", "score-below-0",
-         "score-text", "composite-text", "composite-mismatch"],
+    ids=["int", "list", "str", "source-list", "id-int", "ticker-int", "source-unknown", "id-empty",
+         "timestamp-missing", "timestamp-text", "timestamp-naive", "label-unknown", "score-above-1",
+         "score-below-0", "score-text", "composite-text", "composite-mismatch"],
 )
 def test_malformed_scored_line_is_one_schema_error(tmp_path, capsys, mangle, message):
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0

@@ -25,7 +25,7 @@ from esgsent.corpus import (
 )
 from esgsent.errors import SchemaError, TransportError
 from esgsent.transport import ReplayDocumentTransport
-from esgsent.util import json_lines
+from esgsent.util import _WRITE_SLICE, atomic_write_text, json_lines
 
 from conftest import AWKWARD_STRINGS, FIXTURES_DIR, make_doc, run_cli
 
@@ -441,6 +441,29 @@ class TestWriteCorpus:
         assert size > 1_500_000
         assert peak < size / 10, (peak, size)
         assert read_corpus(path) == docs
+
+
+class TestAtomicWriteText:
+    def test_holds_no_copy_the_size_of_the_text(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        text = "".join(f'{{"id": "t{i}", "text": "café – 日本語 😀 {i}"}}\n' for i in range(85_000))
+        expected = text.encode("utf-8")
+        tracemalloc.start()
+        try:
+            atomic_write_text(path, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(expected) > 4_000_000
+        assert peak < len(expected) / 10, (peak, len(expected))
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("size", [0, 1, _WRITE_SLICE - 1, _WRITE_SLICE, _WRITE_SLICE + 1, 3 * _WRITE_SLICE])
+    def test_writes_every_character_at_slice_edges(self, tmp_path, size):
+        path = tmp_path / "out.txt"
+        text = ("ab\r\n😀" * size)[:size]
+        atomic_write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_sort_key_total_order():

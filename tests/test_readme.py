@@ -10,6 +10,7 @@ import pytest
 
 from esgsent.cli import build_parser
 from esgsent.errors import PipelineError
+from esgsent.sentiment import read_scored, serialize_scored
 
 from conftest import REPO_ROOT, run_cli
 
@@ -53,3 +54,12 @@ def test_readme_exit_code_table_lists_each_error_class():
         for category in re.findall(r"`([^`]+)`", categories)
     }
     assert documented == {(cls.exit_code, cls.category) for cls in PipelineError.__subclasses__()}
+
+
+def test_readme_example_scored_line_reads_back(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8").replace("\n", " ")
+    (line,) = re.findall(r'`(\{"id": [^`]*\})`', readme)
+    path = tmp_path / "scored.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    (sd,) = read_scored(path)
+    assert serialize_scored(sd) == line

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from datetime import datetime, timezone
 
 import pytest
 
@@ -27,10 +28,10 @@ from esgsent.sentiment import (
     tokenize,
     write_scored,
 )
-from esgsent.corpus import Source
+from esgsent.corpus import Document, Source, _parse_timestamp
 from esgsent.util import json_lines
 
-from conftest import AWKWARD_STRINGS, make_doc
+from conftest import AWKWARD_STRINGS, make_doc, scored_of
 
 LEX = Lexicon(
     positive_terms=frozenset({"good", "great", "clean", "praised"}),
@@ -338,7 +339,7 @@ class TestScoreCorpus:
             make_doc("c", text="nothing relevant"),
         ]
         scored = score_corpus(docs, LEX, external)
-        assert [sd.document.id for sd in scored] == ["a", "b", "c"]
+        assert [sd.id for sd in scored] == ["a", "b", "c"]
         assert [sd.verdict.label for sd in scored] == [
             SentimentLabel.POSITIVE,
             SentimentLabel.NEGATIVE,
@@ -351,12 +352,19 @@ class TestScoreCorpus:
         scored = score_corpus([doc, other], LEX, external)
         assert [sd.verdict.composite for sd in scored] == [-0.8, 1.0]
 
-    @pytest.mark.parametrize("name", ["document", "verdict", "extra"])
+    @pytest.mark.parametrize("name", ["id", "source", "timestamp", "ticker", "verdict", "extra"])
     def test_scored_document_is_immutable(self, name):
-        sd = ScoredDocument(make_doc("a"), SentimentVerdict(SentimentLabel.NEUTRAL, 0.0))
+        verdict = SentimentVerdict(SentimentLabel.NEUTRAL, 0.0)
+        sd = scored_of(make_doc("a"), verdict)
         with pytest.raises(AttributeError):
             setattr(sd, name, None)
-        assert sd.document == make_doc("a")
+        assert sd == ("a", Source.TWEET, make_doc("a").timestamp, "GS", verdict)
+
+    def test_record_carries_the_document_key_timestamp_and_ticker(self):
+        doc = make_doc("n1", source=Source.NEWS, ticker="TSLA", hour=23, text="toxic probe")
+        (sd,) = score_corpus([doc], LEX)
+        assert (sd.id, sd.source, sd.timestamp, sd.ticker) == (doc.id, doc.source, doc.timestamp, doc.ticker)
+        assert sd.key == doc.key == ("news", "n1")
 
     def test_empty_corpus(self):
         assert score_corpus([], LEX) == []
@@ -384,49 +392,51 @@ class TestScoreCorpus:
     ],
 )
 def test_serialize_scored_matches_json_dumps(doc_id, label, score):
-    sd = ScoredDocument(make_doc(doc_id), SentimentVerdict(label, score))
-    obj = {"id": doc_id, "source": "tweet", "label": label.value, "score": score, "composite": sd.verdict.composite}
+    sd = scored_of(make_doc(doc_id, ticker=doc_id), SentimentVerdict(label, score))
+    obj = {"id": doc_id, "source": "tweet", "timestamp": "2022-07-20T12:00:00Z", "ticker": doc_id,
+           "label": label.value, "score": score, "composite": sd.verdict.composite}
     assert serialize_scored(sd) == json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
 
 
 def test_scored_file_round_trip(tmp_path):
-    docs = [make_doc("a", text="clean energy"), make_doc("b", text="toxic spill probe")]
+    docs = [
+        make_doc("a", text="clean energy"),
+        make_doc("b", text="toxic spill probe", ticker="HSBC"),
+        make_doc("c", source=Source.NEWS, text="body", title="bank praised"),
+        Document("d", Source.TWEET, datetime(2022, 7, 21, 9, 30, 5, 750000, tzinfo=timezone.utc), "GS", "good"),
+    ]
     scored = score_corpus(docs, LEX)
     path = tmp_path / "scored.jsonl"
     write_scored(scored, path)
-    assert read_scored(path, docs) == scored
+    assert '"timestamp": "2022-07-21T09:30:05.750000Z"' in path.read_text(encoding="utf-8")
+    assert read_scored(path) == scored
 
 
 @pytest.mark.parametrize("composite_value", ['"x"', "[1]", "0.9"])
 def test_scored_line_with_bad_composite_is_schema_error(tmp_path, composite_value):
-    doc = make_doc("a")
     path = tmp_path / "scored.jsonl"
-    path.write_text(
-        f'{{"id": "a", "source": "tweet", "label": "positive", "score": 0.5, "composite": {composite_value}}}\n',
-        encoding="utf-8",
-    )
+    path.write_text(scored_line(composite=composite_value) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError):
-        read_scored(path, [doc])
+        read_scored(path)
 
 
 def test_scored_line_with_inconsistent_composite_names_the_line(tmp_path):
     path = tmp_path / "scored.jsonl"
-    path.write_text(
-        '\n{"id": "a", "source": "tweet", "label": "negative", "score": 0.5, "composite": 0.5}\n',
-        encoding="utf-8",
-    )
+    path.write_text("\n" + scored_line(label="negative", composite="0.5") + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"scored\.jsonl:2: composite inconsistent with verdict$"):
-        read_scored(path, [make_doc("a")])
+        read_scored(path)
 
 
-def scored_line(doc_id="a", label="positive", score="0.5", composite="0.5", source="tweet"):
-    return f'{{"id": "{doc_id}", "source": "{source}", "label": "{label}", "score": {score}, "composite": {composite}}}'
+def scored_line(doc_id="a", label="positive", score="0.5", composite="0.5", source="tweet",
+                timestamp="2022-07-20T12:00:00Z"):
+    return (f'{{"id": "{doc_id}", "source": "{source}", "timestamp": "{timestamp}", "ticker": "GS", '
+            f'"label": "{label}", "score": {score}, "composite": {composite}}}')
 
 
-def read_lines(tmp_path, lines, ids="abc"):
+def read_lines(tmp_path, lines):
     path = tmp_path / "scored.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return read_scored(path, [make_doc(doc_id) for doc_id in ids])
+    return read_scored(path)
 
 
 class TestScoredLineForms:
@@ -448,17 +458,18 @@ class TestScoredLineForms:
         assert type(sd.verdict.score) is float and repr(sd.verdict.score) == repr(expected[1])
 
     def test_extra_fields_and_reordered_keys(self, tmp_path):
-        line = ('{"composite": -0.5, "extra": [1, {"x": null}], "score": 0.5, "label": "negative", '
-                '"id": "a", "source": "tweet"}')
+        line = ('{"composite": -0.5, "extra": [1, {"x": null}], "score": 0.5, "ticker": "GS", "label": "negative", '
+                '"timestamp": "2022-07-20T14:00:00+02:00", "id": "a", "source": "tweet"}')
         (sd,) = read_lines(tmp_path, [line])
-        assert sd == ScoredDocument(make_doc("a"), SentimentVerdict(SentimentLabel.NEGATIVE, 0.5))
+        assert sd == scored_of(make_doc("a"), SentimentVerdict(SentimentLabel.NEGATIVE, 0.5))
+        assert sd.timestamp.tzinfo is timezone.utc
 
     @pytest.mark.parametrize("order", ["negative zero first", "positive zero first"])
     def test_negative_zero_score_keeps_its_sign(self, tmp_path, order):
         lines = [scored_line("a", "neutral", "0.0", "0.0"), scored_line("b", "neutral", "-0.0", "-0.0")]
         if order == "negative zero first":
             lines.reverse()
-        scored = {sd.document.id: sd.verdict.score for sd in read_lines(tmp_path, lines)}
+        scored = {sd.id: sd.verdict.score for sd in read_lines(tmp_path, lines)}
         assert math.copysign(1.0, scored["a"]) == 1.0
         assert math.copysign(1.0, scored["b"]) == -1.0
 
@@ -473,8 +484,8 @@ class TestScoredLineForms:
         [
             (scored_line("c", composite="-0.5"), "composite inconsistent with verdict"),
             (scored_line("a"), "duplicate scored line for ('tweet', 'a')"),
-            (scored_line("z"), "scored line has no corpus document ('tweet', 'z')"),
-            (scored_line("c", source="news"), "scored line has no corpus document ('news', 'c')"),
+            (scored_line("c", source="blog"), "unknown source 'blog'"),
+            (scored_line("c", timestamp="2022-07-20"), "document 'c': bad timestamp '2022-07-20'"),
             (scored_line("c", score="1.5", composite="1.5"), "sentiment score 1.5 outside [0, 1]"),
             (scored_line("c", score="NaN", composite="NaN"), "sentiment score nan outside [0, 1]"),
             (scored_line("c", label="Positive"), "'Positive' is not a valid SentimentLabel"),
@@ -485,20 +496,25 @@ class TestScoredLineForms:
             read_lines(tmp_path, [scored_line("a"), scored_line("b"), "", bad_line])
 
 
-def reference_scored_line(path, lineno, obj, by_key, seen):
+def reference_scored_line(path, lineno, obj, seen):
     """The field-by-field reader read_scored replaced, kept as the reference for its checks and messages."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
-    for field_name in ("id", "source", "label", "score", "composite"):
+    for field_name in ("id", "source", "timestamp", "ticker", "label", "score", "composite"):
         if field_name not in obj:
             raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
-    for field_name in ("id", "source"):
+    for field_name in ("id", "source", "ticker"):
         if not isinstance(obj[field_name], str):
             raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
+    if obj["source"] not in ("tweet", "news"):
+        raise SchemaError(f"{path}:{lineno}: unknown source {obj['source']!r}")
+    if obj["id"] == "":
+        raise SchemaError(f"{path}:{lineno}: field 'id' must be non-empty")
+    try:
+        timestamp = _parse_timestamp(obj["timestamp"], obj["id"])
+    except SchemaError as exc:
+        raise SchemaError(f"{path}:{lineno}: {exc}") from exc
     key = (obj["source"], obj["id"])
-    doc = by_key.get(key)
-    if doc is None:
-        raise SchemaError(f"{path}:{lineno}: scored line has no corpus document {key}")
     if key in seen:
         raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
     seen.add(key)
@@ -509,19 +525,25 @@ def reference_scored_line(path, lineno, obj, by_key, seen):
         raise SchemaError(f"{path}:{lineno}: {exc}") from exc
     if stated != verdict.composite:
         raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
-    return ScoredDocument(doc, verdict)
+    return ScoredDocument(obj["id"], Source(obj["source"]), timestamp, obj["ticker"], verdict)
 
 
-def reference_read_scored(path, docs):
-    by_key = {doc.key: doc for doc in docs}
+def reference_read_scored(path):
     seen = set()
-    return [reference_scored_line(path, lineno, obj, by_key, seen) for lineno, obj in json_lines(path)]
+    return [reference_scored_line(path, lineno, obj, seen) for lineno, obj in json_lines(path)]
 
 
 # Pieces of a scored line: each good list, then forms that are still read, then bad ones.
 REF_LABELS = (["positive", "neutral", "negative"], [], ["Positive", "mixed", 1, None, True, ["positive"], {"positive": 1}])
 REF_SCORES = ([0.5, 0.25, 1 / 3, 0.0, 1.0, 1e-7], [0, 1, "0.5", " 0.25 ", True, False, -0.0], ["x", math.nan, 1.5, None, [0.5]])
-REF_IDS = ["a", "b", "c", "d", "e", "f"]
+REF_SOURCES = (["tweet"], ["news"], ["blog", "Tweet", ""])
+REF_TIMESTAMPS = (
+    ["2022-07-20T12:00:00Z", "2022-07-21T09:30:00.250000Z"],
+    ["2022-07-20T14:00:00+02:00", "2022-07-19T23:00:00.750-03:00", "2022-07-20T00:00:00+00:00"],
+    ["July", 5, None, "2022-07-20T12:00:00", "20220720T120000Z", "2022-07-20T12:00:00.75Z"],
+)
+REF_TICKERS = (["GS", "HSBC"], ["BRK-B", ""], [5, None, ["GS"]])
+REF_IDS = ["a", "b", "c", "d", "e", "f", "zz"]
 
 
 def pick(rng, pieces):
@@ -551,11 +573,11 @@ def random_scored_line(rng, used_ids):
     if used_ids and roll < 0.03:
         doc_id = rng.choice(used_ids)  # a repeated key
     elif roll < 0.05:
-        doc_id = "zz"  # a key of no document
+        doc_id = ""  # an empty id
     else:
         doc_id = rng.choice([i for i in REF_IDS if i not in used_ids])
-    obj = {"id": doc_id, "source": "news" if rng.random() < 0.02 else "tweet", "label": label, "score": score,
-           "composite": composite}
+    obj = {"id": doc_id, "source": pick(rng, REF_SOURCES), "timestamp": pick(rng, REF_TIMESTAMPS),
+           "ticker": pick(rng, REF_TICKERS), "label": label, "score": score, "composite": composite}
     if rng.random() < 0.03:
         for name in rng.sample(["id", "source"], rng.randint(1, 2)):
             obj[name] = rng.choice([7, None, ["a"]])
@@ -571,9 +593,8 @@ def random_scored_line(rng, used_ids):
 
 
 def test_read_scored_equals_the_field_by_field_reference(tmp_path):
-    """Same verdicts, score signs included, or the same SchemaError on the same line."""
+    """Same records, score signs included, or the same SchemaError on the same line."""
     rng = random.Random(2210_00731)
-    docs = [make_doc(doc_id) for doc_id in REF_IDS]
     path = tmp_path / "scored.jsonl"
     outcomes = set()
     for _ in range(600):
@@ -581,14 +602,15 @@ def test_read_scored_equals_the_field_by_field_reference(tmp_path):
         lines = [random_scored_line(rng, used_ids) for _ in range(rng.randint(1, 6))]
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         try:
-            expected = reference_read_scored(path, docs)
+            expected = reference_read_scored(path)
         except SchemaError as exc:
             outcomes.add("error")
             with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
-                read_scored(path, docs)
+                read_scored(path)
             continue
         outcomes.add("read")
-        got = read_scored(path, docs)
+        got = read_scored(path)
         assert got == expected, lines
         assert [repr(sd.verdict.score) for sd in got] == [repr(sd.verdict.score) for sd in expected], lines
+        assert [sd.timestamp.tzinfo for sd in got] == [timezone.utc] * len(got), lines
     assert outcomes == {"error", "read"}
