@@ -1,23 +1,22 @@
-"""Command-line pipeline: ingest -> score -> prices -> report.
+"""Command-line pipeline: ``run`` (ingest -> score -> prices -> report) and ``report``.
 
 ``run`` hands each stage's result to the next in memory and computes
 every value once: the corpus and the scored documents are never re-read,
 aggregation runs once, and one per-ticker loop fetches a ticker's price
 series, writes it, and analyzes and charts that ticker over its own
 documents before moving on, so at most one series is held at a time.
-Every file ``run`` writes is written once.
+Every file ``run`` writes is written once. ``corpus.jsonl`` is written
+for audit; no command reads it.
 
-Each subcommand runs one stage on its own: it reads the files the earlier
-stages wrote under the output directory, keeps only the documents of the
-configured tickers inside the configured window, and writes the files
-``run`` writes for that stage. ``report`` reads ``scored.jsonl``, whose
-lines carry each document's ticker and timestamp, and not
-``corpus.jsonl``; it trusts the scored file to be that of the corpus. It
-runs the same per-ticker loop on the price files ``prices`` wrote, so it
-rewrites the aggregates, analyses, charts and summary under the current
-thresholds. Of each price file it keeps the last ``price_days`` bars up
-to the window's end, as ``prices`` does: it can narrow the stored history
-but not widen it.
+``report`` re-runs the last stage on the files ``run`` wrote under the
+output directory. It reads ``scored.jsonl``, whose lines carry each
+document's ticker and timestamp, keeps only the documents of the
+configured tickers inside the configured window, and runs the same
+per-ticker loop on the stored price files, so it rewrites the aggregates,
+analyses, charts and summary under the current thresholds. It trusts the
+scored file to be that of the corpus. Of each price file it keeps the
+last ``price_days`` bars up to the window's end, as ``run`` does: it can
+narrow the stored history but not widen it.
 Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 
@@ -36,14 +35,14 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import __version__
 from .aggregation import TickerAggregate, aggregate_by_ticker, group_by_ticker, rank_affinity, write_aggregates
 from .analysis import AnalysisResult, analyze, write_analysis
 from .charts import render_candlestick_svg
 from .config import RunConfig, resolve_config
-from .corpus import Document, dedupe, fetch_documents, read_corpus, write_corpus
+from .corpus import Document, dedupe, fetch_documents, write_corpus
 from .errors import InsufficientData, PipelineError, SchemaError
 from .market import PriceSeries, fetch_prices, load_prices, tail_n, write_prices
 from .sentiment import (
@@ -63,29 +62,18 @@ SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "perce
 SeriesSource = Callable[[str], PriceSeries]
 
 
-def _read_corpus(config: RunConfig) -> list[Document]:
-    """Every document of the corpus file, in file order."""
-    if not config.corpus_path.exists():
-        raise SchemaError(f"corpus not found: {config.corpus_path} (run 'ingest' first)")
-    return read_corpus(config.corpus_path, strict=config.strict)
-
-
-def _in_scope(config: RunConfig, doc: Union[Document, ScoredDocument]) -> bool:
-    """Whether a document is of a configured ticker and inside the configured window."""
-    return doc.ticker in config.tickers and config.window.contains(doc.timestamp)
-
-
 def _read_scored(config: RunConfig) -> list[ScoredDocument]:
     """The scored documents in scope, from the scored file alone."""
     if not config.scored_path.exists():
-        raise SchemaError(f"scored file not found: {config.scored_path} (run 'score' first)")
-    return [sd for sd in read_scored(config.scored_path) if _in_scope(config, sd)]
+        raise SchemaError(f"scored file not found: {config.scored_path} (run 'run' first)")
+    return [sd for sd in read_scored(config.scored_path)
+            if sd.ticker in config.tickers and config.window.contains(sd.timestamp)]
 
 
 def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
     path = config.prices_path(ticker)
     if not path.exists():
-        raise InsufficientData(f"{ticker}: no price data at {path} (run 'prices' first)")
+        raise InsufficientData(f"{ticker}: no price data at {path} (run 'run' first)")
     return tail_n(load_prices(path, ticker), config.price_days, end=config.window.end)
 
 
@@ -125,11 +113,6 @@ def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
     return scored
 
 
-def cmd_score(config: RunConfig) -> None:
-    """Score the corpus documents in scope and write the scored file."""
-    _score(config, [doc for doc in _read_corpus(config) if _in_scope(config, doc)])
-
-
 def _fetch_series(config: RunConfig, transport: ReplayPriceTransport, ticker: str) -> PriceSeries:
     """Fetch a ticker's bars, keep the last price_days dated on or before the
     window's end, write them, and return them as written."""
@@ -138,13 +121,6 @@ def _fetch_series(config: RunConfig, transport: ReplayPriceTransport, ticker: st
     series = write_prices(tail_n(series, config.price_days, end=config.window.end), path)
     print(f"{ticker}: {len(series)} trading days -> {path}")
     return series
-
-
-def cmd_prices(config: RunConfig) -> None:
-    """Fetch price history per ticker and keep the last price_days rows up to the window's end."""
-    transport = ReplayPriceTransport(config.fixtures)
-    for ticker in config.tickers:
-        _fetch_series(config, transport, ticker)
 
 
 def _summary_csv(ranked: list[TickerAggregate], results: dict[str, AnalysisResult]) -> str:
@@ -243,11 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text in (
-        ("ingest", cmd_ingest, "fetch documents into the corpus file"),
-        ("score", cmd_score, "score the corpus with the lexicon (and external verdicts)"),
-        ("prices", cmd_prices, "fetch and window per-ticker price history"),
         ("report", cmd_report, "write aggregates, analysis JSONs, candlestick SVGs and summary CSV"),
-        ("run", cmd_run, "run every stage in order"),
+        ("run", cmd_run, "run every stage in order: ingest, score, prices, report"),
     ):
         stage = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
         stage.set_defaults(func=func)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import atomic_write_lines, json_lines, json_value, note
+from .util import atomic_write_lines, json_value, note
 
 
 class Source(Enum):
@@ -286,11 +286,6 @@ def fetch_documents(
     """
     docs = _parse_records(transport.fetch(ticker), strict)
     return [doc for doc in docs if doc.ticker == ticker and window.contains(doc.timestamp)]
-
-
-def read_corpus(path: Path, *, strict: bool = False) -> list[Document]:
-    """Load a corpus file (one JSON document per line, blank lines skipped)."""
-    return list(_parse_records(((path, lineno, payload) for lineno, payload in json_lines(path)), strict))
 
 
 def write_corpus(docs: Iterable[Document], path: Path) -> None:

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, flag edge values, the price window, and run vs chained subcommands."""
+"""CLI behaviour: exit codes, flag edge values, the price window, and report re-run on what run wrote."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import pytest
 import esgsent
 from conftest import FIXTURES_DIR, REPO_ROOT, run_cli
 
-STAGES = ("ingest", "score", "prices", "report")
 JULY = "2022-07-20:2022-07-29"
 # What report writes for GS and AMZN.
 REPORT_FILES = ["aggregates.csv", "summary.csv"] + [
@@ -111,7 +110,7 @@ def test_price_series_ends_inside_the_window(tmp_path):
     assert result["percent_change"] == pytest.approx(100.0 * (last - first) / first, rel=1e-12)
 
 
-def test_run_equals_chained_subcommands_at_seven_decimals(tmp_path):
+def test_report_after_run_rewrites_the_same_bytes_at_seven_decimals(tmp_path):
     fixtures = copy_fixtures(tmp_path)
     header, *rows = price_lines("GS")
     shifted = []
@@ -121,12 +120,14 @@ def test_run_equals_chained_subcommands_at_seven_decimals(tmp_path):
         shifted.append(",".join([day, *(f"{float(p) + 0.1234567:.7f}" for p in prices), volume]))
     write_price_lines(fixtures, "GS", [header, *shifted])
 
-    run_out, chained_out = tmp_path / "run", tmp_path / "chained"
-    assert run_cli(["run", *flags(fixtures, run_out)]) == 0
-    for stage in STAGES:
-        assert run_cli([stage, *flags(fixtures, chained_out)]) == 0, stage
+    out = tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out)]) == 0
+    written = {rel: (out / rel).read_bytes() for rel in REPORT_FILES}
     for rel in REPORT_FILES:
-        assert (run_out / rel).read_bytes() == (chained_out / rel).read_bytes(), rel
+        (out / rel).unlink()
+    assert run_cli(["report", *flags(fixtures, out)]) == 0
+    for rel in REPORT_FILES:
+        assert (out / rel).read_bytes() == written[rel], rel
 
 
 def test_run_writes_every_file_with_the_mode_of_the_umask(tmp_path):
@@ -200,17 +201,6 @@ def test_unreadable_external_verdicts_is_one_io_error(tmp_path, capsys, make_pat
     assert len(errors) == 1 and errors[0].startswith("error[io]: "), errors
 
 
-def test_non_utf8_corpus_is_one_io_error(tmp_path, capsys):
-    assert run_cli(["ingest", *flags(FIXTURES_DIR, tmp_path)]) == 0
-    with open(tmp_path / "corpus.jsonl", "ab") as handle:
-        handle.write(b'{"id": "\xff"}\n')
-    capsys.readouterr()
-    assert run_cli(["score", *flags(FIXTURES_DIR, tmp_path)]) == 2
-    errors = stderr_lines(capsys)
-    expected = f"error[io]: {tmp_path / 'corpus.jsonl'}: 'utf-8' codec can't decode"
-    assert len(errors) == 1 and errors[0].startswith(expected), errors
-
-
 @pytest.mark.parametrize(
     "rows,n_external",
     [
@@ -222,12 +212,10 @@ def test_non_utf8_corpus_is_one_io_error(tmp_path, capsys):
 )
 def test_score_counts_the_documents_with_an_external_verdict(tmp_path, capsys, rows, n_external):
     out = tmp_path / "out"
-    assert run_cli(["ingest", *flags(FIXTURES_DIR, out)]) == 0
-    argv = ["score", *flags(FIXTURES_DIR, out)]
+    argv = ["run", *flags(FIXTURES_DIR, out)]
     if rows is not None:
         (tmp_path / "verdicts.csv").write_text("\n".join(["id,source,label,score", *rows]) + "\n", encoding="utf-8")
         argv += ["--external-verdicts", str(tmp_path / "verdicts.csv")]
-    capsys.readouterr()
     assert run_cli(argv) == 0
     n_docs = len((out / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
     assert f"scored {n_docs} documents ({n_external} external) -> " in capsys.readouterr().out
@@ -238,10 +226,10 @@ def test_score_counts_the_documents_with_an_external_verdict(tmp_path, capsys, r
     [
         ("report", "out/scored.jsonl"),
         ("report", "out/prices/GS.csv"),
-        ("ingest", "fixtures/GS/tweets.jsonl"),
-        ("prices", "fixtures/GS/prices.csv"),
-        ("score", "lexicon/negators.txt"),
-        ("score", "verdicts.csv"),
+        ("run", "fixtures/GS/tweets.jsonl"),
+        ("run", "fixtures/GS/prices.csv"),
+        ("run", "lexicon/negators.txt"),
+        ("run", "verdicts.csv"),
         ("run", "config.json"),
     ],
 )
@@ -265,12 +253,12 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
 @pytest.mark.parametrize(
     "stage,name,record,problem",
     [
-        ("ingest", "fixtures/GS/tweets.jsonl", '{"id": "bad", "source": "tweet"}',
+        ("run", "fixtures/GS/tweets.jsonl", '{"id": "bad", "source": "tweet"}',
          "document payload missing required field(s): timestamp, ticker, text"),
-        ("ingest", "fixtures/GS/news.jsonl",
+        ("run", "fixtures/GS/news.jsonl",
          '{"id": "bad", "source": "news", "timestamp": "July", "ticker": "GS", "text": "x"}',
          "document 'bad': bad timestamp 'July'"),
-        ("score", "out/corpus.jsonl",
+        ("run", "fixtures/GS/tweets.jsonl",
          '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": 5}',
          "document 'bad': text must be a string, got 5"),
         ("report", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
@@ -286,6 +274,22 @@ def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, s
     assert run_cli([stage, *flags(fixtures, out)]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {path}:4: {problem}"], errors
+
+
+def test_report_without_a_scored_file_is_one_schema_error_naming_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["report", *flags(FIXTURES_DIR, out)]) == 2
+    assert stderr_lines(capsys) == [f"error[schema]: scored file not found: {out / 'scored.jsonl'} (run 'run' first)"]
+
+
+def test_report_without_a_price_file_notes_the_ticker_naming_run(tmp_path, capsys):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    (tmp_path / "prices" / "GS.csv").unlink()
+    capsys.readouterr()
+    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    assert stderr_lines(capsys) == [
+        f"note[insufficient-data]: GS: no price data at {tmp_path / 'prices' / 'GS.csv'} (run 'run' first)"]
 
 
 def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):

@@ -171,7 +171,7 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [("--price", "5"), ("--tick", "GS")])
 def test_flag_prefix_is_a_usage_error(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exit_info:
-        run_cli(["prices", flag, value, "--out", str(tmp_path / "out")])
+        run_cli(["report", flag, value, "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 

@@ -1,14 +1,13 @@
-"""Golden outputs: ``run``, the chained subcommands and ``run --config run_config.json``
+"""Golden outputs: ``run``, ``report`` after ``run`` and ``run --config run_config.json``
 write tests/golden byte for byte."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli, run_golden_pipeline
+from conftest import GOLDEN_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli, run_golden_pipeline
 
 GOLDEN_FILES = sorted(p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.rglob("*") if p.is_file())
-STAGES = ("ingest", "score", "prices", "report")
 
 
 def test_golden_set_has_twelve_files():
@@ -22,18 +21,6 @@ def assert_matches_golden(out_dir: Path) -> None:
 
 def test_run_reproduces_golden(tmp_path):
     assert run_golden_pipeline(tmp_path) == 0
-    assert_matches_golden(tmp_path)
-
-
-def test_chained_subcommands_reproduce_golden(tmp_path):
-    flags = [
-        "--fixtures", str(FIXTURES_DIR),
-        "--out", str(tmp_path),
-        "--window", "2022-07-20:2022-07-29",
-        "--tickers", GOLDEN_TICKERS,
-    ]
-    for stage in STAGES:
-        assert run_cli([stage, *flags]) == 0, stage
     assert_matches_golden(tmp_path)
 
 

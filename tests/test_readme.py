@@ -14,7 +14,7 @@ from esgsent.sentiment import read_scored, serialize_scored
 
 from conftest import REPO_ROOT, run_cli
 
-SUBCOMMANDS = ["ingest", "score", "prices", "report", "run"]
+SUBCOMMANDS = ["report", "run"]
 
 
 def readme_table(heading: str) -> list[list[str]]:
@@ -31,11 +31,11 @@ def parser_subcommands() -> list[str]:
     return list(action.choices)
 
 
-def test_parser_has_the_five_subcommands():
+def test_parser_has_the_two_subcommands():
     assert parser_subcommands() == SUBCOMMANDS
 
 
-@pytest.mark.parametrize("name", ["aggregate", "analyze"])
+@pytest.mark.parametrize("name", ["ingest", "score", "aggregate", "prices", "analyze"])
 def test_a_deleted_subcommand_is_a_usage_error(capsys, name):
     with pytest.raises(SystemExit) as exit_info:
         run_cli([name])
