@@ -9,13 +9,12 @@ days survive the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .sentiment import ScoredDocument
-from .util import atomic_write_text, format_real
+from .util import Record, atomic_write_text, format_real
 
 DEFAULT_AFFINE_MIN = 0.15
 DEFAULT_AVERSE_MAX = -0.15
@@ -27,19 +26,21 @@ class AffinityClass(Enum):
     AFFINE = "Affine"
 
 
-@dataclass(frozen=True)
-class AffinityThresholds:
+class _ThresholdFields(NamedTuple):
+    affine_min: float
+    averse_max: float
+
+
+class AffinityThresholds(Record, _ThresholdFields):
     """Mean-composite cutoffs; averse_max < 0 < affine_min."""
 
-    affine_min: float = DEFAULT_AFFINE_MIN
-    averse_max: float = DEFAULT_AVERSE_MAX
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.averse_max < 0 < self.affine_min:
-            raise ValueError(
-                f"thresholds must satisfy averse_max < 0 < affine_min, "
-                f"got ({self.affine_min}, {self.averse_max})"
-            )
+    def __new__(cls, affine_min: float = DEFAULT_AFFINE_MIN,
+                averse_max: float = DEFAULT_AVERSE_MAX) -> "AffinityThresholds":
+        if not averse_max < 0 < affine_min:
+            raise ValueError(f"thresholds must satisfy averse_max < 0 < affine_min, got ({affine_min}, {averse_max})")
+        return tuple.__new__(cls, (affine_min, averse_max))
 
 
 def classify(mean_composite: float, thresholds: AffinityThresholds) -> AffinityClass:
@@ -51,8 +52,7 @@ def classify(mean_composite: float, thresholds: AffinityThresholds) -> AffinityC
     return AffinityClass.NEUTRAL
 
 
-@dataclass(frozen=True)
-class TickerAggregate:
+class TickerAggregate(NamedTuple):
     ticker: str
     n_docs: int
     sum_composite: float

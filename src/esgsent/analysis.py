@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .aggregation import TickerAggregate
 from .market import PriceSeries, daily_open_returns, percent_change_open
@@ -85,8 +84,7 @@ def sign_agreement(mean_composite: float, percent_change: float) -> SignAgreemen
     return SignAgreement.DISCORDANT
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     ticker: str
     percent_change: float
     mean_composite: float

@@ -21,6 +21,7 @@ Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 
 Settings come from the flags and the ``--config`` file (see ``config``).
+``report`` does not score: it has no ``--lexicon`` or ``--external-verdicts``.
 
 Exit codes: 0 success; 2 config error (a bad flag or config file value),
 schema or invariant error (bad input data), or io error (an input file
@@ -195,21 +196,24 @@ def cmd_run(config: RunConfig) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig._field_defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--tickers", metavar="K1,K2", help="comma-separated ticker keys")
     common.add_argument("--window", metavar="START:END", help="document window (UTC dates)")
     common.add_argument("--price-days", dest="price_days", metavar="N",
-                        help=f"trading days of price history to keep (default {RunConfig.price_days})")
-    common.add_argument("--lexicon", metavar="DIR", help="directory with replacement lexicon files")
-    common.add_argument("--external-verdicts", dest="external_verdicts", metavar="PATH",
-                        help="CSV of externally produced sentiment verdicts")
-    thresholds = RunConfig.thresholds
+                        help=f"trading days of price history to keep (default {defaults['price_days']})")
+    thresholds = defaults["thresholds"]
     common.add_argument("--thresholds", metavar="AFFINE,AVERSE",
                         help=f"affinity cutoffs (default {thresholds.affine_min},{thresholds.averse_max})")
     common.add_argument("--fixtures", metavar="DIR", help="recorded fixture directory")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--strict", action="store_true", default=None, help="reject unknown schema fields")
+    # report reads the stored scores, so the flags that choose how to score are usage errors there.
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--lexicon", metavar="DIR", help="directory with replacement lexicon files")
+    scoring.add_argument("--external-verdicts", dest="external_verdicts", metavar="PATH",
+                         help="CSV of externally produced sentiment verdicts")
 
     parser = argparse.ArgumentParser(
         prog="esgsent",
@@ -218,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-        ("report", cmd_report, "write aggregates, analysis JSONs, candlestick SVGs and summary CSV"),
-        ("run", cmd_run, "run every stage in order: ingest, score, prices, report"),
+    for name, func, parents, help_text in (
+        ("report", cmd_report, [common], "write aggregates, analysis JSONs, candlestick SVGs and summary CSV"),
+        ("run", cmd_run, [common, scoring], "run every stage in order: ingest, score, prices, report"),
     ):
-        stage = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+        stage = sub.add_parser(name, parents=parents, help=help_text, allow_abbrev=False)
         stage.set_defaults(func=func)
     return parser
 

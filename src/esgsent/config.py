@@ -1,24 +1,23 @@
 """Run configuration: one parser per key, shared by the config file and the flags.
 
 A setting comes from its flag, else from the JSON config file given with
-``--config``, else from the default on ``RunConfig``. Each key has one
-parser in ``PARSERS``, so a value passes the same checks whichever source
-it comes from. A parser takes the flag's text; a config file may also
-give ``tickers`` as a list of keys, ``price_days`` as a JSON integer, and
-must give ``strict`` as a JSON boolean. A bad value or an unknown key
-raises ConfigError naming the key and its source. Relative paths in a
-config file resolve against the file's directory; relative flag paths
-resolve against the working directory.
+``--config``, else from the default on ``RunConfig`` (``window``'s is set
+by ``resolve_config``). Each key has one parser in ``PARSERS``, so a value
+passes the same checks whichever source it comes from. A parser takes the
+flag's text; a config file may also give ``tickers`` as a list of keys,
+``price_days`` as a JSON integer, and must give ``strict`` as a JSON
+boolean. A bad value or an unknown key raises ConfigError naming the key
+and its source. Relative paths in a config file resolve against the file's
+directory; relative flag paths resolve against the working directory.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .aggregation import AffinityThresholds
 from .corpus import TimeWindow
@@ -38,12 +37,12 @@ def default_window() -> TimeWindow:
     return TimeWindow(start=end - timedelta(days=DEFAULT_DOCUMENT_DAYS - 1), end=end)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The effective settings of one run; field names are the config keys."""
+class RunConfig(NamedTuple):
+    """The effective settings of one run; field names are the config keys.
+    ``resolve_config`` sets the default ``window``, ``default_window()``."""
 
     tickers: tuple[str, ...] = ("AMZN", "GS", "HSBC", "TSLA")
-    window: TimeWindow = field(default_factory=default_window)
+    window: Optional[TimeWindow] = None
     price_days: int = 20
     thresholds: AffinityThresholds = AffinityThresholds()
     fixtures: Path = Path("fixtures")
@@ -180,10 +179,11 @@ def load_config_file(path: Path) -> dict[str, object]:
 
 
 def resolve_config(args: object) -> RunConfig:
-    """The effective RunConfig: the --config file's values, then every flag given."""
+    """The effective RunConfig: the --config file's values, then every flag given; window defaults to today's."""
     values = load_config_file(Path(args.config)) if args.config is not None else {}
     for key in PARSERS:
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             values[key] = _parse(key, value, "--" + key.replace("_", "-"))
+    values.setdefault("window", default_window())
     return RunConfig(**values)

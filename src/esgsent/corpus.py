@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import atomic_write_lines, json_value, note
+from .util import Record, atomic_write_lines, json_value, note
 
 
 class Source(Enum):
@@ -31,16 +30,20 @@ class Source(Enum):
     NEWS = "news"
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Closed interval of UTC calendar dates."""
-
+class _TimeWindowFields(NamedTuple):
     start: date
     end: date
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"window start {self.start} is after end {self.end}")
+
+class TimeWindow(Record, _TimeWindowFields):
+    """Closed interval of UTC calendar dates; every constructor checks start <= end."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: date, end: date) -> "TimeWindow":
+        if start > end:
+            raise ValueError(f"window start {start} is after end {end}")
+        return tuple.__new__(cls, (start, end))
 
     def contains(self, ts: datetime) -> bool:
         """Whether a UTC timestamp's date lies in the window."""
@@ -73,7 +76,7 @@ class _DocumentFields(NamedTuple):
     title: Optional[str]
 
 
-class Document(_DocumentFields):
+class Document(Record, _DocumentFields):
     """One tweet or news article, ticker-tagged and UTC-timestamped.
 
     An immutable tuple of the fields above. The constructor checks that the
@@ -105,10 +108,6 @@ class Document(_DocumentFields):
         if followers is not None and followers < 0:
             raise SchemaError(f"document {id!r} has negative follower count")
         return tuple.__new__(cls, (id, source, timestamp, ticker, text, author, followers, place, url, title))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> "Document":
-        return cls(*iterable)
 
     # Both keys are read in C: _value_ is the Source member's value as a
     # plain attribute, where Enum.value is a Python-level property.

@@ -20,14 +20,13 @@ import math
 import operator
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InsufficientData, InvariantError, SchemaError
 from .transport import ReplayPriceTransport
-from .util import atomic_write_text, read_text
+from .util import Record, atomic_write_text, read_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -65,10 +64,7 @@ def _check_bar(context: object, day: date, open_: float, high: float, low: float
         raise InvariantError(f"{context}: {day}: volume must be non-negative")
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """One ticker's daily prices, a tuple per column, in strictly increasing date order."""
-
+class _PriceSeriesFields(NamedTuple):
     ticker: str
     dates: tuple[date, ...]
     opens: tuple[float, ...]
@@ -76,6 +72,13 @@ class PriceSeries:
     lows: tuple[float, ...]
     closes: tuple[float, ...]
     volumes: tuple[int, ...]
+
+
+class PriceSeries(Record, _PriceSeriesFields):
+    """One ticker's daily prices, a tuple per column, in strictly increasing
+    date order; ``len()`` is the number of trading days, not of fields."""
+
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -180,10 +183,7 @@ def tail_n(series: PriceSeries, n: int, end: Optional[date] = None) -> PriceSeri
         raise ValueError(f"tail length must be >= 1, got {n}")
     stop = len(series) if end is None else bisect_right(series.dates, end)
     rows = slice(max(0, stop - n), stop)
-    return PriceSeries(
-        series.ticker, series.dates[rows], series.opens[rows], series.highs[rows],
-        series.lows[rows], series.closes[rows], series.volumes[rows],
-    )
+    return PriceSeries(series.ticker, *(column[rows] for column in series[1:]))  # every column after the ticker
 
 
 def percent_change_open(series: PriceSeries) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -21,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, format_timestamp
 from .errors import InvariantError, SchemaError
-from .util import atomic_write_text, json_lines, json_value, open_text, read_text
+from .util import Record, atomic_write_text, json_lines, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -44,16 +43,19 @@ class SentimentLabel(Enum):
 _WEIGHTS = {"positive": 1, "neutral": 0, "negative": -1}
 
 
-@dataclass(frozen=True)
-class SentimentVerdict:
-    """Label plus a confidence/intensity score in [0, 1]."""
-
+class _VerdictFields(NamedTuple):
     label: SentimentLabel
     score: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise InvariantError(f"sentiment score {self.score} outside [0, 1]")
+
+class SentimentVerdict(Record, _VerdictFields):
+    """Label plus a confidence/intensity score in [0, 1]; no ``__slots__``, as
+    ``scored_fields`` is cached in the instance ``__dict__``."""
+
+    def __new__(cls, label: SentimentLabel, score: float) -> "SentimentVerdict":
+        if not 0.0 <= score <= 1.0:
+            raise InvariantError(f"sentiment score {score} outside [0, 1]")
+        return tuple.__new__(cls, (label, score))
 
     @property
     def composite(self) -> float:
@@ -73,23 +75,28 @@ class SentimentVerdict:
         )
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Polarity word lists: positive terms, negative terms, and negators."""
-
+class _LexiconFields(NamedTuple):
     positive_terms: frozenset[str]
     negative_terms: frozenset[str]
     negators: frozenset[str]
 
-    def __post_init__(self) -> None:
-        overlap = self.positive_terms & self.negative_terms
+
+class Lexicon(Record, _LexiconFields):
+    """Polarity word lists: positive terms, negative terms, and negators; no
+    ``__slots__``, as ``polarity`` is cached in the instance ``__dict__``."""
+
+    def __new__(cls, positive_terms: frozenset[str], negative_terms: frozenset[str],
+                negators: frozenset[str]) -> "Lexicon":
+        self = tuple.__new__(cls, (positive_terms, negative_terms, negators))
+        overlap = positive_terms & negative_terms
         if overlap:
             sample = ", ".join(sorted(overlap)[:5])
             raise InvariantError(f"terms listed as both positive and negative: {sample}")
-        for name in ("positive_terms", "negative_terms", "negators"):
-            for term in getattr(self, name):
+        for name, terms in zip(self._fields, self):
+            for term in terms:
                 if not term or term != term.lower() or any(c.isspace() for c in term):
                     raise InvariantError(f"bad lexicon entry in {name}: {term!r}")
+        return self
 
     @cached_property
     def polarity(self) -> dict[str, int]:

@@ -27,6 +27,18 @@ _FILE_MODE = 0o666 & ~_UMASK
 _WRITE_SLICE = 1 << 15
 
 
+class Record:
+    """First base of a subclass of a NamedTuple whose ``__new__`` checks the
+    fields or whose ``len()`` is not the field count: ``_make``, and so
+    ``_replace``, build through the subclass's constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "Record":
+        return cls(*iterable)
+
+
 def note(category: str, message: str) -> None:
     """Print one ``note[<category>]: <message>`` line on stderr."""
     print(f"note[{category}]: {message}", file=sys.stderr)

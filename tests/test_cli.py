@@ -193,6 +193,43 @@ def test_report_narrows_the_stored_prices_to_the_window_end_and_price_days(tmp_p
     assert (fresh / "prices" / "GS.csv").read_text(encoding="utf-8").splitlines()[-1].startswith("2022-07-25,")
 
 
+@pytest.mark.parametrize("flag", ["--lexicon", "--external-verdicts"])
+def test_report_rejects_a_scoring_flag_but_ignores_the_config_key(tmp_path, capsys, flag):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    written = {rel: (tmp_path / rel).read_bytes() for rel in REPORT_FILES}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["report", *flags(FIXTURES_DIR, tmp_path), flag, str(tmp_path / "missing")])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # A run_config.json written for run may still set the key; report reads the stored scores.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): "missing"}), encoding="utf-8")
+    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path), "--config", str(config)]) == 0
+    for rel in REPORT_FILES:
+        assert (tmp_path / rel).read_bytes() == written[rel], rel
+
+
+@pytest.mark.parametrize("stage", ["report", "run"])
+def test_help_shows_the_run_config_defaults(capsys, monkeypatch, stage):
+    monkeypatch.setenv("COLUMNS", "120")
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([stage, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert "(default 20)" in text and "(default 0.15,-0.15)" in text
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Each would add milliseconds to every command; -S keeps site's own imports out.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import esgsent.cli; print(*sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(Path(esgsent.__file__).parent.parent)],
+                            check=True, capture_output=True, text=True)
+    loaded = set(result.stdout.split())
+    assert "esgsent.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("make_path", [lambda tmp: tmp / "missing.csv", lambda tmp: tmp])
 def test_unreadable_external_verdicts_is_one_io_error(tmp_path, capsys, make_path):
     argv = ["run", *flags(FIXTURES_DIR, tmp_path / "out"), "--external-verdicts", str(make_path(tmp_path))]
@@ -242,8 +279,9 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
     with open(tmp_path / name, "ab") as handle:
         handle.write(b"\xff\n")
     capsys.readouterr()
-    argv = [stage, *flags(fixtures, out), "--lexicon", str(tmp_path / "lexicon"),
-            "--external-verdicts", str(tmp_path / "verdicts.csv"), "--config", str(tmp_path / "config.json")]
+    argv = [stage, *flags(fixtures, out), "--config", str(tmp_path / "config.json")]
+    if stage == "run":  # report takes no scoring flags
+        argv += ["--lexicon", str(tmp_path / "lexicon"), "--external-verdicts", str(tmp_path / "verdicts.csv")]
     assert run_cli(argv) == 2
     errors = stderr_lines(capsys)
     expected = f"error[io]: {tmp_path / name}: 'utf-8' codec can't decode"
