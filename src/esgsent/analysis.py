@@ -10,7 +10,6 @@ rather than fabricated.
 
 from __future__ import annotations
 
-import json
 import math
 from datetime import date
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .aggregation import TickerAggregate
 from .market import PriceSeries, daily_open_returns, percent_change_open
 from .sentiment import ScoredDocument
-from .util import atomic_write_text
+from .util import atomic_write_text, json_value
 
 MIN_ALIGNED_DAYS = 3
 
@@ -93,15 +92,15 @@ class AnalysisResult(NamedTuple):
     sign_agreement: SignAgreement
 
     def to_json(self) -> str:
-        obj = {
-            "ticker": self.ticker,
-            "percent_change": self.percent_change,
-            "mean_composite": self.mean_composite,
-            "pearson_r": self.pearson_r,
-            "n_aligned_days": self.n_aligned_days,
-            "sign_agreement": self.sign_agreement.value,
-        }
-        return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+        """The result as json.dumps(..., ensure_ascii=False, indent=2) writes it, plus a newline.
+
+        Written value by value: the encoder behind ``indent`` leaves a
+        reference cycle per call, and commands run with the collector paused.
+        """
+        values = self._replace(sign_agreement=self.sign_agreement.value)
+        return "{\n" + ",\n".join(
+            f'  "{name}": {json_value(value)}' for name, value in zip(self._fields, values)
+        ) + "\n}\n"
 
 
 def analyze(

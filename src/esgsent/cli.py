@@ -21,7 +21,12 @@ Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 
 Settings come from the flags and the ``--config`` file (see ``config``).
-``report`` does not score: it has no ``--lexicon`` or ``--external-verdicts``.
+``report`` neither scores nor reads fixtures: it has no ``--lexicon``,
+``--external-verdicts``, ``--fixtures`` or ``--strict``.
+
+A command runs with cyclic garbage collection paused: no stage forms a
+reference cycle per document or per ticker, so the collector would only
+walk live objects. ``main`` restores the collector's state in any case.
 
 Exit codes: 0 success; 2 config error (a bad flag or config file value),
 schema or invariant error (bad input data), or io error (an input file
@@ -34,6 +39,7 @@ a ``note[<category>]: <message>`` line there.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from typing import Callable, Optional
@@ -206,14 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     thresholds = defaults["thresholds"]
     common.add_argument("--thresholds", metavar="AFFINE,AVERSE",
                         help=f"affinity cutoffs (default {thresholds.affine_min},{thresholds.averse_max})")
-    common.add_argument("--fixtures", metavar="DIR", help="recorded fixture directory")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--strict", action="store_true", default=None, help="reject unknown schema fields")
-    # report reads the stored scores, so the flags that choose how to score are usage errors there.
-    scoring = argparse.ArgumentParser(add_help=False)
-    scoring.add_argument("--lexicon", metavar="DIR", help="directory with replacement lexicon files")
-    scoring.add_argument("--external-verdicts", dest="external_verdicts", metavar="PATH",
-                         help="CSV of externally produced sentiment verdicts")
+    # report reads the stored scores and prices, so the flags that choose how to ingest and score
+    # are usage errors there; a config file may still set their keys.
+    run_only = argparse.ArgumentParser(add_help=False)
+    run_only.add_argument("--fixtures", metavar="DIR", help="recorded fixture directory")
+    run_only.add_argument("--strict", action="store_true", default=None, help="reject unknown schema fields")
+    run_only.add_argument("--lexicon", metavar="DIR", help="directory with replacement lexicon files")
+    run_only.add_argument("--external-verdicts", dest="external_verdicts", metavar="PATH",
+                          help="CSV of externally produced sentiment verdicts")
 
     parser = argparse.ArgumentParser(
         prog="esgsent",
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, parents, help_text in (
         ("report", cmd_report, [common], "write aggregates, analysis JSONs, candlestick SVGs and summary CSV"),
-        ("run", cmd_run, [common, scoring], "run every stage in order: ingest, score, prices, report"),
+        ("run", cmd_run, [common, run_only], "run every stage in order: ingest, score, prices, report"),
     ):
         stage = sub.add_parser(name, parents=parents, help=help_text, allow_abbrev=False)
         stage.set_defaults(func=func)
@@ -233,6 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # Paused for the command, which forms no cycle per document or per ticker.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.func(resolve_config(args))
     except PipelineError as exc:
@@ -241,6 +251,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

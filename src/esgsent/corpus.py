@@ -150,6 +150,21 @@ def format_timestamp(ts: datetime) -> str:
     return f"{ts.isoformat()[:-6]}Z"
 
 
+def _has_lone_surrogate(value: object) -> bool:
+    """Whether a decoded JSON value holds a string that UTF-8 cannot encode."""
+    if type(value) is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return True
+        return False
+    if type(value) is dict:
+        return any(map(_has_lone_surrogate, value)) or any(map(_has_lone_surrogate, value.values()))
+    if type(value) is list:
+        return any(map(_has_lone_surrogate, value))
+    return False
+
+
 def parse_document_payload(payload: dict, *, strict: bool = False,
                            ignored: Optional[Counter[tuple[str, ...]]] = None) -> Document:
     """Build a Document from a decoded JSON object.
@@ -195,9 +210,23 @@ def parse_document_payload(payload: dict, *, strict: bool = False,
     if followers is not None and type(followers) is not int:
         raise SchemaError(f"document {doc_id!r}: bad follower count {followers!r}")
 
+    # A lone surrogate, decoded from an escape such as "\ud800", has no UTF-8
+    # form, so the corpus could not be written. Only a string that is not
+    # ASCII can hold one, and isascii() reads a flag.
+    author = get("author")
+    if not (
+        doc_id.isascii() and ticker.isascii() and text.isascii()
+        and (place is None or place.isascii()) and (url is None or url.isascii())
+        and (title is None or title.isascii())
+        and (author is None or type(author) is str and author.isascii())
+    ):
+        for name in ("id", "ticker", "text", "author", "place", "url", "title"):
+            if _has_lone_surrogate(get(name)):
+                raise SchemaError(f"document {doc_id!r}: {name} holds a lone surrogate, which UTF-8 cannot encode")
+
     return Document(
         doc_id, source, _parse_timestamp(payload["timestamp"], doc_id), ticker, text,
-        get("author"), followers, place, url, title,
+        author, followers, place, url, title,
     )
 
 

@@ -27,6 +27,8 @@ VerdictKey = tuple[str, str]  # (source, id)
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)*")
+# tokenize's byte table: a token byte maps to itself, any other byte to a space.
+_SEPARATE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789'" else 0x20 for b in range(256))
 
 # A negator flips the polarity of a lexicon hit it precedes by at most
 # this many tokens.
@@ -142,13 +144,18 @@ def default_lexicon() -> Lexicon:
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens with URLs, @-mentions and punctuation removed.
 
-    '#' is stripped from hashtags so the tag body still scores.
+    A token is a run of ASCII letters and digits, followed by any
+    ``'<letters>`` parts (``don't``); '’' reads as "'". Every other
+    character separates tokens, a non-ASCII one too: ``café`` gives
+    ``caf``. '#' is stripped from hashtags so the tag body still scores.
     """
     cleaned = text.lower().replace("’", "'")
     cleaned = _URL_RE.sub(" ", cleaned)
     cleaned = _MENTION_RE.sub(" ", cleaned)
-    cleaned = cleaned.replace("#", "")
-    return _TOKEN_RE.findall(cleaned)
+    # One C pass: '#' goes, token characters stay, and every other byte, each
+    # byte of a non-ASCII character (a lone surrogate too) included, is a space.
+    spaced = cleaned.encode("utf-8", "surrogatepass").translate(_SEPARATE, b"#").decode("ascii")
+    return _TOKEN_RE.findall(spaced) if "'" in spaced else spaced.split()
 
 
 def score_tokens(tokens: list[str], lexicon: Lexicon) -> SentimentVerdict:

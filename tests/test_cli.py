@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 import esgsent
-from conftest import FIXTURES_DIR, REPO_ROOT, run_cli
+from esgsent import cli
+from conftest import FIXTURES_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli
 
 JULY = "2022-07-20:2022-07-29"
 # What report writes for GS and AMZN.
@@ -38,8 +43,12 @@ def write_price_lines(fixtures: Path, key: str, lines: list[str]) -> None:
     (fixtures / key / "prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def report_flags(out: Path, tickers: str = "GS,AMZN", window: str = JULY) -> list[str]:
+    return ["--out", str(out), "--window", window, "--tickers", tickers]
+
+
 def flags(fixtures: Path, out: Path, tickers: str = "GS,AMZN", window: str = JULY) -> list[str]:
-    return ["--fixtures", str(fixtures), "--out", str(out), "--window", window, "--tickers", tickers]
+    return ["--fixtures", str(fixtures), *report_flags(out, tickers, window)]
 
 
 def stderr_lines(capsys) -> list[str]:
@@ -125,7 +134,7 @@ def test_report_after_run_rewrites_the_same_bytes_at_seven_decimals(tmp_path):
     written = {rel: (out / rel).read_bytes() for rel in REPORT_FILES}
     for rel in REPORT_FILES:
         (out / rel).unlink()
-    assert run_cli(["report", *flags(fixtures, out)]) == 0
+    assert run_cli(["report", *report_flags(out)]) == 0
     for rel in REPORT_FILES:
         assert (out / rel).read_bytes() == written[rel], rel
 
@@ -152,7 +161,7 @@ def test_report_reads_no_corpus(tmp_path):
     (tmp_path / "corpus.jsonl").unlink()
     for rel in REPORT_FILES:
         (tmp_path / rel).unlink()
-    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    assert run_cli(["report", *report_flags(tmp_path)]) == 0
     for rel in REPORT_FILES:
         assert (tmp_path / rel).read_bytes() == written[rel], rel
 
@@ -173,7 +182,7 @@ def test_report_keeps_only_documents_inside_the_window(tmp_path):
     assert run_cli(["run", *flags(FIXTURES_DIR, full)]) == 0
     before = (full / "analysis" / "GS.json").read_bytes()
     # The price files stay those of the full window: both windows end on 29 July.
-    assert run_cli(["report", *flags(FIXTURES_DIR, full, window=narrow)]) == 0
+    assert run_cli(["report", *report_flags(full, window=narrow)]) == 0
     assert run_cli(["run", *flags(FIXTURES_DIR, fresh, window=narrow)]) == 0
     for rel in REPORT_FILES:
         assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
@@ -193,19 +202,24 @@ def test_report_narrows_the_stored_prices_to_the_window_end_and_price_days(tmp_p
     assert (fresh / "prices" / "GS.csv").read_text(encoding="utf-8").splitlines()[-1].startswith("2022-07-25,")
 
 
-@pytest.mark.parametrize("flag", ["--lexicon", "--external-verdicts"])
-def test_report_rejects_a_scoring_flag_but_ignores_the_config_key(tmp_path, capsys, flag):
+@pytest.mark.parametrize("argv,key,value", [
+    (["--lexicon", "missing"], "lexicon", "missing"),
+    (["--external-verdicts", "missing"], "external_verdicts", "missing"),
+    (["--fixtures", "missing"], "fixtures", "missing"),
+    (["--strict"], "strict", True),
+], ids=["--lexicon", "--external-verdicts", "--fixtures", "--strict"])
+def test_report_rejects_a_run_only_flag_but_ignores_the_config_key(tmp_path, capsys, argv, key, value):
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
     written = {rel: (tmp_path / rel).read_bytes() for rel in REPORT_FILES}
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
-        run_cli(["report", *flags(FIXTURES_DIR, tmp_path), flag, str(tmp_path / "missing")])
+        run_cli(["report", *report_flags(tmp_path), *argv])
     assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    # A run_config.json written for run may still set the key; report reads the stored scores.
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    # A run_config.json written for run may still set the key; report reads the stored scores and prices.
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({flag[2:].replace("-", "_"): "missing"}), encoding="utf-8")
-    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path), "--config", str(config)]) == 0
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run_cli(["report", *report_flags(tmp_path), "--config", str(config)]) == 0
     for rel in REPORT_FILES:
         assert (tmp_path / rel).read_bytes() == written[rel], rel
 
@@ -279,9 +293,10 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
     with open(tmp_path / name, "ab") as handle:
         handle.write(b"\xff\n")
     capsys.readouterr()
-    argv = [stage, *flags(fixtures, out), "--config", str(tmp_path / "config.json")]
-    if stage == "run":  # report takes no scoring flags
-        argv += ["--lexicon", str(tmp_path / "lexicon"), "--external-verdicts", str(tmp_path / "verdicts.csv")]
+    argv = [stage, *report_flags(out), "--config", str(tmp_path / "config.json")]
+    if stage == "run":  # report takes no fixture or scoring flags
+        argv += ["--fixtures", str(fixtures), "--lexicon", str(tmp_path / "lexicon"),
+                 "--external-verdicts", str(tmp_path / "verdicts.csv")]
     assert run_cli(argv) == 2
     errors = stderr_lines(capsys)
     expected = f"error[io]: {tmp_path / name}: 'utf-8' codec can't decode"
@@ -299,6 +314,10 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
         ("run", "fixtures/GS/tweets.jsonl",
          '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": 5}',
          "document 'bad': text must be a string, got 5"),
+        # Without the check, writing corpus.jsonl fails with a UnicodeEncodeError traceback.
+        ("run", "fixtures/GS/tweets.jsonl",
+         '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": "\\ud800 x"}',
+         "document 'bad': text holds a lone surrogate, which UTF-8 cannot encode"),
         ("report", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
     ],
 )
@@ -309,7 +328,7 @@ def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, s
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join([*lines[:2], "\n", record + "\n", *lines[2:]]), encoding="utf-8")
     capsys.readouterr()
-    assert run_cli([stage, *flags(fixtures, out)]) == 2
+    assert run_cli([stage, *(flags(fixtures, out) if stage == "run" else report_flags(out))]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {path}:4: {problem}"], errors
 
@@ -317,7 +336,7 @@ def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, s
 def test_report_without_a_scored_file_is_one_schema_error_naming_run(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    assert run_cli(["report", *flags(FIXTURES_DIR, out)]) == 2
+    assert run_cli(["report", *report_flags(out)]) == 2
     assert stderr_lines(capsys) == [f"error[schema]: scored file not found: {out / 'scored.jsonl'} (run 'run' first)"]
 
 
@@ -325,7 +344,7 @@ def test_report_without_a_price_file_notes_the_ticker_naming_run(tmp_path, capsy
     assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
     (tmp_path / "prices" / "GS.csv").unlink()
     capsys.readouterr()
-    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    assert run_cli(["report", *report_flags(tmp_path)]) == 0
     assert stderr_lines(capsys) == [
         f"note[insufficient-data]: GS: no price data at {tmp_path / 'prices' / 'GS.csv'} (run 'run' first)"]
 
@@ -337,7 +356,7 @@ def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
     with open(scored, "a", encoding="utf-8") as handle:
         handle.write(lines[0])
     capsys.readouterr()
-    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 2
+    assert run_cli(["report", *report_flags(tmp_path)]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {scored}:{len(lines) + 1}: duplicate scored line for "
                       f"{tuple(json.loads(lines[0])[k] for k in ('source', 'id'))}"], errors
@@ -385,6 +404,108 @@ def test_malformed_scored_line_is_one_schema_error(tmp_path, capsys, mangle, mes
     first, *rest = scored.read_text(encoding="utf-8").splitlines(keepends=True)
     scored.write_text(json.dumps(mangle(json.loads(first))) + "\n" + "".join(rest), encoding="utf-8")
     capsys.readouterr()
-    assert run_cli(["report", *flags(FIXTURES_DIR, tmp_path)]) == 2
+    assert run_cli(["report", *report_flags(tmp_path)]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {scored}:1: {message}"], errors
+
+
+@pytest.fixture
+def collector_state():
+    """Puts back the collector's enabled state and debug flags after the test."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    yield
+    gc.set_debug(debug)
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_the_state_it_found(tmp_path, monkeypatch, collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    assert gc.isenabled() is enabled
+    assert run_cli(["report", *report_flags(tmp_path / "missing")]) == 2  # a PipelineError: no scored file
+    assert gc.isenabled() is enabled
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda config: seen.append(gc.isenabled()))
+    assert run_cli(["report", *report_flags(tmp_path)]) == 0
+    assert seen == [False] and gc.isenabled() is enabled
+
+
+def write_wide_fixtures(dest: Path, tickers: list[str], copies: int, extra: Optional[dict] = None) -> int:
+    """Every shipped document payload, `copies` times for each of the tickers, and GS's prices for each.
+
+    `extra` fields, when given, go into every payload. Returns the number of document payloads written.
+    """
+    payloads = {
+        name: [json.loads(line) for path in sorted(FIXTURES_DIR.glob(f"*/{name}"))
+               for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        for name in ("tweets.jsonl", "news.jsonl")
+    }
+    for ticker in tickers:
+        (dest / ticker).mkdir(parents=True)
+        shutil.copy(FIXTURES_DIR / "GS" / "prices.csv", dest / ticker / "prices.csv")
+        for name, records in payloads.items():
+            lines = [json.dumps({**record, **(extra or {}), "ticker": ticker, "id": f"{record['id']}-{ticker}-{copy}"})
+                     for copy in range(copies) for record in records]
+            (dest / ticker / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(tickers) * copies * sum(map(len, payloads.values()))
+
+
+def write_verdicts(fixtures: Path, path: Path) -> int:
+    """An external verdict for every (source, id) key of the document payloads under `fixtures`; returns their count."""
+    keys = {(record["id"], record["source"]) for payloads in sorted(fixtures.glob("*/*.jsonl"))
+            for record in map(json.loads, payloads.read_text(encoding="utf-8").splitlines())}
+    path.write_text("id,source,label,score\n" + "".join(f"{i},{source},neutral,0.5\n" for i, source in sorted(keys)),
+                    encoding="utf-8")
+    return len(keys)
+
+
+def cyclic_garbage(argv: list[list[str]]) -> dict[str, int]:
+    """Objects, by type, that only the cyclic collector frees after the commands run."""
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for args in argv:
+            assert run_cli(args) == 0
+        gc.collect()
+        return dict(sorted(Counter(type(obj).__name__ for obj in gc.garbage).items()))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_commands_form_no_cycle_per_document_or_per_ticker(tmp_path, collector_state):
+    # With the collector paused, a cycle per document or per ticker would be memory that grows with the input.
+    golden, wide = tmp_path / "golden", tmp_path / "wide"
+    golden_flags = ["--out", str(golden), "--window", JULY, "--tickers", GOLDEN_TICKERS]
+    golden_argv = [["run", "--fixtures", str(FIXTURES_DIR), *golden_flags], ["report", *golden_flags]]
+    tickers = [f"W{i}" for i in range(8)]
+    n_wide = write_wide_fixtures(tmp_path / "fixtures", tickers, copies=2)
+    n_golden = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in FIXTURES_DIR.glob("*/*.jsonl"))
+    assert n_wide >= 10 * n_golden
+    wide_flags = ["--out", str(wide), "--window", JULY, "--tickers", ",".join(tickers)]
+    wide_argv = [["run", "--fixtures", str(tmp_path / "fixtures"), *wide_flags], ["report", *wide_flags]]
+    cyclic_garbage(golden_argv)  # first calls may fill caches once
+    assert cyclic_garbage(wide_argv) == cyclic_garbage(golden_argv)
+
+
+def test_external_verdicts_and_unknown_fields_form_no_cycle_per_document(tmp_path, capsys, collector_state):
+    # The replay-external path: every document scored from a verdict CSV that grows with the corpus,
+    # and every payload carrying a field counted into the per-file unknown-field note.
+    def argv(name: str, tickers: list[str], copies: int) -> tuple[list[list[str]], int]:
+        fixtures, out = tmp_path / name / "fixtures", tmp_path / name / "out"
+        write_wide_fixtures(fixtures, tickers, copies, extra={"lang": "en"})
+        n_docs = write_verdicts(fixtures, tmp_path / name / "verdicts.csv")
+        common = ["--out", str(out), "--window", JULY, "--tickers", ",".join(tickers)]
+        return [["run", "--fixtures", str(fixtures), "--external-verdicts", str(tmp_path / name / "verdicts.csv"),
+                 *common], ["report", *common]], n_docs
+    small_argv, n_small = argv("small", ["S0"], copies=1)
+    wide_argv, n_wide = argv("wide", [f"W{i}" for i in range(8)], copies=2)
+    assert n_wide >= 10 * n_small
+    cyclic_garbage(small_argv)  # first calls may fill caches once
+    small, wide = cyclic_garbage(small_argv), cyclic_garbage(wide_argv)
+    out, err = capsys.readouterr()
+    assert len(re.findall(r"scored (\d+) documents \(\1 external\)", out)) == 3  # every document, every run
+    assert err.count("ignored unknown field(s) lang") == 2 * (1 + 1 + 8)  # each ticker's two files, per run
+    assert wide == small

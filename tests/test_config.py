@@ -32,8 +32,8 @@ def test_every_subcommand_has_one_flag_per_config_key():
     (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     keys = {"--" + key.replace("_", "-") for key in PARSERS}
     assert set(RunConfig._fields) == set(PARSERS)
-    # report does not score, so it has no flag that chooses how.
-    expected = {"report": keys - {"--lexicon", "--external-verdicts"}, "run": keys}
+    # report neither reads fixtures nor scores, so it has no flag that chooses how.
+    expected = {"report": keys - {"--fixtures", "--strict", "--lexicon", "--external-verdicts"}, "run": keys}
     for name, sub in subcommands.choices.items():
         flags = {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")}
         assert flags - {"--help", "--config"} == expected[name], name

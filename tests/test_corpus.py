@@ -401,6 +401,31 @@ class TestSerializeMatchesJsonDumps:
             assert serialize_document(doc) == dumps_reference(doc)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("id", "t\ud800"),
+    ("ticker", "GS\udfff"),
+    ("text", "caf\u00e9 \ud800 news"),
+    ("author", {"name": ["ok", "\udc00"]}),
+    ("author", {"\ud800": 1}),
+    ("place", "\ud83d"),
+    ("url", "https://x.example/\ude00"),
+    ("title", "\udbff\u00e9"),
+])
+def test_a_lone_surrogate_is_a_schema_error_naming_the_field(name, value):
+    payload = {**json.loads(NEWS_LINE), name: value}
+    with pytest.raises(SchemaError) as exc_info:
+        parse_document_payload(payload)
+    assert str(exc_info.value) == (
+        f"document {payload['id']!r}: {name} holds a lone surrogate, which UTF-8 cannot encode")
+
+
+def test_escaped_surrogate_pairs_and_non_ascii_text_parse():
+    line = NEWS_LINE.replace('"headline"}', '"\\ud83d\\ude00 caf\\u00e9", "author": {"n": ["\\u65e5"]}}')
+    doc = parse_document_line(line)
+    assert doc.title == "\U0001f600 caf\u00e9" and doc.author == {"n": ["\u65e5"]}
+    assert parse_document_line(serialize_document(doc)) == doc
+
+
 def test_shipped_fixture_lines_round_trip(fixtures_dir):
     lines = []
     for path in sorted(fixtures_dir.glob("*/[tn]*.jsonl")):

@@ -32,12 +32,23 @@ from esgsent.corpus import Document, Source, _parse_timestamp
 from esgsent.util import json_lines
 
 from conftest import AWKWARD_STRINGS, make_doc, scored_of
+from tokenize_reference import reference_tokenize
 
 LEX = Lexicon(
     positive_terms=frozenset({"good", "great", "clean", "praised"}),
     negative_terms=frozenset({"bad", "toxic", "fined", "probe"}),
     negators=frozenset({"not", "never", "no"}),
 )
+
+
+# URLs, mentions, '#', both apostrophes, Unicode whitespace, the Kelvin sign
+# (lowercases to ASCII 'k'), 'İ' (lowercases to two code points), lone surrogates.
+TOKENIZE_FRAGMENTS = [
+    "http://t.co/a'b", "https://x.example/p?q=1#f", "www.esg.org/x", "HTTP://Y.Z", "@bank_1", "@", "@’s",
+    "#", "#ESG", "'", "’", "''", "don't", "rock'n'roll", "o’s", "a", "Z", "9", "green", "NOT", "_", "-", ".",
+    " ", "\t", "\n", "\u00a0", "\u2028", "\u3000", "\u200b", "\u0085", "\u212a", "\u0130", "\ud800",
+    "\udfff", "\U0001f600", "é", "ß", "Σ", "ﬁ", "０", "²", "\x00",
+]
 
 
 class TestTokenize:
@@ -52,6 +63,19 @@ class TestTokenize:
 
     def test_contractions_survive(self):
         assert tokenize("They don't care") == ["they", "don't", "care"]
+
+    def test_non_ascii_characters_separate_tokens(self):
+        assert tokenize("Café ESG\u00a0fund’s ＧＯＯＤ \u212a2 \ud800x") == ["caf", "esg", "fund's", "k2", "x"]
+
+    def test_matches_the_regex_reference_on_seeded_strings(self):
+        # Every code point is compared by tests/tokenize_reference.py, run as a script.
+        rng = random.Random(19)
+        samples = [
+            "".join(rng.choice(TOKENIZE_FRAGMENTS) for _ in range(rng.randrange(1, 16)))
+            for _ in range(10_000)
+        ]
+        for text in samples:
+            assert tokenize(text) == reference_tokenize(text), repr(text)
 
 
 @pytest.mark.parametrize(
