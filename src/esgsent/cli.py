@@ -5,8 +5,10 @@ every value once: the corpus and the scored documents are never re-read,
 aggregation runs once, and one per-ticker loop fetches a ticker's price
 series, writes it, and analyzes and charts that ticker over its own
 documents before moving on, so at most one series is held at a time.
-Every file ``run`` writes is written once. ``corpus.jsonl`` is written
-for audit; no command reads it.
+Every file ``run`` writes is written once, the two JSON-lines files
+streamed line by line, and a bad ``--lexicon`` or ``--external-verdicts``
+fails before any is written. ``corpus.jsonl`` is written for audit; no
+command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
 output directory. It reads ``scored.jsonl``, whose lines carry each
@@ -53,6 +55,8 @@ from .corpus import Document, dedupe, fetch_documents, write_corpus
 from .errors import InsufficientData, PipelineError, SchemaError
 from .market import PriceSeries, fetch_prices, load_prices, tail_n, write_prices
 from .sentiment import (
+    ExternalVerdicts,
+    Lexicon,
     ScoredDocument,
     default_lexicon,
     import_external_verdicts,
@@ -84,16 +88,25 @@ def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
     return tail_n(load_prices(path, ticker), config.price_days, end=config.window.end)
 
 
-def cmd_ingest(config: RunConfig) -> list[Document]:
-    """Fetch and dedupe documents into the corpus file; return the corpus.
+def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[ExternalVerdicts]]:
+    """Fetch and dedupe documents, load the scoring inputs, then write the
+    corpus file; return the corpus, the lexicon and the external verdicts.
 
-    ``fetch_documents`` already keeps only documents inside the window.
+    ``fetch_documents`` already keeps only documents inside the window. The
+    scoring inputs load once the fetched list is freed, so they never add to
+    the fetch's peak, and before any file is written, so a bad ``--lexicon``
+    or ``--external-verdicts`` leaves an earlier run's files as they were.
     """
     transport = ReplayDocumentTransport(config.fixtures)
     fetched: list[Document] = []
     for ticker in config.tickers:
         fetched.extend(fetch_documents(ticker, config.window, transport, strict=config.strict))
     docs = dedupe(fetched)
+    del fetched
+    lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
+    external = (
+        import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
+    )
     write_corpus(docs, config.corpus_path)
 
     counts = Counter(doc.ticker for doc in docs)
@@ -102,22 +115,7 @@ def cmd_ingest(config: RunConfig) -> list[Document]:
     print(f"corpus -> {config.corpus_path}")
     if not docs:
         note("insufficient-data", "corpus is empty for this window")
-    return docs
-
-
-def _score(config: RunConfig, docs: list[Document]) -> list[ScoredDocument]:
-    lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
-    external = (
-        import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
-    )
-    scored = score_corpus(docs, lexicon, external)
-    # A scored record keeps only the id, ticker and timestamp of its document;
-    # with the caller's list gone, the documents are freed before the scored text is built.
-    del docs
-    write_scored(scored, config.scored_path)
-    n_external = sum(sd.key in external for sd in scored) if external else 0
-    print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
-    return scored
+    return docs, lexicon, external
 
 
 def _fetch_series(config: RunConfig, transport: ReplayPriceTransport, ticker: str) -> PriceSeries:
@@ -196,7 +194,16 @@ def cmd_report(config: RunConfig) -> None:
 
 def cmd_run(config: RunConfig) -> None:
     """Run the whole pipeline end to end, passing each stage's result in memory."""
-    scored = _score(config, cmd_ingest(config))
+    docs, lexicon, external = cmd_ingest(config)
+    scored = score_corpus(docs, lexicon, external)
+    # A scored record keeps only the id, source, timestamp and ticker of its
+    # document: the documents are freed before the scored file is written,
+    # and the verdict map before the report.
+    del docs
+    write_scored(scored, config.scored_path)
+    n_external = sum(sd.key in external for sd in scored) if external else 0
+    print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
+    del external
     transport = ReplayPriceTransport(config.fixtures)
     _report(config, scored, lambda t: _fetch_series(config, transport, t))
 

@@ -6,7 +6,8 @@ by ``resolve_config``). Each key has one parser in ``PARSERS``, so a value
 passes the same checks whichever source it comes from. A parser takes the
 flag's text; a config file may also give ``tickers`` as a list of keys,
 ``price_days`` as a JSON integer, and must give ``strict`` as a JSON
-boolean. A bad value or an unknown key raises ConfigError naming the key
+boolean. A path, ``--config``'s too, must not be blank or hold a lone
+surrogate. A bad value or an unknown key raises ConfigError naming the key
 and its source. Relative paths in a config file resolve against the file's
 directory; relative flag paths resolve against the working directory.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .aggregation import AffinityThresholds
-from .corpus import TimeWindow
+from .corpus import TimeWindow, _has_lone_surrogate
 from .errors import ConfigError
 from .util import read_text
 
@@ -131,7 +132,12 @@ def _thresholds(value: object) -> AffinityThresholds:
 
 
 def _path(value: object) -> Path:
-    return Path(_text(value))
+    """A non-blank path without a lone surrogate: every file call and every
+    printed line that names the path must encode it as UTF-8."""
+    text = _text(value)
+    if _has_lone_surrogate(text):
+        raise ValueError(f"path {text!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return Path(text)
 
 
 def _strict(value: object) -> bool:
@@ -153,9 +159,10 @@ PARSERS: dict[str, Callable[[object], object]] = {
 }
 
 
-def _parse(key: str, value: object, source: str) -> object:
+def _parse(key: str, value: object, source: str, parse: Optional[Callable[[object], object]] = None) -> object:
+    """``parse``, by default the key's parser, applied to the value; a ValueError is a ConfigError."""
     try:
-        return PARSERS[key](value)
+        return (parse or PARSERS[key])(value)
     except ValueError as exc:
         raise ConfigError(f"{key} (from {source}): {exc}") from None
 
@@ -180,7 +187,7 @@ def load_config_file(path: Path) -> dict[str, object]:
 
 def resolve_config(args: object) -> RunConfig:
     """The effective RunConfig: the --config file's values, then every flag given; window defaults to today's."""
-    values = load_config_file(Path(args.config)) if args.config is not None else {}
+    values = load_config_file(_parse("config", args.config, "--config", _path)) if args.config is not None else {}
     for key in PARSERS:
         value = getattr(args, key, None)
         if value is not None:

@@ -16,6 +16,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 from operator import attrgetter
+from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
@@ -170,7 +171,9 @@ def parse_document_payload(payload: dict, *, strict: bool = False,
     """Build a Document from a decoded JSON object.
 
     Unknown fields raise SchemaError in strict mode. Otherwise they are
-    ignored, and ``ignored``, when given, counts their sorted names.
+    ignored, and ``ignored``, when given, counts their sorted names. The
+    documents of one ticker share one ticker string (a ``str`` subclass,
+    which only a caller's own payload can hold, is kept as given).
     """
     if not isinstance(payload, dict):
         raise SchemaError(f"document payload must be an object, got {type(payload).__name__}")
@@ -224,6 +227,8 @@ def parse_document_payload(payload: dict, *, strict: bool = False,
             if _has_lone_surrogate(get(name)):
                 raise SchemaError(f"document {doc_id!r}: {name} holds a lone surrogate, which UTF-8 cannot encode")
 
+    if type(ticker) is str:  # sys.intern takes no subclass
+        ticker = intern(ticker)
     return Document(
         doc_id, source, _parse_timestamp(payload["timestamp"], doc_id), ticker, text,
         author, followers, place, url, title,

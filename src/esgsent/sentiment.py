@@ -16,11 +16,12 @@ from functools import cached_property, lru_cache
 from math import copysign
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, format_timestamp
 from .errors import InvariantError, SchemaError
-from .util import Record, atomic_write_text, json_lines, json_value, open_text, read_text
+from .util import Record, atomic_write_lines, json_lines, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -227,18 +228,19 @@ class ScoredDocument(NamedTuple):
     key = property(attrgetter("source._value_", "id"), doc="(source, id) pair, unique in a scored file.")
 
 
+ExternalVerdicts = dict[VerdictKey, SentimentVerdict]
 _EXTERNAL_HEADER = ["id", "source", "label", "score"]
 _LABELS = {label.value: label for label in SentimentLabel}
 
 
-def import_external_verdicts(path: Path) -> dict[VerdictKey, SentimentVerdict]:
+def import_external_verdicts(path: Path) -> ExternalVerdicts:
     """Load externally produced verdicts (e.g. transformer output) from CSV.
 
     Expected header: ``id,source,label,score``. Labels are normalized
     case-insensitively; scores must lie in [0, 1]; duplicate (source, id)
     keys are rejected rather than silently resolved.
     """
-    verdicts: dict[VerdictKey, SentimentVerdict] = {}
+    verdicts: ExternalVerdicts = {}
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         # Errors name the row by reader.line_num: its last line in the file, blank lines counted.
@@ -306,7 +308,8 @@ def serialize_scored(sd: ScoredDocument) -> str:
 
 
 def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
-    atomic_write_text(path, "".join(serialize_scored(sd) + "\n" for sd in scored))
+    """Write the scored file, streamed line by line."""
+    atomic_write_lines(path, (serialize_scored(sd) + "\n" for sd in scored))
 
 
 # Scored line schema, in serialization order.
@@ -324,7 +327,8 @@ def read_scored(path: Path) -> list[ScoredDocument]:
     first that fails is a SchemaError naming ``<path>:<line>``. Each document
     is scored once: a repeated key is rejected. The timestamp follows the
     corpus rule and is converted to UTC. A score or composite may be
-    anything ``float()`` reads.
+    anything ``float()`` reads. The records of one ticker share one ticker
+    string.
     """
     seen: set[VerdictKey] = set()
     scored = []
@@ -368,5 +372,6 @@ def read_scored(path: Path) -> list[ScoredDocument]:
                 raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
         except (TypeError, ValueError, InvariantError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        scored.append(ScoredDocument(doc_id, source, timestamp, ticker, hit[0]))
+        # The lines of one ticker share one key string, as run's documents do.
+        scored.append(ScoredDocument(doc_id, source, timestamp, intern(ticker), hit[0]))
     return scored

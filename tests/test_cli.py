@@ -252,6 +252,25 @@ def test_unreadable_external_verdicts_is_one_io_error(tmp_path, capsys, make_pat
     assert len(errors) == 1 and errors[0].startswith("error[io]: "), errors
 
 
+@pytest.mark.parametrize("flag", ["--lexicon", "--external-verdicts"])
+def test_a_bad_scoring_input_fails_before_any_file_is_written(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert run_cli(["run", *flags(FIXTURES_DIR, out)]) == 0
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    (tmp_path / "verdicts.csv").write_text("id,label\n", encoding="utf-8")
+    value, error = {
+        "--lexicon": (tmp_path / "nolex", f"error[schema]: lexicon file missing: {tmp_path / 'nolex' / 'positive.txt'}"),
+        "--external-verdicts": (tmp_path / "verdicts.csv",
+                                f"error[schema]: {tmp_path / 'verdicts.csv'}: expected header id,source,label,score, "
+                                "got id,label"),
+    }[flag]
+    capsys.readouterr()
+    # A narrower window would write a different corpus.
+    assert run_cli(["run", *flags(FIXTURES_DIR, out, window="2022-07-25:2022-07-29"), flag, str(value)]) == 2
+    assert stderr_lines(capsys) == [error]
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+
 @pytest.mark.parametrize(
     "rows,n_external",
     [

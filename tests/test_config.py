@@ -156,6 +156,24 @@ def test_a_bad_value_is_one_config_error_naming_key_and_source(tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["o\ud800", "o\udcff"])
+@pytest.mark.parametrize("key", ["fixtures", "out", "lexicon", "external_verdicts", "config"])
+def test_a_path_with_a_lone_surrogate_is_one_config_error(tmp_path, monkeypatch, capsys, key, value):
+    # Unchecked, the first file call on it raised UnicodeEncodeError: a traceback and exit 1.
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    cases = [([flag, value], flag)]
+    if key != "config":
+        path = write_config(tmp_path, **{key: value})
+        cases.append((["--config", str(path)], str(path)))
+    before = sorted(tmp_path.rglob("*"))
+    for argv, source in cases:
+        assert run_cli(["run", *argv, "--window", "2022-07-20:2022-07-29"]) == 2, source
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[config]: {key} (from {source}): path {value!r} holds a lone surrogate, which UTF-8 cannot encode"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_unknown_key_is_one_config_error(tmp_path, capsys):
     path = write_config(tmp_path, tickers=["GS"], ticker=["AMZN"])
     assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

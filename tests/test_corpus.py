@@ -87,6 +87,15 @@ class TestParseSerialize:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse_document_line(json.dumps(payload))
 
+    def test_a_ticker_of_a_str_subclass_parses(self):
+        class Key(str):
+            pass
+
+        payload = json.loads(TWEET_LINE)
+        payload["ticker"] = Key("GS")
+        doc = parse_document_payload(payload)
+        assert type(doc.ticker) is Key and doc == parse_document_line(TWEET_LINE)
+
     def test_null_optional_field_reads_as_absent(self):
         payload = json.loads(NEWS_LINE)
         payload.update(title=None, place=None, followers=None)
@@ -343,6 +352,12 @@ class TestFetchDocuments:
         assert '"timestamp": "2022-07-19T23:00:00Z"' in serialize_document(doc)
         assert july_window.start == date(2022, 7, 20)
         assert fetch_documents("HSBC", july_window, transport) == []
+
+    def test_documents_of_one_ticker_share_one_ticker_string(self, fixtures_dir, july_window):
+        transport = ReplayDocumentTransport(fixtures_dir)
+        for key in ("GS", "AMZN", "TSLA", "HSBC"):
+            docs = fetch_documents(key, july_window, transport)
+            assert len(docs) > 1 and len({id(doc.ticker) for doc in docs}) == 1, key
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
         transport = self._write_fixture(

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -434,6 +435,32 @@ def test_scored_file_round_trip(tmp_path):
     write_scored(scored, path)
     assert '"timestamp": "2022-07-21T09:30:05.750000Z"' in path.read_text(encoding="utf-8")
     assert read_scored(path) == scored
+
+
+def test_write_scored_holds_no_buffer_the_size_of_the_file(tmp_path):
+    # Shared verdicts, as the lexicon gives: each caches its scored fields once.
+    verdicts = [SentimentVerdict(SentimentLabel.POSITIVE, 0.5), SentimentVerdict(SentimentLabel.NEUTRAL, 0.0),
+                SentimentVerdict(SentimentLabel.NEGATIVE, 1 / 3)]
+    scored = [scored_of(make_doc(f"tweet-{i:06d}", hour=i % 24), verdicts[i % 3]) for i in range(10_000)]
+    path = tmp_path / "scored.jsonl"
+    tracemalloc.start()
+    try:
+        write_scored(scored, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 10, (peak, size)
+    assert read_scored(path) == scored
+
+
+def test_read_scored_records_of_one_ticker_share_one_ticker_string(golden_dir):
+    ids: dict[str, set[int]] = {}
+    for sd in read_scored(golden_dir / "scored.jsonl"):
+        ids.setdefault(sd.ticker, set()).add(id(sd.ticker))
+    assert sorted(ids) == ["AMZN", "GS", "HSBC", "TSLA"]
+    assert all(len(objects) == 1 for objects in ids.values()), ids
 
 
 @pytest.mark.parametrize("composite_value", ['"x"', "[1]", "0.9"])
