@@ -5,6 +5,9 @@ every value once: the corpus and the scored documents are never re-read,
 aggregation runs once, and one per-ticker loop fetches a ticker's price
 series, writes it, and analyzes and charts that ticker over its own
 documents before moving on, so at most one series is held at a time.
+Fetching empties the transport's list of fixture lines and scoring the
+list of documents, so a line is freed once its document exists and a
+document's text once its scored record exists.
 Every file ``run`` writes is written once, the two JSON-lines files
 streamed line by line, and a bad ``--lexicon`` or ``--external-verdicts``
 fails before any is written. ``corpus.jsonl`` is written for audit; no
@@ -66,7 +69,7 @@ from .sentiment import (
     write_scored,
 )
 from .transport import ReplayDocumentTransport, ReplayPriceTransport
-from .util import atomic_write_text, format_real, note
+from .util import atomic_write_text, drain, format_real, note
 
 SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "percent_change", "sign_agreement"]
 
@@ -195,11 +198,10 @@ def cmd_report(config: RunConfig) -> None:
 def cmd_run(config: RunConfig) -> None:
     """Run the whole pipeline end to end, passing each stage's result in memory."""
     docs, lexicon, external = cmd_ingest(config)
-    scored = score_corpus(docs, lexicon, external)
     # A scored record keeps only the id, source, timestamp and ticker of its
-    # document: the documents are freed before the scored file is written,
-    # and the verdict map before the report.
-    del docs
+    # document; draining the list frees the rest of each document once its
+    # record exists. The verdict map is freed before the report.
+    scored = score_corpus(drain(docs), lexicon, external)
     write_scored(scored, config.scored_path)
     n_external = sum(sd.key in external for sd in scored) if external else 0
     print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import Record, atomic_write_lines, json_value, note
+from .util import Record, atomic_write_lines, drain, json_line, json_value, note
 
 
 class Source(Enum):
@@ -267,14 +267,19 @@ def dedupe(docs: Iterable[Document]) -> list[Document]:
     """Drop duplicate (source, id) keys, keeping the earliest record.
 
     Scanning happens in (timestamp, id) order so the first occurrence in
-    that order wins; output is emitted in the same order. Idempotent.
+    that order wins; output is emitted in the same order, records equal in
+    both in input order. Idempotent.
     """
-    seen: set[tuple[str, str]] = set()
+    # Two stable sorts give the (timestamp, id) order, and one set of ids per
+    # source the keys, with no tuple per document.
+    ordered = sorted(docs, key=attrgetter("id"))
+    ordered.sort(key=attrgetter("timestamp"))
+    seen: dict[str, set[str]] = {source.value: set() for source in Source}
     out: list[Document] = []
-    for doc in sorted(docs, key=Document.sort_key.fget):
-        key = doc.key
-        if key not in seen:
-            seen.add(key)
+    for doc in ordered:
+        ids = seen[doc.source._value_]
+        if doc.id not in ids:
+            ids.add(doc.id)
             out.append(doc)
     return out
 
@@ -284,16 +289,18 @@ def filter_window(docs: Iterable[Document], window: TimeWindow) -> list[Document
     return [doc for doc in docs if window.contains(doc.timestamp)]
 
 
-def _parse_records(records: Iterable[tuple[Path, int, object]], strict: bool) -> Iterator[Document]:
-    """parse_document_payload over (file, line, payload) records, a SchemaError prefixed by ``<file>:<line>: ``.
+def _parse_records(records: Iterable[tuple[Path, int, str]], strict: bool) -> Iterator[Document]:
+    """parse_document_payload over (file, line number, line) records, each
+    line decoded just before; a SchemaError names ``<file>:<line>``.
 
     Without strict, each file whose records had unknown fields gets one note naming them and counting the records.
     """
     ignored: dict[Path, Counter[tuple[str, ...]]] = {}
     path = None
-    for record_path, lineno, payload in records:
+    for record_path, lineno, line in records:
         if record_path is not path:
             path, counts = record_path, ignored.setdefault(record_path, Counter())
+        payload = json_line(line, path, lineno)  # its SchemaError already names the line
         try:
             doc = parse_document_payload(payload, strict=strict, ignored=counts)
         except SchemaError as exc:
@@ -315,9 +322,11 @@ def fetch_documents(
     """Retrieve this ticker's documents through a transport, in transport order.
 
     Every returned document matches the ticker and lies inside the window.
-    A bad payload's SchemaError names its fixture file and line.
+    The first bad line in read order is a SchemaError naming its fixture
+    file and line. The transport's list is emptied as its lines are parsed,
+    so a line is freed once its document exists.
     """
-    docs = _parse_records(transport.fetch(ticker), strict)
+    docs = _parse_records(drain(transport.fetch(ticker)), strict)
     return [doc for doc in docs if doc.ticker == ticker and window.contains(doc.timestamp)]
 
 

@@ -2,7 +2,9 @@
 
 ``ReplayDocumentTransport`` and ``ReplayPriceTransport`` read recorded
 fixtures from disk. They are the pipeline's only data sources, so the
-pipeline and the test suite run offline.
+pipeline and the test suite run offline. The document transport hands
+over each record as its line of text; ``corpus`` decodes a line only
+when it builds that record's document.
 
 Fixture layout, one directory per ticker key::
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import TransportError
-from .util import json_lines, read_text
+from .util import open_text, read_text
 
 TWEET_FIXTURE = "tweets.jsonl"
 NEWS_FIXTURE = "news.jsonl"
@@ -26,7 +28,7 @@ PRICE_FIXTURE = "prices.csv"
 
 
 class ReplayDocumentTransport:
-    """Reads recorded tweet and news payloads for a ticker, each with its file and line.
+    """Reads the lines of a ticker's recorded tweet and news payloads, each with its file and line number.
 
     The ticker's fixture directory must exist; a missing per-source file
     just means no records of that source were captured.
@@ -35,16 +37,19 @@ class ReplayDocumentTransport:
     def __init__(self, fixtures_dir: Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
 
-    def fetch(self, ticker: str) -> list[tuple[Path, int, object]]:
+    def fetch(self, ticker: str) -> list[tuple[Path, int, str]]:
+        """(file, line number, line text) of each non-blank line, tweets first, in file order."""
         ticker_dir = self.fixtures_dir / ticker
         if not ticker_dir.is_dir():
             raise TransportError(f"no document fixtures for {ticker} under {self.fixtures_dir}")
-        payloads: list[tuple[Path, int, object]] = []
+        lines: list[tuple[Path, int, str]] = []
         for name in (TWEET_FIXTURE, NEWS_FIXTURE):
             fixture = ticker_dir / name
             if fixture.exists():
-                payloads.extend((fixture, lineno, payload) for lineno, payload in json_lines(fixture))
-        return payloads
+                with open_text(fixture) as handle:
+                    lines.extend((fixture, lineno, line) for lineno, line in enumerate(handle, start=1)
+                                 if not line.isspace())
+        return lines
 
 
 class ReplayPriceTransport:

@@ -75,34 +75,49 @@ def read_text(path: Path) -> str:
         return handle.read()
 
 
-def json_lines(path: Path) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each non-blank line; bad JSON is a SchemaError naming path:line.
+def json_line(line: str, path: Path, lineno: int) -> object:
+    """What ``json.loads`` gives for one non-blank line of a file, which may
+    keep its ``\\n``; bad JSON is a SchemaError naming path:line.
 
-    Each value is what ``json.loads`` gives for the line, and a line it
-    rejects is a SchemaError with its message. Lines end at ``\\n``, ``\\r``
-    or ``\\r\\n`` only, never at U+2028 or U+0085, which may stand raw
-    inside a JSON string. Only JSON whitespace (space, tab, CR, LF) may
-    surround a value; a line that ``str.isspace`` finds blank is skipped.
+    Only JSON whitespace (space, tab, CR, LF) may surround the value.
     """
-    scan = _SCAN_ONCE
+    # The C scanner decodes a value that starts the line; anything it
+    # rejects or leaves text after goes through json.loads.
+    try:
+        value, end = _SCAN_ONCE(line, 0)
+        if not line[end:].strip(" \t\n\r"):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    # The line break is JSON whitespace; without it an error's position is on this line.
+    try:
+        return json.loads(line.rstrip("\n"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+
+
+def json_lines(path: Path) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line, each value as ``json_line`` gives it.
+
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n`` only, never at U+2028 or U+0085,
+    which may stand raw inside a JSON string; a line that ``str.isspace``
+    finds blank is skipped but counted.
+    """
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            # The C scanner decodes a value that starts the line; anything it
-            # rejects or leaves text after goes through json.loads.
-            try:
-                value, end = scan(line, 0)
-                scanned = not line[end:].strip(" \t\n\r")
-            except (StopIteration, ValueError):
-                scanned = False
-            if not scanned:
-                if line.isspace():
-                    continue
-                # The line break is JSON whitespace; without it an error's position is on this line.
-                try:
-                    value = json.loads(line.rstrip("\n"))
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            yield lineno, value
+            if not line.isspace():
+                yield lineno, json_line(line, path, lineno)
+
+
+def drain(items: list) -> Iterator:
+    """Yield a list's items in order, taking each out of the list as it goes.
+
+    The list is left empty, and an item is freed once the consumer drops it.
+    """
+    items.reverse()
+    pop = items.pop
+    while items:
+        yield pop()
 
 
 def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:

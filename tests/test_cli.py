@@ -337,6 +337,9 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
         ("run", "fixtures/GS/tweets.jsonl",
          '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": "\\ud800 x"}',
          "document 'bad': text holds a lone surrogate, which UTF-8 cannot encode"),
+        # The fixture file and line are named once.
+        ("run", "fixtures/GS/tweets.jsonl", '{"id": "bad",',
+         "malformed JSON: Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
         ("report", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
     ],
 )
@@ -350,6 +353,28 @@ def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, s
     assert run_cli([stage, *(flags(fixtures, out) if stage == "run" else report_flags(out))]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {path}:4: {problem}"], errors
+
+
+NO_TEXT = '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS"}'
+
+
+@pytest.mark.parametrize(
+    "tweets,news,line",
+    [
+        # A schema error on line 1 wins over bad JSON on line 2.
+        ([NO_TEXT, '{"id": "worse",'], [], 1),
+        # tweets.jsonl is read before news.jsonl, whatever the kind of error.
+        (["", "", NO_TEXT], ['{"id": "worse",'], 3),
+    ],
+)
+def test_the_first_bad_fixture_line_in_read_order_is_the_error(tmp_path, capsys, tweets, news, line):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    for name, head in (("tweets.jsonl", tweets), ("news.jsonl", news)):
+        path = fixtures / "GS" / name
+        path.write_text("".join(row + "\n" for row in head) + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_cli(["run", *flags(fixtures, out)]) == 2
+    problem = "document payload missing required field(s): text"
+    assert stderr_lines(capsys) == [f"error[schema]: {fixtures / 'GS' / 'tweets.jsonl'}:{line}: {problem}"]
 
 
 def test_report_without_a_scored_file_is_one_schema_error_naming_run(tmp_path, capsys):

@@ -24,8 +24,9 @@ from esgsent.corpus import (
     write_corpus,
 )
 from esgsent.errors import SchemaError, TransportError
+from esgsent.sentiment import default_lexicon, score_corpus
 from esgsent.transport import ReplayDocumentTransport
-from esgsent.util import _WRITE_SLICE, atomic_write_text, json_lines
+from esgsent.util import _WRITE_SLICE, atomic_write_text, drain, json_lines
 
 from conftest import AWKWARD_STRINGS, FIXTURES_DIR, make_doc, run_cli
 
@@ -257,6 +258,34 @@ class TestDedupe:
             assert dedupe(once) == once
             assert len({doc.key for doc in once}) == len(once)
 
+    def test_matches_the_tuple_key_rule(self):
+        def reference(docs):
+            """The rule as first written: one sort by (timestamp, id), then a set of (source, id)."""
+            seen, out = set(), []
+            for doc in sorted(docs, key=lambda doc: (doc.timestamp, doc.id)):
+                if (doc.source.value, doc.id) not in seen:
+                    seen.add((doc.source.value, doc.id))
+                    out.append(doc)
+            return out
+
+        rng = random.Random(21)
+        docs = [
+            make_doc(f"d{rng.randrange(40)}", source=rng.choice([Source.TWEET, Source.NEWS]),
+                     day=date(2022, 7, rng.randrange(20, 23)), hour=rng.randrange(3), text=f"copy {i}")
+            for i in range(300)
+        ]
+        # The corpus holds each case: an id that is both a tweet and a news item,
+        # a key at two timestamps, and one (timestamp, id) in both sources.
+        ids = {source: {doc.id for doc in docs if doc.source is source} for source in Source}
+        assert ids[Source.TWEET] & ids[Source.NEWS]
+        assert len({(doc.key, doc.timestamp) for doc in docs}) > len({doc.key for doc in docs})
+        assert len({(doc.timestamp, doc.id, doc.source) for doc in docs}) > len({(doc.timestamp, doc.id) for doc in docs})
+        for _ in range(20):
+            rng.shuffle(docs)
+            expected = reference(docs)
+            # Identity, not equality: among equal (timestamp, id) records the earlier input wins.
+            assert [id(doc) for doc in dedupe(docs)] == [id(doc) for doc in expected]
+
 
 class TestFilterWindow:
     def test_start_boundary_retained(self, july_window):
@@ -358,6 +387,50 @@ class TestFetchDocuments:
         for key in ("GS", "AMZN", "TSLA", "HSBC"):
             docs = fetch_documents(key, july_window, transport)
             assert len(docs) > 1 and len({id(doc.ticker) for doc in docs}) == 1, key
+
+    def test_holds_each_record_once_and_empties_the_transport_list(self, tmp_path, july_window):
+        """Each line is freed once its document exists, so the traced peak stays near what is returned."""
+        rng = random.Random(2000)
+        words = ["green", "bond", "carbon", "emissions", "board", "diversity", "probe", "fine", "growth", "plan"]
+        for name, source in (("tweets.jsonl", "tweet"), ("news.jsonl", "news")):
+            lines = []
+            for k in range(1600 if source == "tweet" else 400):
+                text = " ".join(rng.choice(words) for _ in range(24))
+                payload = {"id": f"{source}-{k:05d}", "source": source,
+                           "timestamp": f"2022-07-{rng.randrange(20, 30)}T{rng.randrange(24):02d}:00:00Z",
+                           "ticker": "GS", "text": text}
+                if source == "tweet":
+                    payload.update(author=f"user_{rng.randrange(99999)}", followers=rng.randrange(10**6))
+                else:
+                    payload.update(url=f"https://news.example.com/gs/{k}", title=text[:60])
+                lines.append(json.dumps(payload))
+            self._write_fixture(tmp_path, "GS", lines, name=name)
+
+        transport = ReplayDocumentTransport(tmp_path)
+        docs = fetch_documents("GS", july_window, transport)  # warm-up
+        assert len(docs) == 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            again = fetch_documents("GS", july_window, transport)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained = after - before
+        assert again == docs
+        assert peak - after < retained / 2, (peak - before, retained)
+
+        class KeepingTransport(ReplayDocumentTransport):
+            def fetch(self, ticker):
+                self.lines = super().fetch(ticker)
+                return self.lines
+
+        keeping = KeepingTransport(tmp_path)
+        assert fetch_documents("GS", july_window, keeping) == docs and keeping.lines == []
+
+        lexicon = default_lexicon()
+        expected = score_corpus(list(docs), lexicon)
+        assert score_corpus(drain(docs), lexicon) == expected and docs == []
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
         transport = self._write_fixture(

@@ -423,6 +423,23 @@ def test_serialize_scored_matches_json_dumps(doc_id, label, score):
     assert serialize_scored(sd) == json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
 
 
+def test_an_external_score_of_minus_zero_is_written_with_its_sign(tmp_path):
+    # -0.0 equals 0.0, so any verdict cache must keep the two apart.
+    rows = ["a,tweet,positive,-0", "b,tweet,positive,0", "c,tweet,neutral,0", "d,tweet,neutral,-0",
+            "e,tweet,negative,-0", "f,tweet,negative,0"]
+    (tmp_path / "verdicts.csv").write_text("id,source,label,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    external = import_external_verdicts(tmp_path / "verdicts.csv")
+    scored = score_corpus([make_doc(doc_id) for doc_id in "abcdef"], LEX, external)
+    path = tmp_path / "scored.jsonl"
+    write_scored(scored, path)
+    fields = [line.split('"label": ')[1] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert fields == [
+        '"positive", "score": -0.0, "composite": -0.0}', '"positive", "score": 0.0, "composite": 0.0}',
+        '"neutral", "score": 0.0, "composite": 0.0}', '"neutral", "score": -0.0, "composite": -0.0}',
+        '"negative", "score": -0.0, "composite": 0.0}', '"negative", "score": 0.0, "composite": -0.0}',
+    ]
+
+
 def test_scored_file_round_trip(tmp_path):
     docs = [
         make_doc("a", text="clean energy"),
