@@ -10,8 +10,9 @@ list of documents, so a line is freed once its document exists and a
 document's text once its scored record exists.
 Every file ``run`` writes is written once, the two JSON-lines files
 streamed line by line, and a bad ``--lexicon`` or ``--external-verdicts``
-fails before any is written. ``corpus.jsonl`` is written for audit; no
-command reads it.
+fails before any is written. ``corpus.jsonl`` is written for audit, one
+kept ``Document`` per line without the fixtures' metadata; no command
+reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
 output directory. It reads ``scored.jsonl``, whose lines carry each

@@ -21,9 +21,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .aggregation import AffinityThresholds
-from .corpus import TimeWindow, _has_lone_surrogate
+from .corpus import TimeWindow
 from .errors import ConfigError
-from .util import read_text
+from .util import has_lone_surrogate, read_text
 
 DEFAULT_DOCUMENT_DAYS = 10
 # e.g. GS, BRK-B, 0005.HK, ^GSPC, EURUSD=X; no path separator, no markup, no leading '.' or '-'.
@@ -135,7 +135,7 @@ def _path(value: object) -> Path:
     """A non-blank path without a lone surrogate: every file call and every
     printed line that names the path must encode it as UTF-8."""
     text = _text(value)
-    if _has_lone_surrogate(text):
+    if has_lone_surrogate(text):
         raise ValueError(f"path {text!r} holds a lone surrogate, which UTF-8 cannot encode")
     return Path(text)
 

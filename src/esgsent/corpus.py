@@ -1,10 +1,11 @@
 """Unified document model and corpus ingestion.
 
 One ticker-tagged ``Document`` represents either a tweet or a news
-article. Documents arrive through a transport (the shipped one replays
-recorded fixtures), get window-filtered and deduplicated, and persist as
-one JSON object per line so corpus files stay append-friendly and
-diffable.
+article, with only the fields scoring reads: a record's metadata
+(author, followers, place, url) is type-checked and dropped. Documents
+arrive through a transport (the shipped one replays recorded fixtures),
+get window-filtered and deduplicated, and persist as one JSON object per
+line so corpus files stay append-friendly and diffable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import Record, atomic_write_lines, drain, json_line, json_value, note
+from .util import Record, atomic_write_lines, drain, has_lone_surrogate, json_line, json_value, note
 
 
 class Source(Enum):
@@ -70,19 +71,16 @@ class _DocumentFields(NamedTuple):
     timestamp: datetime
     ticker: str
     text: str
-    author: object  # any JSON value
-    followers: Optional[int]
-    place: Optional[str]
-    url: Optional[str]
     title: Optional[str]
 
 
 class Document(Record, _DocumentFields):
     """One tweet or news article, ticker-tagged and UTC-timestamped.
 
-    An immutable tuple of the fields above. The constructor checks that the
-    id is non-empty, the text is not blank, the timestamp is in UTC and the
-    follower count is not negative; ``_replace`` and ``_make`` go through it.
+    An immutable tuple of the fields above, the ones scoring reads and the
+    corpus file writes. The constructor checks that the id is non-empty,
+    the text is not blank and the timestamp is in UTC; ``_replace`` and
+    ``_make`` go through it.
     """
 
     __slots__ = ()
@@ -94,10 +92,6 @@ class Document(Record, _DocumentFields):
         timestamp: datetime,
         ticker: str,
         text: str,
-        author: object = None,
-        followers: Optional[int] = None,
-        place: Optional[str] = None,
-        url: Optional[str] = None,
         title: Optional[str] = None,
     ) -> "Document":
         if not id:
@@ -106,21 +100,18 @@ class Document(Record, _DocumentFields):
             raise SchemaError(f"document {id!r} has empty text")
         if timestamp.tzinfo is not timezone.utc:
             raise SchemaError(f"document {id!r} timestamp is not in UTC")
-        if followers is not None and followers < 0:
-            raise SchemaError(f"document {id!r} has negative follower count")
-        return tuple.__new__(cls, (id, source, timestamp, ticker, text, author, followers, place, url, title))
+        return tuple.__new__(cls, (id, source, timestamp, ticker, text, title))
 
     # Both keys are read in C: _value_ is the Source member's value as a
     # plain attribute, where Enum.value is a Python-level property.
     key = property(attrgetter("source._value_", "id"), doc="(source, id) pair, unique after deduplication.")
-    sort_key = property(attrgetter("timestamp", "id"), doc="(timestamp, id): the id breaks ties, giving a total order.")
 
 
-# Corpus line schema: required then optional fields, in serialization order.
+# Record schema: the required fields, in serialization order, then the
+# optional ones. Of these only title is kept; the rest are checked and dropped.
 _REQUIRED_FIELDS = ("id", "source", "timestamp", "ticker", "text")
-_OPTIONAL_FIELDS = ("author", "followers", "place", "url", "title")
 _REQUIRED = frozenset(_REQUIRED_FIELDS)
-_KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
+_KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + ("author", "followers", "place", "url", "title"))
 _SOURCE_OF = {source.value: source for source in Source}
 
 
@@ -151,27 +142,13 @@ def format_timestamp(ts: datetime) -> str:
     return f"{ts.isoformat()[:-6]}Z"
 
 
-def _has_lone_surrogate(value: object) -> bool:
-    """Whether a decoded JSON value holds a string that UTF-8 cannot encode."""
-    if type(value) is str:
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            return True
-        return False
-    if type(value) is dict:
-        return any(map(_has_lone_surrogate, value)) or any(map(_has_lone_surrogate, value.values()))
-    if type(value) is list:
-        return any(map(_has_lone_surrogate, value))
-    return False
-
-
 def parse_document_payload(payload: dict, *, strict: bool = False,
                            ignored: Optional[Counter[tuple[str, ...]]] = None) -> Document:
     """Build a Document from a decoded JSON object.
 
-    Unknown fields raise SchemaError in strict mode. Otherwise they are
-    ignored, and ``ignored``, when given, counts their sorted names. The
+    ``author``, ``followers``, ``place`` and ``url`` are type-checked and
+    dropped. Unknown fields raise SchemaError in strict mode. Otherwise they
+    are ignored, and ``ignored``, when given, counts their sorted names. The
     documents of one ticker share one ticker string (a ``str`` subclass,
     which only a caller's own payload can hold, is kept as given).
     """
@@ -210,29 +187,23 @@ def parse_document_payload(payload: dict, *, strict: bool = False,
         raise SchemaError(f"document {doc_id!r}: bad source {payload['source']!r}") from None
 
     followers = get("followers")
-    if followers is not None and type(followers) is not int:
-        raise SchemaError(f"document {doc_id!r}: bad follower count {followers!r}")
+    if followers is not None:
+        if type(followers) is not int:
+            raise SchemaError(f"document {doc_id!r}: bad follower count {followers!r}")
+        if followers < 0:
+            raise SchemaError(f"document {doc_id!r} has negative follower count")
 
     # A lone surrogate, decoded from an escape such as "\ud800", has no UTF-8
-    # form, so the corpus could not be written. Only a string that is not
-    # ASCII can hold one, and isascii() reads a flag.
-    author = get("author")
-    if not (
-        doc_id.isascii() and ticker.isascii() and text.isascii()
-        and (place is None or place.isascii()) and (url is None or url.isascii())
-        and (title is None or title.isascii())
-        and (author is None or type(author) is str and author.isascii())
-    ):
-        for name in ("id", "ticker", "text", "author", "place", "url", "title"):
-            if _has_lone_surrogate(get(name)):
+    # form, so a field that is written could not be. Only a string that is
+    # not ASCII can hold one, and isascii() reads a flag.
+    if not (doc_id.isascii() and ticker.isascii() and text.isascii() and (title is None or title.isascii())):
+        for name, value in (("id", doc_id), ("ticker", ticker), ("text", text), ("title", title)):
+            if value is not None and has_lone_surrogate(value):
                 raise SchemaError(f"document {doc_id!r}: {name} holds a lone surrogate, which UTF-8 cannot encode")
 
     if type(ticker) is str:  # sys.intern takes no subclass
         ticker = intern(ticker)
-    return Document(
-        doc_id, source, _parse_timestamp(payload["timestamp"], doc_id), ticker, text,
-        author, followers, place, url, title,
-    )
+    return Document(doc_id, source, _parse_timestamp(payload["timestamp"], doc_id), ticker, text, title)
 
 
 def parse_document_line(line: str, *, strict: bool = False) -> Document:
@@ -256,10 +227,8 @@ def serialize_document(doc: Document) -> str:
         f'"timestamp": "{format_timestamp(doc.timestamp)}", '
         f'"ticker": {json_value(doc.ticker)}, "text": {json_value(doc.text)}'
     )
-    for name in _OPTIONAL_FIELDS:
-        value = getattr(doc, name)
-        if value is not None:
-            line += f', "{name}": {json_value(value)}'
+    if doc.title is not None:
+        line += f', "title": {json_value(doc.title)}'
     return line + "}"
 
 

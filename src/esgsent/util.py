@@ -44,6 +44,15 @@ def note(category: str, message: str) -> None:
     print(f"note[{category}]: {message}", file=sys.stderr)
 
 
+def has_lone_surrogate(text: str) -> bool:
+    """Whether a string holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def json_value(value: object) -> str:
     """JSON text of one value, as json.dumps(value, ensure_ascii=False,
     separators=(", ", ": ")) writes it.

@@ -337,6 +337,16 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
         ("run", "fixtures/GS/tweets.jsonl",
          '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": "\\ud800 x"}',
          "document 'bad': text holds a lone surrogate, which UTF-8 cannot encode"),
+        ("run", "fixtures/GS/tweets.jsonl",
+         '{"id": "bad\\udfff", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": "x"}',
+         "document 'bad\\udfff': id holds a lone surrogate, which UTF-8 cannot encode"),
+        ("run", "fixtures/GS/tweets.jsonl",
+         '{"id": "bad", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS\\ud83d", "text": "x"}',
+         "document 'bad': ticker holds a lone surrogate, which UTF-8 cannot encode"),
+        ("run", "fixtures/GS/news.jsonl",
+         '{"id": "bad", "source": "news", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS", "text": "x", '
+         '"title": "caf\\u00e9 \\udbff"}',
+         "document 'bad': title holds a lone surrogate, which UTF-8 cannot encode"),
         # The fixture file and line are named once.
         ("run", "fixtures/GS/tweets.jsonl", '{"id": "bad",',
          "malformed JSON: Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
@@ -375,6 +385,45 @@ def test_the_first_bad_fixture_line_in_read_order_is_the_error(tmp_path, capsys,
     assert run_cli(["run", *flags(fixtures, out)]) == 2
     problem = "document payload missing required field(s): text"
     assert stderr_lines(capsys) == [f"error[schema]: {fixtures / 'GS' / 'tweets.jsonl'}:{line}: {problem}"]
+
+
+METADATA = {"author": {"name": "ana", "ids": [7, None]}, "followers": 12, "place": "Paris", "url": "https://x.example/a"}
+
+
+def append_tweet(fixtures: Path, **fields) -> None:
+    """Append a GS tweet in the window with all four metadata fields, as json.dumps escapes it."""
+    record = {"id": "meta", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS",
+              "text": "green bond growth", **METADATA, **fields}
+    with open(fixtures / "GS" / "tweets.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+
+
+def corpus_records(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def test_strict_run_accepts_record_metadata_and_writes_none_of_it(tmp_path, capsys):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    append_tweet(fixtures)
+    assert run_cli(["run", *flags(fixtures, out), "--strict"]) == 0
+    assert "note[schema]" not in capsys.readouterr().err
+    records = corpus_records(out)
+    assert {"id": "meta", "source": "tweet", "timestamp": "2022-07-21T10:00:00Z", "ticker": "GS",
+            "text": "green bond growth"} in records
+    assert not any(record.keys() & METADATA.keys() for record in records)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("author", {"\ud800": ["ok", "\udc00"]}),
+    ("author", "\udfff"),
+    ("place", "\ud83d"),
+    ("url", "https://x.example/\ude00"),
+])
+def test_a_lone_surrogate_in_a_dropped_field_is_accepted(tmp_path, name, value):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    append_tweet(fixtures, **{name: value})
+    assert run_cli(["run", *flags(fixtures, out), "--strict"]) == 0
+    assert "meta" in [record["id"] for record in corpus_records(out)]
 
 
 def test_report_without_a_scored_file_is_one_schema_error_naming_run(tmp_path, capsys):
