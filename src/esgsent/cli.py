@@ -5,14 +5,16 @@ every value once: the corpus and the scored documents are never re-read,
 aggregation runs once, and one per-ticker loop fetches a ticker's price
 series, writes it, and analyzes and charts that ticker over its own
 documents before moving on, so at most one series is held at a time.
-Fetching empties the transport's list of fixture lines and scoring the
-list of documents, so a line is freed once its document exists and a
-document's text once its scored record exists.
-Every file ``run`` writes is written once, the two JSON-lines files
-streamed line by line, and a bad ``--lexicon`` or ``--external-verdicts``
-fails before any is written. ``corpus.jsonl`` is written for audit, one
-kept ``Document`` per line without the fixtures' metadata; no command
-reads it.
+Fetching empties the transport's list of fixture lines, and the scoring
+pass the list of documents, so a line is freed once its document exists
+and a document's text once its two lines are written.
+Every file ``run`` writes is written once. The two JSON-lines files are
+written in that one pass over the documents, line by line, each
+document's corpus line and scored line opening with the same text, and
+neither replaces an older file unless both were written in full. A bad
+``--lexicon`` or ``--external-verdicts`` fails before any file is
+written. ``corpus.jsonl`` is written for audit, one kept ``Document`` per
+line without the fixtures' metadata; no command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
 output directory. It reads ``scored.jsonl``, whose lines carry each
@@ -55,7 +57,7 @@ from .aggregation import TickerAggregate, aggregate_by_ticker, group_by_ticker, 
 from .analysis import AnalysisResult, analyze, write_analysis
 from .charts import render_candlestick_svg
 from .config import RunConfig, resolve_config
-from .corpus import Document, dedupe, fetch_documents, write_corpus
+from .corpus import Document, dedupe, fetch_documents
 from .errors import InsufficientData, PipelineError, SchemaError
 from .market import PriceSeries, fetch_prices, load_prices, tail_n, write_prices
 from .sentiment import (
@@ -67,7 +69,6 @@ from .sentiment import (
     load_lexicon,
     read_scored,
     score_corpus,
-    write_scored,
 )
 from .transport import ReplayDocumentTransport, ReplayPriceTransport
 from .util import atomic_write_text, drain, format_real, note
@@ -93,8 +94,8 @@ def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
 
 
 def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[ExternalVerdicts]]:
-    """Fetch and dedupe documents, load the scoring inputs, then write the
-    corpus file; return the corpus, the lexicon and the external verdicts.
+    """Fetch and dedupe documents and load the scoring inputs; return the
+    corpus, the lexicon and the external verdicts.
 
     ``fetch_documents`` already keeps only documents inside the window. The
     scoring inputs load once the fetched list is freed, so they never add to
@@ -111,12 +112,10 @@ def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[Ext
     external = (
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
     )
-    write_corpus(docs, config.corpus_path)
 
     counts = Counter(doc.ticker for doc in docs)
     for ticker in config.tickers:
         print(f"{ticker}: {counts.get(ticker, 0)} documents")
-    print(f"corpus -> {config.corpus_path}")
     if not docs:
         note("insufficient-data", "corpus is empty for this window")
     return docs, lexicon, external
@@ -201,9 +200,9 @@ def cmd_run(config: RunConfig) -> None:
     docs, lexicon, external = cmd_ingest(config)
     # A scored record keeps only the id, source, timestamp and ticker of its
     # document; draining the list frees the rest of each document once its
-    # record exists. The verdict map is freed before the report.
-    scored = score_corpus(drain(docs), lexicon, external)
-    write_scored(scored, config.scored_path)
+    # two lines are written. The verdict map is freed before the report.
+    scored = score_corpus(drain(docs), lexicon, external, config.corpus_path, config.scored_path)
+    print(f"corpus -> {config.corpus_path}")
     n_external = sum(sd.key in external for sd in scored) if external else 0
     print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
     del external

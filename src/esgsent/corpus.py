@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
-from .util import Record, atomic_write_lines, drain, has_lone_surrogate, json_line, json_value, note
+from .util import Record, drain, has_lone_surrogate, json_line, json_str, note
 
 
 class Source(Enum):
@@ -138,8 +138,8 @@ def _parse_timestamp(raw: str, doc_id: str) -> datetime:
 def format_timestamp(ts: datetime) -> str:
     """A UTC timestamp as ``corpus.jsonl`` and ``scored.jsonl`` write it:
     ``YYYY-MM-DDTHH:MM:SS``, ``.ffffff`` when it has fractional seconds, then ``Z``."""
-    # isoformat of a UTC datetime ends in +00:00.
-    return f"{ts.isoformat()[:-6]}Z"
+    # The same text as isoformat() less its +00:00, without the offset's formatting.
+    return f"{ts.date().isoformat()}T{ts.time().isoformat()}Z"
 
 
 def parse_document_payload(payload: dict, *, strict: bool = False,
@@ -215,21 +215,30 @@ def parse_document_line(line: str, *, strict: bool = False) -> Document:
     return parse_document_payload(payload, strict=strict)
 
 
+def line_head(doc: Document) -> str:
+    """The fields a corpus line and a scored line both open with: id, source,
+    timestamp and ticker, as JSON text from the opening brace on."""
+    # Source values and timestamps need no JSON escaping.
+    return (
+        f'{{"id": {json_str(doc.id)}, "source": "{doc.source._value_}", '
+        f'"timestamp": "{format_timestamp(doc.timestamp)}", "ticker": {json_str(doc.ticker)}'
+    )
+
+
+def corpus_tail(doc: Document) -> str:
+    """The rest of a corpus line after ``line_head``: text, then title when present."""
+    if doc.title is None:
+        return f', "text": {json_str(doc.text)}}}'
+    return f', "text": {json_str(doc.text)}, "title": {json_str(doc.title)}}}'
+
+
 def serialize_document(doc: Document) -> str:
     """Render a Document as its canonical corpus line (no trailing newline).
 
     Field order and float-free payload keep serialization byte-stable, so
     parse -> serialize -> parse round-trips to an equal Document.
     """
-    # Source values and timestamps need no JSON escaping.
-    line = (
-        f'{{"id": {json_value(doc.id)}, "source": "{doc.source.value}", '
-        f'"timestamp": "{format_timestamp(doc.timestamp)}", '
-        f'"ticker": {json_value(doc.ticker)}, "text": {json_value(doc.text)}'
-    )
-    if doc.title is not None:
-        line += f', "title": {json_value(doc.title)}'
-    return line + "}"
+    return line_head(doc) + corpus_tail(doc)
 
 
 def dedupe(docs: Iterable[Document]) -> list[Document]:
@@ -297,8 +306,3 @@ def fetch_documents(
     """
     docs = _parse_records(drain(transport.fetch(ticker)), strict)
     return [doc for doc in docs if doc.ticker == ticker and window.contains(doc.timestamp)]
-
-
-def write_corpus(docs: Iterable[Document], path: Path) -> None:
-    """Write documents as a deterministic line-oriented corpus file, streamed line by line."""
-    atomic_write_lines(path, (serialize_document(doc) + "\n" for doc in docs))

@@ -19,9 +19,9 @@ from pathlib import Path
 from sys import intern
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, format_timestamp
+from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
-from .util import Record, atomic_write_lines, json_lines, json_value, open_text, read_text
+from .util import Record, atomic_open, json_lines, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -52,8 +52,11 @@ class _VerdictFields(NamedTuple):
 
 
 class SentimentVerdict(Record, _VerdictFields):
-    """Label plus a confidence/intensity score in [0, 1]; no ``__slots__``, as
-    ``scored_fields`` is cached in the instance ``__dict__``."""
+    """Label plus a confidence/intensity score in [0, 1], an immutable tuple
+    that keeps no other state: ``score_corpus`` builds the text of its
+    scored-line fields once per (label, score) pair in a bounded cache."""
+
+    __slots__ = ()
 
     def __new__(cls, label: SentimentLabel, score: float) -> "SentimentVerdict":
         if not 0.0 <= score <= 1.0:
@@ -64,18 +67,6 @@ class SentimentVerdict(Record, _VerdictFields):
     def composite(self) -> float:
         """Signed composite polarity in [-1, 1]: label weight times score."""
         return _WEIGHTS[self.label._value_] * self.score
-
-    @cached_property
-    def scored_fields(self) -> str:
-        """The label, score and composite fields of a scored line, as JSON text.
-
-        Built once per verdict: lexicon verdicts are shared (see _verdict).
-        """
-        # Label values need no JSON escaping.
-        return (
-            f'"label": "{self.label._value_}", "score": {json_value(self.score)}, '
-            f'"composite": {json_value(self.composite)}'
-        )
 
 
 class _LexiconFields(NamedTuple):
@@ -206,10 +197,6 @@ def scoring_text(doc: Document) -> str:
     return doc.text
 
 
-def score_document(doc: Document, lexicon: Lexicon) -> SentimentVerdict:
-    return score_tokens(tokenize(scoring_text(doc)), lexicon)
-
-
 class ScoredDocument(NamedTuple):
     """One line of ``scored.jsonl``: a document's key, UTC timestamp and
     ticker with its verdict, as an immutable tuple.
@@ -231,6 +218,10 @@ class ScoredDocument(NamedTuple):
 ExternalVerdicts = dict[VerdictKey, SentimentVerdict]
 _EXTERNAL_HEADER = ["id", "source", "label", "score"]
 _LABELS = {label.value: label for label in SentimentLabel}
+# score_corpus and read_scored each reuse the work of at most this many
+# verdicts in a call: lexicon scores take few distinct values (55 on 42,500
+# lines), external scores are mostly distinct.
+_VERDICT_CACHE_SIZE = 256
 
 
 def import_external_verdicts(path: Path) -> ExternalVerdicts:
@@ -264,10 +255,11 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
                     raise SchemaError(f"{path}:{reader.line_num}: bad score {score_raw!r}") from None
                 except InvariantError as exc:
                     raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-                source = (source_raw or "").strip().lower()
-                if source not in _SOURCE_OF:
+                source = _SOURCE_OF.get((source_raw or "").strip().lower())
+                if source is None:
                     raise SchemaError(f"{path}:{reader.line_num}: unknown source {source_raw!r}")
-                key = (source, doc_id)
+                # Every key holds its member's own value string, not a copy made per row.
+                key = (source._value_, doc_id)
                 if key in verdicts:
                     raise SchemaError(f"{path}:{reader.line_num}: duplicate verdict for {key}")
                 verdicts[key] = verdict
@@ -279,45 +271,51 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
 def score_corpus(
     docs: Iterable[Document],
     lexicon: Lexicon,
-    external: Optional[Mapping[VerdictKey, SentimentVerdict]] = None,
+    external: Optional[Mapping[VerdictKey, SentimentVerdict]],
+    corpus_path: Path,
+    scored_path: Path,
 ) -> list[ScoredDocument]:
-    """Score every document, preserving input order.
+    """Score every document and write its corpus line and its scored line,
+    in one pass in input order; return the scored records in that order.
 
     An external verdict wins when one exists for the document's key;
-    the lexicon scores everything else.
+    the lexicon scores everything else. Both lines open with the same id,
+    source, timestamp and ticker text, formatted once. The two files are
+    written through ``atomic_open``: neither is replaced unless every line
+    of both was written.
     """
     # An empty or absent map costs no key per document.
     external = external or None
     scored = []
-    for doc in docs:
-        verdict = external and external.get(doc.key)
-        if verdict is None:
-            verdict = score_document(doc, lexicon)
-        scored.append(ScoredDocument(doc.id, doc.source, doc.timestamp, doc.ticker, verdict))
+    # (label, score) -> the verdict's scored-line fields, for at most _VERDICT_CACHE_SIZE
+    # pairs; it is freed with the pass, so no verdict keeps state of its own.
+    texts: dict[tuple[str, float], str] = {}
+    with atomic_open(corpus_path, scored_path) as (corpus, scored_file):
+        to_corpus, to_scored = corpus.write, scored_file.write
+        for doc in docs:
+            verdict = external and external.get(doc.key)
+            if verdict is None:
+                verdict = score_tokens(tokenize(scoring_text(doc)), lexicon)
+            label, score = verdict.label._value_, verdict.score
+            # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
+            cacheable = score or copysign(1.0, score) > 0
+            fields = texts.get((label, score)) if cacheable else None
+            if fields is None:
+                # Label values need no JSON escaping.
+                composite = json_value(verdict.composite)
+                fields = f'"label": "{label}", "score": {json_value(score)}, "composite": {composite}'
+                if cacheable and len(texts) < _VERDICT_CACHE_SIZE:
+                    texts[label, score] = fields
+            head = line_head(doc)
+            to_corpus(f"{head}{corpus_tail(doc)}\n")
+            to_scored(f"{head}, {fields}}}\n")
+            scored.append(ScoredDocument(doc.id, doc.source, doc.timestamp, doc.ticker, verdict))
     return scored
-
-
-def serialize_scored(sd: ScoredDocument) -> str:
-    """One scored line: document key, UTC timestamp, ticker, label, score, composite."""
-    # Source values and timestamps need no JSON escaping.
-    return (
-        f'{{"id": {json_value(sd.id)}, "source": "{sd.source._value_}", '
-        f'"timestamp": "{format_timestamp(sd.timestamp)}", "ticker": {json_value(sd.ticker)}, '
-        f'{sd.verdict.scored_fields}}}'
-    )
-
-
-def write_scored(scored: Iterable[ScoredDocument], path: Path) -> None:
-    """Write the scored file, streamed line by line."""
-    atomic_write_lines(path, (serialize_scored(sd) + "\n" for sd in scored))
 
 
 # Scored line schema, in serialization order.
 _SCORED_FIELDS = ("id", "source", "timestamp", "ticker", "label", "score", "composite")
 _scored_items = itemgetter(*_SCORED_FIELDS)
-# read_scored reuses at most this many verdicts: lexicon scores take few
-# distinct values (55 on 42,500 lines), external scores are mostly distinct.
-_VERDICT_CACHE_SIZE = 256
 
 
 def read_scored(path: Path) -> list[ScoredDocument]:

@@ -7,13 +7,14 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import InputError, SchemaError
 
-_encode_str = json.encoder.encode_basestring
+# JSON text of a string, a str subclass too, as json_value writes it.
+json_str = json.encoder.encode_basestring
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
 # (value, end) of the JSON value at an index, as json.loads decodes it, without its three Python frames.
 _SCAN_ONCE = json.JSONDecoder().scan_once
@@ -62,7 +63,7 @@ def json_value(value: object) -> str:
     """
     kind = type(value)
     if kind is str:
-        return _encode_str(value)
+        return json_str(value)
     if kind is int or (kind is float and math.isfinite(value)):
         return repr(value)
     return _ENCODER.encode(value)
@@ -129,38 +130,50 @@ def drain(items: list) -> Iterator:
         yield pop()
 
 
-def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write a file from its lines via temp-file-and-rename so readers never see partial output.
+@contextmanager
+def atomic_open(*paths: Path) -> Iterator[list[TextIO]]:
+    """Handles of temporary files, one per path, each renamed over its path
+    once all are written, so readers never see partial output.
 
-    The lines are written as given, one after another, so a caller can
-    stream them without building the file's text. If writing fails part-way
-    the temporary file is removed and an existing file is left as it was.
-    The file gets the mode that open(path, "w") gives a new file under the
-    process's umask, also when it replaces a file.
+    A caller writes each file as it goes, with no buffer of its text. If
+    anything fails first, every temporary file is removed and the files at
+    the paths are left as they were. Each file gets the mode that
+    open(path, "w") gives a new file under the process's umask, also when
+    it replaces a file.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    handles: list[TextIO] = []
+    tmp_names: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(lines)
-        os.chmod(tmp_name, _FILE_MODE)
-        os.replace(tmp_name, path)
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            tmp_names.append(tmp_name)
+            handles.append(os.fdopen(fd, "w", encoding="utf-8", newline=""))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for tmp_name, path in zip(tmp_names, paths):
+            os.chmod(tmp_name, _FILE_MODE)
+            os.replace(tmp_name, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        for handle in handles:
+            with suppress(OSError):
+                handle.close()
+        for tmp_name in tmp_names:
+            with suppress(OSError):
+                os.unlink(tmp_name)
         raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write a whole text file as atomic_write_lines does.
+    """Write a whole text file through atomic_open.
 
     The text goes to the file in slices of _WRITE_SLICE characters, so its
     encoding never holds a copy of the whole text.
     """
-    atomic_write_lines(path, (text[i:i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE)))
+    with atomic_open(Path(path)) as (handle,):
+        for i in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[i:i + _WRITE_SLICE])
 
 
 def format_real(value: float, places: int = 6) -> str:

@@ -19,7 +19,7 @@ import pytest
 
 import esgsent
 from esgsent import cli
-from conftest import FIXTURES_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli
+from conftest import FIXTURES_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli, run_golden_pipeline
 
 JULY = "2022-07-20:2022-07-29"
 # What report writes for GS and AMZN.
@@ -289,6 +289,33 @@ def test_score_counts_the_documents_with_an_external_verdict(tmp_path, capsys, r
     assert run_cli(argv) == 0
     n_docs = len((out / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
     assert f"scored {n_docs} documents ({n_external} external) -> " in capsys.readouterr().out
+
+
+def test_run_prints_each_stage_line_in_order(tmp_path, capsys):
+    # The corpus line comes once the corpus file exists, before the scored count.
+    out = tmp_path / "out"
+    assert run_golden_pipeline(out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "GS: 9 documents", "AMZN: 8 documents", "TSLA: 9 documents", "HSBC: 7 documents",
+        f"corpus -> {out / 'corpus.jsonl'}",
+        f"scored 33 documents (0 external) -> {out / 'scored.jsonl'}",
+        "AMZN: n=8 sum=4.933333 mean=0.616667 Affine",
+        "GS: n=9 sum=7.600000 mean=0.844444 Affine",
+        "HSBC: n=7 sum=-3.500000 mean=-0.500000 Averse",
+        "TSLA: n=9 sum=2.700000 mean=0.300000 Affine",
+        "affinity ranking: GS > AMZN > TSLA > HSBC",
+        f"aggregates -> {out / 'aggregates.csv'}",
+        f"GS: 20 trading days -> {out / 'prices' / 'GS.csv'}",
+        "GS: change=+7.55% mean=+0.8444 r=+0.9258 Concordant (8 aligned days)",
+        f"AMZN: 20 trading days -> {out / 'prices' / 'AMZN.csv'}",
+        "AMZN: change=+10.34% mean=+0.6167 r=+0.9501 Concordant (7 aligned days)",
+        f"TSLA: 20 trading days -> {out / 'prices' / 'TSLA.csv'}",
+        "TSLA: change=+10.98% mean=+0.3000 r=+0.8411 Concordant (7 aligned days)",
+        f"HSBC: 20 trading days -> {out / 'prices' / 'HSBC.csv'}",
+        "HSBC: change=+5.48% mean=-0.5000 r=-0.9535 Discordant (7 aligned days)",
+        f"summary -> {out / 'summary.csv'}",
+        f"charts  -> {out / 'charts'}",
+    ]
 
 
 @pytest.mark.parametrize(

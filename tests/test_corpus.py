@@ -21,7 +21,6 @@ from esgsent.corpus import (
     parse_document_line,
     parse_document_payload,
     serialize_document,
-    write_corpus,
 )
 from esgsent.errors import SchemaError, TransportError
 from esgsent.sentiment import default_lexicon, score_corpus
@@ -185,9 +184,7 @@ class TestParseSerialize:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             make_doc("a")._replace(**{name: value})
 
-    @pytest.mark.parametrize(
-        "name", ["id", "source", "timestamp", "ticker", "text", "author", "followers", "place", "url", "title", "extra"]
-    )
+    @pytest.mark.parametrize("name", ["id", "source", "timestamp", "ticker", "text", "title", "extra"])
     def test_document_is_immutable(self, name):
         doc = make_doc("a")
         with pytest.raises(AttributeError):
@@ -432,8 +429,9 @@ class TestFetchDocuments:
         assert fetch_documents("GS", july_window, keeping) == docs and keeping.lines == []
 
         lexicon = default_lexicon()
-        expected = score_corpus(list(docs), lexicon)
-        assert score_corpus(drain(docs), lexicon) == expected and docs == []
+        corpus_path, scored_path = tmp_path / "corpus.jsonl", tmp_path / "scored.jsonl"
+        expected = score_corpus(list(docs), lexicon, None, corpus_path, scored_path)
+        assert score_corpus(drain(docs), lexicon, None, corpus_path, scored_path) == expected and docs == []
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
         transport = self._write_fixture(
@@ -518,42 +516,6 @@ def test_shipped_fixture_lines_round_trip(fixtures_dir):
     for line in lines:
         doc = parse_document_line(line)
         assert parse_document_line(serialize_document(doc)) == doc
-
-
-class TestWriteCorpus:
-    @staticmethod
-    def docs(n: int, text: str = "placeholder text") -> list[Document]:
-        return [make_doc(f"t{i}", text=text, title=f"headline {i}") for i in range(n)]
-
-    @staticmethod
-    def read_back(path) -> list[Document]:
-        return [parse_document_payload(payload) for _, payload in json_lines(path)]
-
-    def test_a_failure_part_way_leaves_the_old_file(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        first = self.docs(3)
-        write_corpus(first, path)
-        before = path.read_bytes()
-        assert self.read_back(path) == first
-        # The bad title is met only after 1,000 lines have gone to the temporary file.
-        with pytest.raises(TypeError):
-            write_corpus([*self.docs(1000), make_doc("bad", title=object())], path)
-        assert path.read_bytes() == before
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_holds_no_buffer_the_size_of_the_file(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        docs = self.docs(5000, text="words of an esg tweet " * 9)
-        tracemalloc.start()
-        try:
-            write_corpus(docs, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = path.stat().st_size
-        assert size > 1_500_000
-        assert peak < size / 10, (peak, size)
-        assert self.read_back(path) == docs
 
 
 class TestAtomicWriteText:

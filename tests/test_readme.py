@@ -10,7 +10,8 @@ import pytest
 
 from esgsent.cli import build_parser
 from esgsent.errors import PipelineError
-from esgsent.sentiment import read_scored, serialize_scored
+from esgsent.corpus import Document
+from esgsent.sentiment import default_lexicon, read_scored, score_corpus
 
 from conftest import REPO_ROOT, run_cli
 
@@ -62,4 +63,6 @@ def test_readme_example_scored_line_reads_back(tmp_path):
     path = tmp_path / "scored.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     (sd,) = read_scored(path)
-    assert serialize_scored(sd) == line
+    doc = Document(sd.id, sd.source, sd.timestamp, sd.ticker, "text")
+    score_corpus([doc], default_lexicon(), {sd.key: sd.verdict}, tmp_path / "corpus.jsonl", path)
+    assert path.read_text(encoding="utf-8") == line + "\n"

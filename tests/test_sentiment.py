@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -23,13 +24,11 @@ from esgsent.sentiment import (
     load_lexicon,
     read_scored,
     score_corpus,
-    score_document,
     score_tokens,
-    serialize_scored,
+    scoring_text,
     tokenize,
-    write_scored,
 )
-from esgsent.corpus import Document, Source, _parse_timestamp
+from esgsent.corpus import Document, Source, _parse_timestamp, format_timestamp, parse_document_payload
 from esgsent.util import json_lines
 
 from conftest import AWKWARD_STRINGS, make_doc, scored_of
@@ -177,7 +176,7 @@ class TestScoreTokens:
 
     def test_scoring_is_pure(self):
         doc = make_doc("t1", text="clean energy praised, no toxic waste")
-        assert score_document(doc, LEX) == score_document(doc, LEX)
+        assert score_tokens(tokenize(scoring_text(doc)), LEX) == score_tokens(tokenize(scoring_text(doc)), LEX)
 
 
 def slice_window_verdict(tokens: list[str], lexicon: Lexicon) -> SentimentVerdict:
@@ -306,6 +305,12 @@ class TestExternalVerdicts:
             with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:{line}: {problem}')}$"):
                 import_external_verdicts(path)
 
+    def test_every_key_holds_its_source_members_own_value_string(self, tmp_path):
+        path = self._write(tmp_path, ["t1,tweet,positive,0.9", "t2, NEWS ,negative,0.2", "t3,Tweet,neutral,0"])
+        sources = [source for source, _ in import_external_verdicts(path)]
+        assert sources == ["tweet", "news", "tweet"]
+        assert all(source is Source.TWEET.value or source is Source.NEWS.value for source in sources)
+
     def test_unknown_label_rejected(self, tmp_path):
         self._assert_rejected(tmp_path, "t1,tweet,bullish,0.5", "unknown label 'bullish'")
         self._assert_rejected(tmp_path, "t1,tweet", "unknown label None")
@@ -355,15 +360,24 @@ class TestExternalVerdicts:
             import_external_verdicts(path)
 
 
+def score_to(tmp_path, docs, external=None, lexicon=LEX):
+    """score_corpus writing its two files under tmp_path."""
+    return score_corpus(docs, lexicon, external, tmp_path / "corpus.jsonl", tmp_path / "scored.jsonl")
+
+
+def read_back_corpus(path) -> list[Document]:
+    return [parse_document_payload(payload) for _, payload in json_lines(path)]
+
+
 class TestScoreCorpus:
     @pytest.mark.parametrize("external", [None, {}])
-    def test_three_docs_no_external(self, external):
+    def test_three_docs_no_external(self, tmp_path, external):
         docs = [
             make_doc("a", text="clean and good"),
             make_doc("b", text="toxic probe"),
             make_doc("c", text="nothing relevant"),
         ]
-        scored = score_corpus(docs, LEX, external)
+        scored = score_to(tmp_path, docs, external)
         assert [sd.id for sd in scored] == ["a", "b", "c"]
         assert [sd.verdict.label for sd in scored] == [
             SentimentLabel.POSITIVE,
@@ -371,10 +385,10 @@ class TestScoreCorpus:
             SentimentLabel.NEUTRAL,
         ]
 
-    def test_external_verdict_wins(self):
+    def test_external_verdict_wins(self, tmp_path):
         doc, other = make_doc("a", text="clean and good"), make_doc("b", text="clean and good")
         external = {doc.key: SentimentVerdict(SentimentLabel.NEGATIVE, 0.8)}
-        scored = score_corpus([doc, other], LEX, external)
+        scored = score_to(tmp_path, [doc, other], external)
         assert [sd.verdict.composite for sd in scored] == [-0.8, 1.0]
 
     @pytest.mark.parametrize("name", ["id", "source", "timestamp", "ticker", "verdict", "extra"])
@@ -385,23 +399,24 @@ class TestScoreCorpus:
             setattr(sd, name, None)
         assert sd == ("a", Source.TWEET, make_doc("a").timestamp, "GS", verdict)
 
-    def test_record_carries_the_document_key_timestamp_and_ticker(self):
+    def test_record_carries_the_document_key_timestamp_and_ticker(self, tmp_path):
         doc = make_doc("n1", source=Source.NEWS, ticker="TSLA", hour=23, text="toxic probe")
-        (sd,) = score_corpus([doc], LEX)
+        (sd,) = score_to(tmp_path, [doc])
         assert (sd.id, sd.source, sd.timestamp, sd.ticker) == (doc.id, doc.source, doc.timestamp, doc.ticker)
         assert sd.key == doc.key == ("news", "n1")
 
-    def test_empty_corpus(self):
-        assert score_corpus([], LEX) == []
+    def test_empty_corpus(self, tmp_path):
+        assert score_to(tmp_path, []) == []
+        assert (tmp_path / "corpus.jsonl").read_bytes() == (tmp_path / "scored.jsonl").read_bytes() == b""
 
-    def test_news_scores_on_title(self):
+    def test_news_scores_on_title(self, tmp_path):
         doc = make_doc(
             "n1",
             source=Source.NEWS,
             text="placeholder body reference",
             title="bank praised for clean audit",
         )
-        (scored,) = score_corpus([doc], LEX)
+        (scored,) = score_to(tmp_path, [doc])
         assert scored.verdict.label is SentimentLabel.POSITIVE
 
 
@@ -416,11 +431,13 @@ class TestScoreCorpus:
         (SentimentLabel.POSITIVE, 1.0),
     ],
 )
-def test_serialize_scored_matches_json_dumps(doc_id, label, score):
-    sd = scored_of(make_doc(doc_id, ticker=doc_id), SentimentVerdict(label, score))
+def test_scored_line_matches_json_dumps(tmp_path, doc_id, label, score):
+    verdict = SentimentVerdict(label, score)
+    score_to(tmp_path, [make_doc(doc_id, ticker=doc_id)], {("tweet", doc_id): verdict})
     obj = {"id": doc_id, "source": "tweet", "timestamp": "2022-07-20T12:00:00Z", "ticker": doc_id,
-           "label": label.value, "score": score, "composite": sd.verdict.composite}
-    assert serialize_scored(sd) == json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+           "label": label.value, "score": score, "composite": verdict.composite}
+    line = json.dumps(obj, ensure_ascii=False, separators=(", ", ": ")) + "\n"
+    assert (tmp_path / "scored.jsonl").read_text(encoding="utf-8") == line
 
 
 def test_an_external_score_of_minus_zero_is_written_with_its_sign(tmp_path):
@@ -429,47 +446,114 @@ def test_an_external_score_of_minus_zero_is_written_with_its_sign(tmp_path):
             "e,tweet,negative,-0", "f,tweet,negative,0"]
     (tmp_path / "verdicts.csv").write_text("id,source,label,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
     external = import_external_verdicts(tmp_path / "verdicts.csv")
-    scored = score_corpus([make_doc(doc_id) for doc_id in "abcdef"], LEX, external)
-    path = tmp_path / "scored.jsonl"
-    write_scored(scored, path)
-    fields = [line.split('"label": ')[1] for line in path.read_text(encoding="utf-8").splitlines()]
-    assert fields == [
+    # Twice over, so a cached zero of either sign is looked up.
+    score_to(tmp_path, [make_doc(doc_id) for doc_id in "abcdefabcdef"], external)
+    text = (tmp_path / "scored.jsonl").read_text(encoding="utf-8")
+    fields = [line.split('"label": ')[1] for line in text.splitlines()]
+    assert fields == 2 * [
         '"positive", "score": -0.0, "composite": -0.0}', '"positive", "score": 0.0, "composite": 0.0}',
         '"neutral", "score": 0.0, "composite": 0.0}', '"neutral", "score": -0.0, "composite": -0.0}',
         '"negative", "score": -0.0, "composite": 0.0}', '"negative", "score": 0.0, "composite": -0.0}',
     ]
 
 
-def test_scored_file_round_trip(tmp_path):
+def test_both_files_round_trip(tmp_path):
     docs = [
         make_doc("a", text="clean energy"),
         make_doc("b", text="toxic spill probe", ticker="HSBC"),
         make_doc("c", source=Source.NEWS, text="body", title="bank praised"),
         Document("d", Source.TWEET, datetime(2022, 7, 21, 9, 30, 5, 750000, tzinfo=timezone.utc), "GS", "good"),
     ]
-    scored = score_corpus(docs, LEX)
-    path = tmp_path / "scored.jsonl"
-    write_scored(scored, path)
-    assert '"timestamp": "2022-07-21T09:30:05.750000Z"' in path.read_text(encoding="utf-8")
-    assert read_scored(path) == scored
+    scored = score_to(tmp_path, docs)
+    for name in ("corpus.jsonl", "scored.jsonl"):
+        assert '"timestamp": "2022-07-21T09:30:05.750000Z"' in (tmp_path / name).read_text(encoding="utf-8")
+    assert read_back_corpus(tmp_path / "corpus.jsonl") == docs
+    assert read_scored(tmp_path / "scored.jsonl") == scored
 
 
-def test_write_scored_holds_no_buffer_the_size_of_the_file(tmp_path):
-    # Shared verdicts, as the lexicon gives: each caches its scored fields once.
-    verdicts = [SentimentVerdict(SentimentLabel.POSITIVE, 0.5), SentimentVerdict(SentimentLabel.NEUTRAL, 0.0),
-                SentimentVerdict(SentimentLabel.NEGATIVE, 1 / 3)]
-    scored = [scored_of(make_doc(f"tweet-{i:06d}", hour=i % 24), verdicts[i % 3]) for i in range(10_000)]
-    path = tmp_path / "scored.jsonl"
+def test_the_two_lines_of_a_document_share_their_head(tmp_path):
+    docs = [
+        make_doc("日本語-é \"q\"", ticker="HSBC", text="good"),
+        Document("t2", Source.TWEET, datetime(2022, 7, 21, 9, 30, 5, 123456, tzinfo=timezone.utc), "GS", "bad"),
+        make_doc("n3", source=Source.NEWS, text="body", title="praised"),
+        *[make_doc(f"t{i}", text=text) for i, text in enumerate(AWKWARD_STRINGS)],
+    ]
+    external = {("tweet", "t0"): SentimentVerdict(SentimentLabel.NEGATIVE, 0.25)}
+    score_to(tmp_path, docs, external)
+    corpus = (tmp_path / "corpus.jsonl").read_bytes().splitlines()
+    scored = (tmp_path / "scored.jsonl").read_bytes().splitlines()
+    assert len(corpus) == len(scored) == len(docs)
+    for corpus_line, scored_line, doc in zip(corpus, scored, docs):
+        end = corpus_line.index(b', "text": ') + 2
+        assert corpus_line[:end] == scored_line[:end]
+        assert json.loads(scored_line[:end - 2] + b"}") == {
+            "id": doc.id, "source": doc.source.value, "timestamp": format_timestamp(doc.timestamp), "ticker": doc.ticker}
+    assert b'"timestamp": "2022-07-21T09:30:05.123456Z"' in scored[1]
+
+
+class TestScoreCorpusWritesBothFilesAtomically:
+    @staticmethod
+    def docs(n: int, text: str = "placeholder text") -> list[Document]:
+        return [make_doc(f"t{i}", text=text, title=f"headline {i}") for i in range(n)]
+
+    def test_a_failure_part_way_leaves_both_old_files(self, tmp_path):
+        first = self.docs(3)
+        scored = score_to(tmp_path, first)
+        before = [(tmp_path / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")]
+        assert read_back_corpus(tmp_path / "corpus.jsonl") == first
+        assert read_scored(tmp_path / "scored.jsonl") == scored
+        # The bad title is met only after 1,000 lines have gone to each temporary file.
+        with pytest.raises(TypeError):
+            score_to(tmp_path, [*self.docs(1000), make_doc("bad", title=object())])
+        assert [(tmp_path / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")] == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_holds_no_buffer_the_size_of_either_file(self, tmp_path):
+        docs = self.docs(5000, text="words of an esg tweet " * 9)
+        tracemalloc.start()
+        try:
+            scored = score_to(tmp_path, docs)
+            peak, retained = tracemalloc.get_traced_memory()[::-1]
+        finally:
+            tracemalloc.stop()
+        sizes = [(tmp_path / name).stat().st_size for name in ("corpus.jsonl", "scored.jsonl")]
+        assert sizes[0] > 1_500_000 and sizes[1] > 500_000
+        # Beyond the scored records it returns, the pass holds about a line of each file.
+        assert peak - retained < sizes[1] / 10, (peak, retained, sizes)
+        assert read_back_corpus(tmp_path / "corpus.jsonl") == docs
+        assert read_scored(tmp_path / "scored.jsonl") == scored
+
+
+def test_verdicts_keep_no_state_and_the_text_cache_is_bounded(tmp_path):
+    rng = random.Random(23)
+    docs = [make_doc(f"t{i}") for i in range(10_000)]
+    labels = list(SentimentLabel)
+    external = {("tweet", doc.id): SentimentVerdict(rng.choice(labels), rng.random()) for doc in docs}
+    assert len(set(external.values())) == 10_000
     tracemalloc.start()
     try:
-        write_scored(scored, path)
-        peak = tracemalloc.get_traced_memory()[1]
+        scored = score_to(tmp_path, docs, external)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = path.stat().st_size
-    assert size > 1_000_000
-    assert peak < size / 10, (peak, size)
-    assert read_scored(path) == scored
+    assert not hasattr(scored[0].verdict, "__dict__")
+    # Beyond the records it returns the pass keeps nothing, and it never holds
+    # the text of more than 256 verdicts: that of all 10,000 would take 1.5 MB.
+    records = sys.getsizeof(scored) + sum(map(sys.getsizeof, scored))
+    assert retained - records < 300_000, (retained, records)
+    assert peak - retained < 300_000, (peak, retained)
+    assert read_scored(tmp_path / "scored.jsonl") == scored
+
+
+@pytest.mark.parametrize("ts", [
+    datetime(2022, 7, 20, 12, 0, 0, tzinfo=timezone.utc),
+    datetime(2022, 7, 20, 12, 0, 0, 750, tzinfo=timezone.utc),
+    datetime(1, 1, 1, tzinfo=timezone.utc),
+    datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
+    datetime(2022, 7, 29, 23, 59, 59, 999999, tzinfo=timezone.utc),
+])
+def test_format_timestamp_is_isoformat_with_z_for_the_offset(ts):
+    assert format_timestamp(ts) == ts.isoformat()[:-6] + "Z"
 
 
 def test_read_scored_records_of_one_ticker_share_one_ticker_string(golden_dir):
