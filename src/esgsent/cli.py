@@ -21,10 +21,15 @@ output directory. It reads ``scored.jsonl``, whose lines carry each
 document's ticker and timestamp, keeps only the documents of the
 configured tickers inside the configured window, and runs the same
 per-ticker loop on the stored price files, so it rewrites the aggregates,
-analyses, charts and summary under the current thresholds. It trusts the
-scored file to be that of the corpus. Of each price file it keeps the
-last ``price_days`` bars up to the window's end, as ``run`` does: it can
-narrow the stored history but not widen it.
+analyses, charts and summary under the current thresholds. Each of
+those files, and each price file ``run`` writes, that already holds
+exactly its new bytes with the mode a new file gets is left in place
+with its mtime, so ``make``-style tools see no change: under new
+thresholds the charts and analyses stay. The two JSON-lines files are
+always replaced. ``report`` trusts the scored file to be that of the
+corpus. Of each price file it keeps the last ``price_days`` bars up to
+the window's end, as ``run`` does: it can narrow the stored history but
+not widen it.
 Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InsufficientData, InvariantError, SchemaError
 from .transport import ReplayPriceTransport
-from .util import Record, atomic_write_text, read_text
+from .util import Record, atomic_write_text, header_error, read_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -128,7 +128,7 @@ def parse_prices(text: str, ticker: str, context: str = "<prices>") -> PriceSeri
     try:
         header = next(reader, [])
         if [f.strip() for f in header] != PRICE_HEADER:
-            raise SchemaError(f"{context}: expected header {','.join(PRICE_HEADER)}, got {','.join(header)}")
+            raise header_error(context, PRICE_HEADER, header)
         rows = list(filter(None, reader))
     except csv.Error as exc:
         raise SchemaError(f"{context}:{reader.line_num}: {exc}") from exc

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
-from .util import Record, atomic_open, json_lines, json_value, open_text, read_text
+from .util import Record, atomic_open, header_error, json_lines, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -76,8 +76,9 @@ class _LexiconFields(NamedTuple):
 
 
 class Lexicon(Record, _LexiconFields):
-    """Polarity word lists: positive terms, negative terms, and negators; no
-    ``__slots__``, as ``polarity`` is cached in the instance ``__dict__``."""
+    """Polarity word lists: positive terms, negative terms, and negators,
+    each term a whole token as ``tokenize`` gives it; no ``__slots__``, as
+    ``polarity`` is cached in the instance ``__dict__``."""
 
     def __new__(cls, positive_terms: frozenset[str], negative_terms: frozenset[str],
                 negators: frozenset[str]) -> "Lexicon":
@@ -86,9 +87,10 @@ class Lexicon(Record, _LexiconFields):
         if overlap:
             sample = ", ".join(sorted(overlap)[:5])
             raise InvariantError(f"terms listed as both positive and negative: {sample}")
+        # A term that is not a whole token, such as one behind a byte-order mark, could never score.
         for name, terms in zip(self._fields, self):
             for term in terms:
-                if not term or term != term.lower() or any(c.isspace() for c in term):
+                if not _TOKEN_RE.fullmatch(term):
                     raise InvariantError(f"bad lexicon entry in {name}: {term!r}")
         return self
 
@@ -116,7 +118,9 @@ def _parse_terms(text: str) -> frozenset[str]:
 def load_lexicon(directory: Path) -> Lexicon:
     """Load a lexicon from positive.txt, negative.txt and negators.txt.
 
-    One lowercase term per line; '#' lines are comments.
+    One term per line, lowercased; '#' lines are comments. A term that is
+    not a whole token, such as a first line behind a byte-order mark, is an
+    InvariantError.
     """
     directory = Path(directory)
     parts = []
@@ -238,7 +242,7 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
         try:
             header = next(reader, [])
             if header != _EXTERNAL_HEADER:
-                raise SchemaError(f"{path}: expected header {','.join(_EXTERNAL_HEADER)}, got {','.join(header)}")
+                raise header_error(path, _EXTERNAL_HEADER, header)
             for row in reader:
                 if len(row) != 4:
                     if not row:  # a blank line

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
@@ -165,15 +166,60 @@ def atomic_open(*paths: Path) -> Iterator[list[TextIO]]:
         raise
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write a whole text file through atomic_open.
+def _holds_text(path: Path, text: str) -> bool:
+    """Whether the path is already what atomic_write_text would leave: a
+    regular file of mode _FILE_MODE whose bytes are the text's UTF-8.
 
-    The text goes to the file in slices of _WRITE_SLICE characters, so its
-    encoding never holds a copy of the whole text.
+    A symlink is not followed and a FIFO is not waited on: the type and mode
+    come from fstat of what was opened. The text is compared slice by slice.
     """
-    with atomic_open(Path(path)) as (handle,):
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return False
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or stat.S_IMODE(info.st_mode) != _FILE_MODE:
+            return False
+        # Every output is ASCII, one byte per character: its size settles most changes.
+        if info.st_size != len(text) and text.isascii():
+            return False
+        # A short read, which a regular file does not give, would only make the file be replaced.
+        for i in range(0, len(text), _WRITE_SLICE):
+            data = text[i:i + _WRITE_SLICE].encode("utf-8")
+            if os.read(fd, len(data)) != data:
+                return False
+        return not os.read(fd, 1)
+    finally:
+        os.close(fd)
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write a whole text file through atomic_open, unless the path already
+    holds it.
+
+    A path that is a regular file with the mode atomic_open gives and
+    exactly the text's bytes is left as it is, with its inode and mtime, so
+    make-style tools see no change; any other file is replaced. The text
+    goes to the file, or is compared with it, in slices of _WRITE_SLICE
+    characters, so its encoding never holds a copy of the whole text.
+    """
+    path = Path(path)
+    if _holds_text(path, text):
+        return
+    with atomic_open(path) as (handle,):
         for i in range(0, len(text), _WRITE_SLICE):
             handle.write(text[i:i + _WRITE_SLICE])
+
+
+def header_error(context: object, expected: list[str], header: list[str]) -> SchemaError:
+    """The error for a CSV file whose header is not the expected one; a
+    leading byte-order mark, which no screen shows, is named."""
+    got = ",".join(header)
+    if got.startswith("\ufeff"):
+        return SchemaError(f"{context}: the file starts with a byte-order mark (U+FEFF); "
+                           f"expected header {','.join(expected)}, got {got[1:]} after it")
+    return SchemaError(f"{context}: expected header {','.join(expected)}, got {got}")
 
 
 def format_real(value: float, places: int = 6) -> str:

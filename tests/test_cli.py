@@ -146,13 +146,43 @@ def test_run_writes_every_file_with_the_mode_of_the_umask(tmp_path):
     written = {"corpus.jsonl", "scored.jsonl", "prices/GS.csv", "prices/AMZN.csv", *REPORT_FILES}
     umask = os.umask(0o022)
     try:
-        for _ in range(2):  # The second run replaces files that are 0644.
+        for _ in range(2):  # The second run finds every file there with mode 0644.
             subprocess.run(argv, env=env, check=True, capture_output=True)
             modes = {path.relative_to(tmp_path).as_posix(): stat.S_IMODE(path.stat().st_mode)
                      for path in tmp_path.rglob("*") if path.is_file()}
             assert modes == dict.fromkeys(written, 0o644)
     finally:
         os.umask(umask)
+
+
+def file_ids(out: Path) -> dict[str, tuple[int, bytes]]:
+    """(inode, bytes) of every file under out."""
+    return {path.relative_to(out).as_posix(): (path.stat().st_ino, path.read_bytes())
+            for path in out.rglob("*") if path.is_file()}
+
+
+def test_report_with_the_same_flags_leaves_every_file_in_place(tmp_path):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    before = file_ids(tmp_path)
+    assert run_cli(["report", *report_flags(tmp_path)]) == 0
+    assert file_ids(tmp_path) == before
+    assert set(REPORT_FILES) <= set(before)
+
+
+# 0.3,-0.3 leaves both classes as they are; 0.7,-0.3 makes AMZN (mean 0.616667) Neutral.
+@pytest.mark.parametrize("value,changed", [("0.3,-0.3", set()), ("0.7,-0.3", {"aggregates.csv", "summary.csv"})])
+def test_report_under_other_thresholds_writes_what_run_writes_and_keeps_charts_and_analyses(tmp_path, value, changed):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    thresholds = ["--thresholds", value]
+    assert run_cli(["run", *flags(FIXTURES_DIR, out)]) == 0
+    before = file_ids(out)
+    assert run_cli(["report", *report_flags(out), *thresholds]) == 0
+    assert run_cli(["run", *flags(FIXTURES_DIR, fresh), *thresholds]) == 0
+    after = file_ids(out)
+    for rel in REPORT_FILES:
+        assert after[rel][1] == (fresh / rel).read_bytes(), rel
+    assert {rel for rel in after if after[rel] != before[rel]} == changed
+    assert all(after[rel][1] != before[rel][1] for rel in changed)
 
 
 def test_report_reads_no_corpus(tmp_path):
@@ -250,6 +280,31 @@ def test_unreadable_external_verdicts_is_one_io_error(tmp_path, capsys, make_pat
     assert run_cli(argv) == 2
     errors = stderr_lines(capsys)
     assert len(errors) == 1 and errors[0].startswith("error[io]: "), errors
+
+
+def test_a_lexicon_term_behind_a_byte_order_mark_is_one_invariant_error(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon"
+    shutil.copytree(Path(esgsent.__file__).parent / "data" / "lexicon", lexicon)
+    positive = lexicon / "positive.txt"
+    positive.write_text("\ufeffable\n" + positive.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path / "out"), "--lexicon", str(lexicon)]) == 2
+    assert stderr_lines(capsys) == ["error[invariant]: bad lexicon entry in positive_terms: '\\ufeffable'"]
+
+
+@pytest.mark.parametrize("kind", ["prices", "external verdicts"])
+def test_a_csv_header_behind_a_byte_order_mark_is_named_in_the_error(tmp_path, capsys, kind):
+    fixtures = copy_fixtures(tmp_path)
+    if kind == "prices":
+        path, header = fixtures / "GS" / "prices.csv", "Date,Open,High,Low,Close,Adj Close,Volume"
+        extra = []
+    else:
+        path, header = tmp_path / "verdicts.csv", "id,source,label,score"
+        path.write_text("id,source,label,score\nt1,tweet,positive,0.5\n", encoding="utf-8")
+        extra = ["--external-verdicts", str(path)]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(["run", *flags(fixtures, tmp_path / "out"), *extra]) == 2
+    assert stderr_lines(capsys) == [f"error[schema]: {path}: the file starts with a byte-order mark (U+FEFF); "
+                                    f"expected header {header}, got {header} after it"]
 
 
 @pytest.mark.parametrize("flag", ["--lexicon", "--external-verdicts"])

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import shutil
+import stat
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import esgsent
 from esgsent.corpus import (
     Document,
     Source,
@@ -25,7 +31,7 @@ from esgsent.corpus import (
 from esgsent.errors import SchemaError, TransportError
 from esgsent.sentiment import default_lexicon, score_corpus
 from esgsent.transport import ReplayDocumentTransport
-from esgsent.util import _WRITE_SLICE, atomic_write_text, drain, json_lines
+from esgsent.util import _FILE_MODE, _WRITE_SLICE, atomic_write_text, drain, json_lines
 
 from conftest import AWKWARD_STRINGS, FIXTURES_DIR, make_doc, run_cli
 
@@ -518,20 +524,107 @@ def test_shipped_fixture_lines_round_trip(fixtures_dir):
         assert parse_document_line(serialize_document(doc)) == doc
 
 
+def write_old_file(path, data: bytes, mode: int = _FILE_MODE) -> os.stat_result:
+    """A file at path with these bytes and mode and an mtime in 2001, so any rewrite shows."""
+    path.write_bytes(data)
+    os.chmod(path, mode)
+    os.utime(path, ns=(1_000_000_000 * 10**9, 1_000_000_000 * 10**9))
+    return path.stat()
+
+
+def assert_kept(path, before: os.stat_result) -> None:
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def assert_replaced(path, before: os.stat_result, expected: bytes) -> None:
+    after = os.lstat(path)
+    assert stat.S_ISREG(after.st_mode) and stat.S_IMODE(after.st_mode) == _FILE_MODE
+    assert after.st_ino != before.st_ino
+    assert path.read_bytes() == expected
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
 class TestAtomicWriteText:
     def test_holds_no_copy_the_size_of_the_text(self, tmp_path):
         path = tmp_path / "scored.jsonl"
         text = "".join(f'{{"id": "t{i}", "text": "café – 日本語 😀 {i}"}}\n' for i in range(85_000))
         expected = text.encode("utf-8")
-        tracemalloc.start()
-        try:
-            atomic_write_text(path, text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(expected) > 4_000_000
-        assert peak < len(expected) / 10, (peak, len(expected))
-        assert path.read_bytes() == expected
+        # The first call writes the file; the second finds it identical and compares it.
+        for _ in range(2):
+            before = path.stat() if path.exists() else None
+            tracemalloc.start()
+            try:
+                atomic_write_text(path, text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(expected) / 10, (peak, len(expected))
+            assert path.read_bytes() == expected
+        assert_kept(path, before)
+
+    def test_an_identical_file_keeps_its_inode_and_mtime(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        text = "ticker,n_docs\r\nGS,3\n"
+        before = write_old_file(path, text.encode("utf-8"))
+        atomic_write_text(path, text)
+        assert_kept(path, before)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("old", [b"ticker,n_docs\nGS,3\r", b"ticker,n_docs\nGS,3\n\n", b"ticker,n_docs\nGS,3", b""])
+    def test_a_file_with_other_bytes_is_replaced(self, tmp_path, old):
+        path = tmp_path / "summary.csv"
+        before = write_old_file(path, old)
+        atomic_write_text(path, "ticker,n_docs\nGS,3\n")
+        assert_replaced(path, before, b"ticker,n_docs\nGS,3\n")
+
+    def test_the_same_bytes_with_another_mode_are_replaced_with_the_umask_mode(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        before = write_old_file(path, b"GS,3\n", mode=0o600)
+        assert _FILE_MODE != 0o600
+        atomic_write_text(path, "GS,3\n")
+        assert_replaced(path, before, b"GS,3\n")
+
+    def test_a_symlink_to_an_identical_file_is_replaced_and_its_target_left(self, tmp_path):
+        target = tmp_path / "target" / "summary.csv"
+        target.parent.mkdir()
+        target_before = write_old_file(target, b"GS,3\n")
+        path = tmp_path / "out" / "summary.csv"
+        path.parent.mkdir()
+        path.symlink_to(target)
+        before = os.lstat(path)
+        atomic_write_text(path, "GS,3\n")
+        assert_replaced(path, before, b"GS,3\n")
+        assert_kept(target, target_before)
+        assert target.read_bytes() == b"GS,3\n"
+
+    def test_a_fifo_is_replaced_without_waiting_for_a_writer(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        os.mkfifo(path)
+        code = "import sys; from esgsent.util import atomic_write_text; atomic_write_text(sys.argv[1], 'GS,3\\n')"
+        env = {**os.environ, "PYTHONPATH": str(Path(esgsent.__file__).parent.parent)}
+        # Opening a FIFO for reading without O_NONBLOCK would wait for a writer; the timeout ends the test.
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True, timeout=20)
+        assert stat.S_ISREG(os.lstat(path).st_mode)
+        assert path.read_bytes() == b"GS,3\n"
+
+    def test_a_non_ascii_text_of_several_slices_is_compared_in_full(self, tmp_path):
+        path = tmp_path / "analysis.json"
+        text = ("é😀a" * _WRITE_SLICE)[:2 * _WRITE_SLICE + 5]
+        before = write_old_file(path, text.encode("utf-8"))
+        atomic_write_text(path, text)
+        assert_kept(path, before)
+        # The same length in characters and bytes, one character of the last slice changed.
+        last = text.rindex("😀")
+        changed = text[:last] + "😁" + text[last + 1:]
+        assert len(changed.encode("utf-8")) == len(text.encode("utf-8"))
+        atomic_write_text(path, changed)
+        assert_replaced(path, before, changed.encode("utf-8"))
+        # Every slice matches and one byte follows.
+        before = write_old_file(path, text.encode("utf-8") + b"a")
+        atomic_write_text(path, text)
+        assert_replaced(path, before, text.encode("utf-8"))
 
     @pytest.mark.parametrize("size", [0, 1, _WRITE_SLICE - 1, _WRITE_SLICE, _WRITE_SLICE + 1, 3 * _WRITE_SLICE])
     def test_writes_every_character_at_slice_edges(self, tmp_path, size):

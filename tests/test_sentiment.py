@@ -263,6 +263,14 @@ class TestLexicon:
         with pytest.raises(InvariantError):
             Lexicon(frozenset({"Good"}), frozenset(), frozenset())
 
+    @pytest.mark.parametrize("term", ["", " ", "good news", "café", "eco-friendly", "#esg", "don'", "'s", "\ufeffable"])
+    def test_a_term_that_is_not_a_whole_token_is_rejected(self, term):
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'bad lexicon entry in negators: {term!r}')}$"):
+            Lexicon(frozenset({"good"}), frozenset({"bad"}), frozenset({term}))
+
+    def test_every_shipped_term_is_its_own_token(self):
+        assert all(tokenize(term) == [term] for terms in default_lexicon() for term in terms)
+
     def test_load_from_directory_with_comments(self, tmp_path):
         (tmp_path / "positive.txt").write_text("# header\ngood\nGREAT\n\n", encoding="utf-8")
         (tmp_path / "negative.txt").write_text("bad\n", encoding="utf-8")
