@@ -57,6 +57,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     """Population-form Pearson correlation: cov(x, y) / (sigma_x * sigma_y).
 
     None with fewer than MIN_ALIGNED_DAYS points or a constant series.
+    Rounding can put an exactly linear pair a last bit past 1 in magnitude,
+    so r is clamped to [-1, 1].
     """
     if len(x) != len(y):
         raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
@@ -71,7 +73,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     ss_y = math.fsum(d * d for d in dy)
     if ss_x == 0.0 or ss_y == 0.0:
         return None
-    return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    return min(max(r, -1.0), 1.0)
 
 
 def sign_agreement(mean_composite: float, percent_change: float) -> SignAgreement:

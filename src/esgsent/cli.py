@@ -27,9 +27,13 @@ exactly its new bytes with the mode a new file gets is left in place
 with its mtime, so ``make``-style tools see no change: under new
 thresholds the charts and analyses stay. The two JSON-lines files are
 always replaced. ``report`` trusts the scored file to be that of the
-corpus. Of each price file it keeps the last ``price_days`` bars up to
-the window's end, as ``run`` does: it can narrow the stored history but
-not widen it.
+corpus. Both commands keep a document if and only if the earliest copy
+of its (source, id) key lies in the window (the narrowing rule of
+``corpus``): ``run`` drops a document that has a copy dated before the
+window, so ``report`` on a narrower window keeps what a fresh ``run`` on
+it keeps. Of each price file ``report`` keeps the last ``price_days``
+bars up to the window's end, as ``run`` does: it can narrow the stored
+history but not widen it.
 Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 
@@ -102,17 +106,24 @@ def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[Ext
     """Fetch and dedupe documents and load the scoring inputs; return the
     corpus, the lexicon and the external verdicts.
 
-    ``fetch_documents`` already keeps only documents inside the window. The
+    ``fetch_documents`` already keeps only documents inside the window; of
+    those, a document whose key has a copy dated before the window is
+    dropped after ``dedupe``, as the narrowing rule of ``corpus`` says. The
     scoring inputs load once the fetched list is freed, so they never add to
     the fetch's peak, and before any file is written, so a bad ``--lexicon``
     or ``--external-verdicts`` leaves an earlier run's files as they were.
     """
     transport = ReplayDocumentTransport(config.fixtures)
     fetched: list[Document] = []
+    # One set over every ticker, as dedupe is over every ticker.
+    earlier: set[tuple[str, str]] = set()
     for ticker in config.tickers:
-        fetched.extend(fetch_documents(ticker, config.window, transport, strict=config.strict))
+        fetched.extend(fetch_documents(ticker, config.window, transport, strict=config.strict, earlier=earlier))
     docs = dedupe(fetched)
     del fetched
+    if earlier:
+        docs = [doc for doc in docs if doc.key not in earlier]
+    del earlier
     lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
     external = (
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None

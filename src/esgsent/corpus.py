@@ -6,6 +6,14 @@ article, with only the fields scoring reads: a record's metadata
 arrive through a transport (the shipped one replays recorded fixtures),
 get window-filtered and deduplicated, and persist as one JSON object per
 line so corpus files stay append-friendly and diffable.
+
+The narrowing rule: a document is kept if and only if the earliest copy
+of its (source, id) key lies in the window. A copy dated before the
+window is earlier than any inside it, and one dated after it never is, so
+``fetch_documents`` collects the keys of the records dated before the
+window's start and the caller drops, after ``dedupe``, every document
+whose key is among them. A narrower window then keeps exactly the
+documents of a wider one that lie inside it.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from operator import attrgetter
 from sys import intern
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import SchemaError
 from .transport import ReplayDocumentTransport
@@ -206,13 +214,13 @@ def parse_document_payload(payload: dict, *, strict: bool = False,
     return Document(doc_id, source, _parse_timestamp(payload["timestamp"], doc_id), ticker, text, title)
 
 
-def parse_document_line(line: str, *, strict: bool = False) -> Document:
+def parse_document_line(line: str) -> Document:
     """Parse one corpus-file line (a single JSON object)."""
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed corpus line: {exc}") from exc
-    return parse_document_payload(payload, strict=strict)
+    return parse_document_payload(payload)
 
 
 def line_head(doc: Document) -> str:
@@ -267,15 +275,28 @@ def filter_window(docs: Iterable[Document], window: TimeWindow) -> list[Document
     return [doc for doc in docs if window.contains(doc.timestamp)]
 
 
-def _parse_records(records: Iterable[tuple[Path, int, str]], strict: bool) -> Iterator[Document]:
-    """parse_document_payload over (file, line number, line) records, each
-    line decoded just before; a SchemaError names ``<file>:<line>``.
+def fetch_documents(
+    ticker: str,
+    window: TimeWindow,
+    transport: ReplayDocumentTransport,
+    *,
+    strict: bool = False,
+    earlier: Optional[set[tuple[str, str]]] = None,
+) -> list[Document]:
+    """Retrieve this ticker's documents through a transport, in transport order.
 
-    Without strict, each file whose records had unknown fields gets one note naming them and counting the records.
+    Every returned document matches the ticker and lies inside the window.
+    When ``earlier`` is given, the (source, id) key of each of the ticker's
+    records dated before the window's start is added to it. The first bad
+    line in read order is a SchemaError naming its fixture file and line.
+    The transport's list is emptied as its lines are parsed, so a line is
+    freed once its document exists. Without strict, each file whose records
+    had unknown fields gets one note naming them and counting the records.
     """
+    docs: list[Document] = []
     ignored: dict[Path, Counter[tuple[str, ...]]] = {}
     path = None
-    for record_path, lineno, line in records:
+    for record_path, lineno, line in drain(transport.fetch(ticker)):
         if record_path is not path:
             path, counts = record_path, ignored.setdefault(record_path, Counter())
         payload = json_line(line, path, lineno)  # its SchemaError already names the line
@@ -283,26 +304,13 @@ def _parse_records(records: Iterable[tuple[Path, int, str]], strict: bool) -> It
             doc = parse_document_payload(payload, strict=strict, ignored=counts)
         except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        yield doc
+        if doc.ticker == ticker:
+            if window.contains(doc.timestamp):
+                docs.append(doc)
+            elif earlier is not None and doc.timestamp.date() < window.start:
+                earlier.add(doc.key)
     for path, counts in ignored.items():
         if counts:
             names = ", ".join(sorted(set().union(*counts)))
             note("schema", f"{path}: ignored unknown field(s) {names} in {counts.total()} record(s)")
-
-
-def fetch_documents(
-    ticker: str,
-    window: TimeWindow,
-    transport: ReplayDocumentTransport,
-    *,
-    strict: bool = False,
-) -> list[Document]:
-    """Retrieve this ticker's documents through a transport, in transport order.
-
-    Every returned document matches the ticker and lies inside the window.
-    The first bad line in read order is a SchemaError naming its fixture
-    file and line. The transport's list is emptied as its lines are parsed,
-    so a line is freed once its document exists.
-    """
-    docs = _parse_records(drain(transport.fetch(ticker)), strict)
-    return [doc for doc in docs if doc.ticker == ticker and window.contains(doc.timestamp)]
+    return docs

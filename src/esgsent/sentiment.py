@@ -232,8 +232,9 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
     """Load externally produced verdicts (e.g. transformer output) from CSV.
 
     Expected header: ``id,source,label,score``. Labels are normalized
-    case-insensitively; scores must lie in [0, 1]; duplicate (source, id)
-    keys are rejected rather than silently resolved.
+    case-insensitively; scores must lie in [0, 1]; ids must be non-empty;
+    duplicate (source, id) keys are rejected rather than silently resolved.
+    Each row's first failing check is a SchemaError naming ``<path>:<line>``.
     """
     verdicts: ExternalVerdicts = {}
     with open_text(path, newline="") as handle:
@@ -250,22 +251,26 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
                     # A short row's missing cells read as None; cells after the fourth are ignored.
                     row = (row + [None] * 3)[:4]
                 doc_id, source_raw, label_raw, score_raw = row
-                label = _LABELS.get((label_raw or "").strip().lower())
-                if label is None:
-                    raise SchemaError(f"{path}:{reader.line_num}: unknown label {label_raw!r}")
                 try:
-                    verdict = SentimentVerdict(label, float(score_raw))
-                except (TypeError, ValueError):
-                    raise SchemaError(f"{path}:{reader.line_num}: bad score {score_raw!r}") from None
-                except InvariantError as exc:
+                    label = _LABELS.get((label_raw or "").strip().lower())
+                    if label is None:
+                        raise SchemaError(f"unknown label {label_raw!r}")
+                    try:
+                        score = float(score_raw)
+                    except (TypeError, ValueError):
+                        raise SchemaError(f"bad score {score_raw!r}") from None
+                    verdict = SentimentVerdict(label, score)
+                    source = _SOURCE_OF.get((source_raw or "").strip().lower())
+                    if source is None:
+                        raise SchemaError(f"unknown source {source_raw!r}")
+                    if not doc_id:  # no document has an empty id
+                        raise SchemaError("id must be non-empty")
+                    # Every key holds its member's own value string, not a copy made per row.
+                    key = (source._value_, doc_id)
+                    if key in verdicts:
+                        raise SchemaError(f"duplicate verdict for {key}")
+                except (SchemaError, InvariantError) as exc:
                     raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-                source = _SOURCE_OF.get((source_raw or "").strip().lower())
-                if source is None:
-                    raise SchemaError(f"{path}:{reader.line_num}: unknown source {source_raw!r}")
-                # Every key holds its member's own value string, not a copy made per row.
-                key = (source._value_, doc_id)
-                if key in verdicts:
-                    raise SchemaError(f"{path}:{reader.line_num}: duplicate verdict for {key}")
                 verdicts[key] = verdict
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
@@ -337,32 +342,29 @@ def read_scored(path: Path) -> list[ScoredDocument]:
     # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
     verdicts: dict[tuple[str, float], tuple[SentimentVerdict, float]] = {}
     for lineno, obj in json_lines(path):
-        if type(obj) is not dict:
-            raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
         try:
-            doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
-        except KeyError as exc:  # itemgetter looks the fields up in order
-            raise SchemaError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-        if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
-            name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
-            raise SchemaError(f"{path}:{lineno}: field {name!r} must be a string")
-        source = _SOURCE_OF.get(source_value)
-        if source is None:
-            raise SchemaError(f"{path}:{lineno}: unknown source {source_value!r}")
-        if not doc_id:
-            raise SchemaError(f"{path}:{lineno}: field 'id' must be non-empty")
-        try:
+            if type(obj) is not dict:
+                raise SchemaError(f"scored line must be an object, got {type(obj).__name__}")
+            try:
+                doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
+            except KeyError as exc:  # itemgetter looks the fields up in order
+                raise SchemaError(f"missing field {exc.args[0]!r}") from None
+            if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
+                name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
+                raise SchemaError(f"field {name!r} must be a string")
+            source = _SOURCE_OF.get(source_value)
+            if source is None:
+                raise SchemaError(f"unknown source {source_value!r}")
+            if not doc_id:
+                raise SchemaError("field 'id' must be non-empty")
             timestamp = _parse_timestamp(raw_timestamp, doc_id)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        key = (source_value, doc_id)
-        if key in seen:
-            raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
-        seen.add(key)
-        # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
-        cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
-        hit = verdicts.get((label, score)) if cacheable else None
-        try:
+            key = (source_value, doc_id)
+            if key in seen:
+                raise SchemaError(f"duplicate scored line for {key}")
+            seen.add(key)
+            # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
+            cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
+            hit = verdicts.get((label, score)) if cacheable else None
             if hit is None:
                 member = _LABELS.get(label) if type(label) is str else None
                 # SentimentLabel(label) runs only to word the error for a label that is no label value.
@@ -371,8 +373,9 @@ def read_scored(path: Path) -> list[ScoredDocument]:
                 if cacheable and len(verdicts) < _VERDICT_CACHE_SIZE:
                     verdicts[label, score] = hit
             if float(stated) != hit[1]:
-                raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
-        except (TypeError, ValueError, InvariantError) as exc:
+                raise SchemaError("composite inconsistent with verdict")
+        # TypeError and ValueError come from reading a label, score or composite of the wrong kind.
+        except (SchemaError, InvariantError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
         # The lines of one ticker share one key string, as run's documents do.
         scored.append(ScoredDocument(doc_id, source, timestamp, intern(ticker), hit[0]))

@@ -222,6 +222,6 @@ def header_error(context: object, expected: list[str], header: list[str]) -> Sch
     return SchemaError(f"{context}: expected header {','.join(expected)}, got {got}")
 
 
-def format_real(value: float, places: int = 6) -> str:
-    """Fixed-point rendering used by CSV outputs (6-decimal by default)."""
-    return f"{value:.{places}f}"
+def format_real(value: float) -> str:
+    """Fixed-point rendering, to 6 decimals, used by CSV outputs."""
+    return f"{value:.6f}"

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import re
 from datetime import date
 
 import pytest
 
 from esgsent.aggregation import AffinityClass, TickerAggregate
-from esgsent.analysis import align, analyze, pearson
+from esgsent.analysis import AnalysisResult, SignAgreement, align, analyze, pearson
 from esgsent.charts import MIN_BODY_PX, render_candlestick_svg
 from esgsent.market import PriceSeries
 from esgsent.sentiment import SentimentLabel
@@ -34,6 +35,14 @@ def test_pearson_is_absent_for_too_few_points_or_a_constant_series(x, y):
     assert pearson(x, y) is None
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_pearson_of_an_exactly_linear_pair_stays_inside_one(sign):
+    # Unclamped, rounding gives 1.0000000000000002 in magnitude for this pair.
+    x = [0.2, 0.3, 0.5]
+    y = [sign * v * 0.1 for v in x]
+    assert pearson(x, y) == sign
+
+
 def test_pearson_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         pearson([1, 2, 3], [1, 2])
@@ -46,6 +55,20 @@ def test_analyze_with_no_aligned_day_has_no_pearson():
     result = analyze(scored, make_series([100.0, 101.0, 102.0]), aggregate)
     assert result.pearson_r is None
     assert result.n_aligned_days == 0
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        AnalysisResult("GS", 1.25, 0.5, None, 2, SignAgreement.CONCORDANT),
+        AnalysisResult("AMZN", 0.0, -0.25, 0.5, 4, SignAgreement.INDETERMINATE),
+        AnalysisResult("TSLA", -3.5, 0.75, -0.953, 6, SignAgreement.DISCORDANT),
+    ],
+    ids=["absent-r", "zero-change", "negative-r"],
+)
+def test_analysis_json_is_what_json_dumps_writes(result):
+    fields = result._replace(sign_agreement=result.sign_agreement.value)._asdict()
+    assert result.to_json() == json.dumps(fields, ensure_ascii=False, indent=2) + "\n"
 
 
 def test_align_drops_weekend_sentiment_days():

@@ -219,6 +219,25 @@ def test_report_keeps_only_documents_inside_the_window(tmp_path):
     assert (full / "analysis" / "GS.json").read_bytes() != before
 
 
+def test_report_on_a_narrower_window_keeps_what_a_fresh_run_keeps(tmp_path, capsys):
+    # Tweet "dup" is posted on 15 July and again on 22 July: its earliest copy lies before 20 July.
+    fixtures = copy_fixtures(tmp_path, keys=("GS",))
+    with (fixtures / "GS" / "tweets.jsonl").open("a", encoding="utf-8") as handle:
+        for day in (15, 22):
+            handle.write(json.dumps({"id": "dup", "source": "tweet", "timestamp": f"2022-07-{day}T09:00:00Z",
+                                     "ticker": "GS", "text": "Goldman Sachs posts strong ESG results"}) + "\n")
+    full, fresh = tmp_path / "full", tmp_path / "fresh"
+    assert run_cli(["run", *flags(fixtures, full, tickers="GS", window="2022-07-01:2022-07-31")]) == 0
+    capsys.readouterr()
+    assert run_cli(["report", *report_flags(full, tickers="GS")]) == 0
+    assert "GS: n=9 " in capsys.readouterr().out
+    assert run_cli(["run", *flags(fixtures, fresh, tickers="GS")]) == 0
+    assert "GS: n=9 " in capsys.readouterr().out
+    for rel in ("aggregates.csv", "summary.csv", "analysis/GS.json", "charts/GS.svg"):
+        assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+    assert '"id": "dup"' not in (fresh / "scored.jsonl").read_text(encoding="utf-8")
+
+
 def test_report_narrows_the_stored_prices_to_the_window_end_and_price_days(tmp_path):
     narrow = ["--window", "2022-07-20:2022-07-25", "--price-days", "5"]
     full, fresh = tmp_path / "full", tmp_path / "fresh"
@@ -344,6 +363,15 @@ def test_score_counts_the_documents_with_an_external_verdict(tmp_path, capsys, r
     assert run_cli(argv) == 0
     n_docs = len((out / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
     assert f"scored {n_docs} documents ({n_external} external) -> " in capsys.readouterr().out
+
+
+def test_an_external_verdict_with_an_empty_id_is_one_schema_error(tmp_path, capsys):
+    # No document has an empty id, so such a row could never be used.
+    path = tmp_path / "verdicts.csv"
+    path.write_text("id,source,label,score\ntw-gs-0720a,tweet,negative,0.5\n,tweet,positive,0.5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path / "out"), "--external-verdicts", str(path)]) == 2
+    assert stderr_lines(capsys) == [f"error[schema]: {path}:3: id must be non-empty"]
 
 
 def test_run_prints_each_stage_line_in_order(tmp_path, capsys):

@@ -202,7 +202,7 @@ class TestParseSerialize:
         payload["retweets"] = 9
         line = json.dumps(payload)
         with pytest.raises(SchemaError, match="retweets"):
-            parse_document_line(line, strict=True)
+            parse_document_payload(payload, strict=True)
         assert parse_document_line(line).id == "t1"
         # A run prints one note per input file that had unknown fields, not one per record.
         fixtures = tmp_path / "fixtures" / "GS"
