@@ -9,11 +9,12 @@ days survive the pipeline.
 from __future__ import annotations
 
 import math
+from datetime import date
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .sentiment import ScoredDocument
 from .util import Record, atomic_write_text, format_real
 
 DEFAULT_AFFINE_MIN = 0.15
@@ -60,30 +61,21 @@ class TickerAggregate(NamedTuple):
     classification: AffinityClass
 
 
-def group_by_ticker(
-    scored: Iterable[ScoredDocument], tickers: Iterable[str] = ()
-) -> dict[str, list[ScoredDocument]]:
-    """Each ticker's scored documents in input order, in one pass; every
-    key of ``tickers`` gets a list, empty when it has no documents."""
-    groups: dict[str, list[ScoredDocument]] = {key: [] for key in tickers}
-    for sd in scored:
-        groups.setdefault(sd.ticker, []).append(sd)
-    return groups
-
-
 def aggregate_by_ticker(
-    groups: Mapping[str, Sequence[ScoredDocument]],
+    table: Mapping[str, Mapping[date, Sequence[float]]],
     thresholds: AffinityThresholds = AffinityThresholds(),
 ) -> list[TickerAggregate]:
-    """One aggregate per ticker of ``groups`` (see group_by_ticker), sorted by ticker key.
+    """One aggregate per ticker of ``table`` (each ticker's composites by
+    UTC day), sorted by ticker key.
 
-    A ticker with no documents aggregates to (0, 0, 0, Neutral).
+    A ticker with no composites aggregates to (0, 0, 0, Neutral).
     """
     aggregates = []
-    for key in sorted(groups):
-        docs = groups[key]
-        n = len(docs)
-        total = math.fsum(sd.verdict.composite for sd in docs)
+    for key in sorted(table):
+        days = table[key].values()
+        n = sum(map(len, days))
+        # Correctly rounded, so the sum does not depend on the order of the days.
+        total = math.fsum(chain.from_iterable(days))
         mean = total / n if n else 0.0
         aggregates.append(
             TickerAggregate(

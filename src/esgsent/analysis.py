@@ -14,11 +14,10 @@ import math
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .aggregation import TickerAggregate
 from .market import PriceSeries, daily_open_returns, percent_change_open
-from .sentiment import ScoredDocument
 from .util import atomic_write_text, json_value
 
 MIN_ALIGNED_DAYS = 3
@@ -30,14 +29,10 @@ class SignAgreement(Enum):
     INDETERMINATE = "Indeterminate"
 
 
-def daily_index(scored: Iterable[ScoredDocument]) -> list[tuple[date, float]]:
-    """(UTC date, mean composite of that day's documents), date-ordered;
-    days without documents are omitted."""
-    by_day: dict[date, list[float]] = {}
-    for sd in scored:
-        day = sd.timestamp.date()
-        by_day.setdefault(day, []).append(sd.verdict.composite)
-    return [(day, math.fsum(values) / len(values)) for day, values in sorted(by_day.items())]
+def daily_index(days: Mapping[date, Sequence[float]]) -> list[tuple[date, float]]:
+    """(UTC date, mean of that day's composites), date-ordered; ``days``
+    holds only days with documents."""
+    return [(day, math.fsum(values) / len(values)) for day, values in sorted(days.items())]
 
 
 def align(
@@ -107,10 +102,10 @@ class AnalysisResult(NamedTuple):
 
 
 def analyze(
-    scored: Iterable[ScoredDocument], series: PriceSeries, aggregate: TickerAggregate
+    days: Mapping[date, Sequence[float]], series: PriceSeries, aggregate: TickerAggregate
 ) -> AnalysisResult:
-    """Compose one ticker's result from its scored documents, its price
-    series and its aggregate, which supplies the mean composite.
+    """Compose one ticker's result from its composites by UTC day, its
+    price series and its aggregate, which supplies the mean composite.
 
     Raises InsufficientData only when the price series cannot yield a
     percent change (< 2 bars); too few aligned days or a constant series
@@ -118,7 +113,7 @@ def analyze(
     """
     mean_composite = aggregate.mean_composite
     change = percent_change_open(series)
-    aligned = align(daily_index(scored), daily_open_returns(series))
+    aligned = align(daily_index(days), daily_open_returns(series))
     return AnalysisResult(
         ticker=aggregate.ticker,
         percent_change=change,

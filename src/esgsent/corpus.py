@@ -11,8 +11,8 @@ The narrowing rule: a document is kept if and only if the earliest copy
 of its (source, id) key lies in the window. A copy dated before the
 window is earlier than any inside it, and one dated after it never is, so
 ``fetch_documents`` collects the keys of the records dated before the
-window's start and the caller drops, after ``dedupe``, every document
-whose key is among them. A narrower window then keeps exactly the
+window's start and ``dedupe`` drops every document whose key is among
+them. A narrower window then keeps exactly the
 documents of a wider one that lie inside it.
 """
 
@@ -249,8 +249,9 @@ def serialize_document(doc: Document) -> str:
     return line_head(doc) + corpus_tail(doc)
 
 
-def dedupe(docs: Iterable[Document]) -> list[Document]:
-    """Drop duplicate (source, id) keys, keeping the earliest record.
+def dedupe(docs: Iterable[Document], earlier: Iterable[tuple[str, str]] = ()) -> list[Document]:
+    """Drop duplicate (source, id) keys, keeping the earliest record, and
+    every record whose key is in ``earlier``, the keys dated before the window.
 
     Scanning happens in (timestamp, id) order so the first occurrence in
     that order wins; output is emitted in the same order, records equal in
@@ -261,6 +262,8 @@ def dedupe(docs: Iterable[Document]) -> list[Document]:
     ordered = sorted(docs, key=attrgetter("id"))
     ordered.sort(key=attrgetter("timestamp"))
     seen: dict[str, set[str]] = {source.value: set() for source in Source}
+    for source, doc_id in earlier:
+        seen[source].add(doc_id)
     out: list[Document] = []
     for doc in ordered:
         ids = seen[doc.source._value_]

@@ -17,7 +17,7 @@ from math import copysign
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
@@ -327,8 +327,8 @@ _SCORED_FIELDS = ("id", "source", "timestamp", "ticker", "label", "score", "comp
 _scored_items = itemgetter(*_SCORED_FIELDS)
 
 
-def read_scored(path: Path) -> list[ScoredDocument]:
-    """Load a scored file back, one record per line, in file order.
+def read_scored(path: Path) -> Iterator[ScoredDocument]:
+    """Yield a scored file's records, one per line, in file order.
 
     Each line is read in one pass whose checks run in a fixed order; the
     first that fails is a SchemaError naming ``<path>:<line>``. Each document
@@ -337,8 +337,8 @@ def read_scored(path: Path) -> list[ScoredDocument]:
     anything ``float()`` reads. The records of one ticker share one ticker
     string.
     """
-    seen: set[VerdictKey] = set()
-    scored = []
+    # One set of ids per source, as in dedupe: no key tuple is kept per line.
+    seen: dict[Source, set[str]] = {source: set() for source in Source}
     # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
     verdicts: dict[tuple[str, float], tuple[SentimentVerdict, float]] = {}
     for lineno, obj in json_lines(path):
@@ -358,10 +358,10 @@ def read_scored(path: Path) -> list[ScoredDocument]:
             if not doc_id:
                 raise SchemaError("field 'id' must be non-empty")
             timestamp = _parse_timestamp(raw_timestamp, doc_id)
-            key = (source_value, doc_id)
-            if key in seen:
-                raise SchemaError(f"duplicate scored line for {key}")
-            seen.add(key)
+            ids = seen[source]
+            if doc_id in ids:
+                raise SchemaError(f"duplicate scored line for {(source_value, doc_id)}")
+            ids.add(doc_id)
             # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
             cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
             hit = verdicts.get((label, score)) if cacheable else None
@@ -378,5 +378,4 @@ def read_scored(path: Path) -> list[ScoredDocument]:
         except (SchemaError, InvariantError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
         # The lines of one ticker share one key string, as run's documents do.
-        scored.append(ScoredDocument(doc_id, source, timestamp, intern(ticker), hit[0]))
-    return scored
+        yield ScoredDocument(doc_id, source, timestamp, intern(ticker), hit[0])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
@@ -13,70 +13,59 @@ from esgsent.aggregation import (
     AffinityThresholds,
     aggregate_by_ticker,
     classify,
-    group_by_ticker,
     rank_affinity,
 )
-from esgsent.sentiment import SentimentLabel
 
-from conftest import make_doc, make_scored
-
-LABEL_FOR_SIGN = {1: SentimentLabel.POSITIVE, 0: SentimentLabel.NEUTRAL, -1: SentimentLabel.NEGATIVE}
+DAY = date(2022, 7, 20)
 
 
-def scored_from_composites(composites, ticker="GS", start_id=0):
-    out = []
-    for i, value in enumerate(composites):
-        sign = (value > 0) - (value < 0)
-        doc = make_doc(f"{ticker.lower()}-{start_id + i}", ticker=ticker, day=date(2022, 7, 20), hour=i % 24)
-        out.append(make_scored(doc, LABEL_FOR_SIGN[sign], abs(value)))
-    return out
-
-
-def aggregate(scored, tickers=()):
-    return aggregate_by_ticker(group_by_ticker(scored, tickers))
+def one_day(values):
+    """A ticker's composites by UTC day, all on one day."""
+    return {DAY: list(values)}
 
 
 class TestAggregate:
     def test_hand_arithmetic(self):
-        scored = scored_from_composites([0.9, -0.4, 0.5])
-        (agg,) = aggregate(scored)
+        (agg,) = aggregate_by_ticker({"GS": {DAY: [0.9, -0.4], DAY + timedelta(days=1): [0.5]}})
         assert agg.n_docs == 3
         assert agg.sum_composite == pytest.approx(1.0, abs=1e-15)
         assert agg.mean_composite == pytest.approx(1.0 / 3, abs=1e-15)
 
-    def test_group_by_ticker_keeps_input_order_and_every_configured_ticker(self):
-        scored = scored_from_composites([0.5, -0.5], ticker="TSLA") + scored_from_composites([0.1], ticker="GS")
-        groups = group_by_ticker(scored, ["AMZN", "GS"])
-        assert list(groups) == ["AMZN", "GS", "TSLA"]
-        assert groups == {"AMZN": [], "GS": scored[2:], "TSLA": scored[:2]}
-
     def test_empty_input_with_configured_tickers(self):
-        aggs = aggregate([], tickers=["AMZN", "GS"])
+        aggs = aggregate_by_ticker({"AMZN": {}, "GS": {}})
         assert [a.ticker for a in aggs] == ["AMZN", "GS"]
         for agg in aggs:
             assert (agg.n_docs, agg.sum_composite, agg.mean_composite) == (0, 0.0, 0.0)
             assert agg.classification is AffinityClass.NEUTRAL
 
     def test_singleton(self):
-        (agg,) = aggregate(scored_from_composites([-0.8]))
+        (agg,) = aggregate_by_ticker({"GS": one_day([-0.8])})
         assert agg.sum_composite == -0.8
         assert agg.mean_composite == -0.8
         assert agg.classification is AffinityClass.AVERSE
 
     def test_output_sorted_by_ticker(self):
-        scored = scored_from_composites([0.5], ticker="TSLA") + scored_from_composites([0.5], ticker="AMZN")
-        aggs = aggregate(scored)
+        aggs = aggregate_by_ticker({"TSLA": one_day([0.5]), "AMZN": one_day([0.5])})
         assert [a.ticker for a in aggs] == ["AMZN", "TSLA"]
 
     def test_order_invariance(self):
         rng = random.Random(5)
-        scored = scored_from_composites([0.9, -0.4, 0.5, 0.25, -1.0, 0.75], ticker="GS")
-        scored += scored_from_composites([0.1, -0.3, 1.0], ticker="HSBC", start_id=50)
-        baseline = aggregate(scored)
+        values = {"GS": [0.9, -0.4, 0.5, 0.25, -1.0, 0.75], "HSBC": [0.1, -0.3, 1.0]}
+
+        def table(shuffle):
+            out = {}
+            for ticker, composites in values.items():
+                composites = composites[:]
+                shuffle(composites)
+                days = {}
+                for i, value in enumerate(composites):
+                    days.setdefault(DAY + timedelta(days=i % 4), []).append(value)
+                out[ticker] = dict(sorted(days.items(), key=lambda _: rng.random()))
+            return dict(sorted(out.items(), key=lambda _: rng.random()))
+
+        baseline = aggregate_by_ticker(table(lambda xs: None))
         for _ in range(20):
-            shuffled = scored[:]
-            rng.shuffle(shuffled)
-            assert aggregate(shuffled) == baseline
+            assert aggregate_by_ticker(table(rng.shuffle)) == baseline
 
     def test_positive_scaling_preserves_rank_and_scales_moments(self):
         base = {
@@ -86,23 +75,19 @@ class TestAggregate:
             "HSBC": [-0.9, -0.5],
         }
         scale = 0.5  # a power of two keeps the scaling exact in floats
-        plain, scaled = [], []
-        for ticker, values in base.items():
-            plain += scored_from_composites(values, ticker=ticker)
-            scaled += scored_from_composites([scale * v for v in values], ticker=ticker)
-        aggs_plain = aggregate(plain)
-        aggs_scaled = aggregate(scaled)
+        aggs_plain = aggregate_by_ticker({t: one_day(values) for t, values in base.items()})
+        aggs_scaled = aggregate_by_ticker({t: one_day([scale * v for v in values]) for t, values in base.items()})
         for before, after in zip(aggs_plain, aggs_scaled):
             assert after.sum_composite == scale * before.sum_composite
             assert after.mean_composite == scale * before.mean_composite
         assert rank_affinity(aggs_scaled) == rank_affinity(aggs_plain)
 
     def test_concatenated_corpora_add(self):
-        first = scored_from_composites([0.5, -0.25, 0.75])
-        second = scored_from_composites([0.1, 0.9], start_id=10)
-        (agg_first,) = aggregate(first)
-        (agg_second,) = aggregate(second)
-        (agg_both,) = aggregate(first + second)
+        first = {DAY: [0.5, -0.25, 0.75]}
+        second = {DAY + timedelta(days=1): [0.1, 0.9]}
+        (agg_first,) = aggregate_by_ticker({"GS": first})
+        (agg_second,) = aggregate_by_ticker({"GS": second})
+        (agg_both,) = aggregate_by_ticker({"GS": {**first, **second}})
         assert agg_both.n_docs == agg_first.n_docs + agg_second.n_docs
         assert agg_both.sum_composite == pytest.approx(
             agg_first.sum_composite + agg_second.sum_composite, abs=1e-12
@@ -142,29 +127,20 @@ class TestClassify:
 
 class TestRank:
     def test_qualitative_order(self):
-        scored = []
-        for ticker, values in {
-            "GS": [0.8],
-            "AMZN": [0.6],
-            "TSLA": [0.3],
-            "HSBC": [-0.7],
-        }.items():
-            scored += scored_from_composites(values, ticker=ticker)
-        assert rank_affinity(aggregate(scored)) == ["GS", "AMZN", "TSLA", "HSBC"]
+        table = {"GS": one_day([0.8]), "AMZN": one_day([0.6]), "TSLA": one_day([0.3]), "HSBC": one_day([-0.7])}
+        assert rank_affinity(aggregate_by_ticker(table)) == ["GS", "AMZN", "TSLA", "HSBC"]
 
     def test_ties_break_alphabetically(self):
-        scored = scored_from_composites([0.5], ticker="TSLA")
-        scored += scored_from_composites([0.5], ticker="AMZN", start_id=5)
-        scored += scored_from_composites([0.5], ticker="GS", start_id=9)
-        assert rank_affinity(aggregate(scored)) == ["AMZN", "GS", "TSLA"]
+        table = {"TSLA": one_day([0.5]), "AMZN": one_day([0.5]), "GS": one_day([0.5])}
+        assert rank_affinity(aggregate_by_ticker(table)) == ["AMZN", "GS", "TSLA"]
 
     def test_singleton(self):
-        assert rank_affinity(aggregate(scored_from_composites([0.2]))) == ["GS"]
+        assert rank_affinity(aggregate_by_ticker({"GS": one_day([0.2])})) == ["GS"]
 
 
 def test_mean_is_sum_over_count():
     rng = random.Random(23)
     values = [rng.uniform(-1, 1) for _ in range(37)]
-    (agg,) = aggregate(scored_from_composites(values))
+    (agg,) = aggregate_by_ticker({"GS": one_day(values)})
     assert agg.mean_composite == pytest.approx(math.fsum(values) / len(values), abs=1e-15)
     assert abs(agg.mean_composite) <= 1.0

@@ -9,12 +9,11 @@ from datetime import date
 import pytest
 
 from esgsent.aggregation import AffinityClass, TickerAggregate
-from esgsent.analysis import AnalysisResult, SignAgreement, align, analyze, pearson
+from esgsent.analysis import AnalysisResult, SignAgreement, align, analyze, daily_index, pearson, sign_agreement
 from esgsent.charts import MIN_BODY_PX, render_candlestick_svg
 from esgsent.market import PriceSeries
-from esgsent.sentiment import SentimentLabel
 
-from conftest import make_doc, make_scored, make_series
+from conftest import make_series
 
 
 def test_pearson_matches_hand_computed_value():
@@ -50,11 +49,35 @@ def test_pearson_rejects_unequal_lengths():
 
 def test_analyze_with_no_aligned_day_has_no_pearson():
     # Bars dated 2022-07-01..03; the only document is dated 2022-07-20.
-    scored = [make_scored(make_doc("a", text="good"), SentimentLabel.POSITIVE, 0.5)]
     aggregate = TickerAggregate("GS", 1, 0.5, 0.5, AffinityClass.AFFINE)
-    result = analyze(scored, make_series([100.0, 101.0, 102.0]), aggregate)
+    result = analyze({date(2022, 7, 20): [0.5]}, make_series([100.0, 101.0, 102.0]), aggregate)
     assert result.pearson_r is None
     assert result.n_aligned_days == 0
+
+
+def test_analyze_correlates_each_day_mean_with_that_day_return():
+    # Opens 100, 110, 99, 108.9 give returns +10%, -10%, +10% on 07-02..04.
+    days = {date(2022, 7, 4): [0.5], date(2022, 7, 2): [0.25, 0.75], date(2022, 7, 3): [-1.0, 0.0, 0.25]}
+    aggregate = TickerAggregate("GS", 6, 0.75, 0.125, AffinityClass.NEUTRAL)
+    result = analyze(days, make_series([100.0, 110.0, 99.0, 108.9]), aggregate)
+    assert daily_index(days) == [(date(2022, 7, 2), 0.5), (date(2022, 7, 3), -0.25), (date(2022, 7, 4), 0.5)]
+    assert result.n_aligned_days == 3
+    assert result.pearson_r == pytest.approx(1.0)
+    assert result.mean_composite == 0.125
+
+
+@pytest.mark.parametrize("mean,change", [(0.5, 0.0), (-0.5, 0.0), (0.0, 1.25), (0.0, -1.25), (0.0, 0.0)],
+                         ids=["positive-mean", "negative-mean", "rising", "falling", "both-zero"])
+def test_a_zero_mean_or_change_is_indeterminate(mean, change):
+    assert sign_agreement(mean, change) is SignAgreement.INDETERMINATE
+
+
+@pytest.mark.parametrize("mean,change,expected", [
+    (0.5, 1.25, SignAgreement.CONCORDANT), (-0.5, -1.25, SignAgreement.CONCORDANT),
+    (0.5, -1.25, SignAgreement.DISCORDANT), (-0.5, 1.25, SignAgreement.DISCORDANT),
+])
+def test_sign_agreement_compares_strict_signs(mean, change, expected):
+    assert sign_agreement(mean, change) is expected
 
 
 @pytest.mark.parametrize(

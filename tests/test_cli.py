@@ -155,9 +155,9 @@ def test_run_writes_every_file_with_the_mode_of_the_umask(tmp_path):
         os.umask(umask)
 
 
-def file_ids(out: Path) -> dict[str, tuple[int, bytes]]:
-    """(inode, bytes) of every file under out."""
-    return {path.relative_to(out).as_posix(): (path.stat().st_ino, path.read_bytes())
+def file_ids(out: Path) -> dict[str, tuple[int, int, bytes]]:
+    """(inode, mtime, bytes) of every file under out."""
+    return {path.relative_to(out).as_posix(): (path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes())
             for path in out.rglob("*") if path.is_file()}
 
 
@@ -180,9 +180,9 @@ def test_report_under_other_thresholds_writes_what_run_writes_and_keeps_charts_a
     assert run_cli(["run", *flags(FIXTURES_DIR, fresh), *thresholds]) == 0
     after = file_ids(out)
     for rel in REPORT_FILES:
-        assert after[rel][1] == (fresh / rel).read_bytes(), rel
+        assert after[rel][-1] == (fresh / rel).read_bytes(), rel
     assert {rel for rel in after if after[rel] != before[rel]} == changed
-    assert all(after[rel][1] != before[rel][1] for rel in changed)
+    assert all(after[rel][-1] != before[rel][-1] for rel in changed)
 
 
 def test_report_reads_no_corpus(tmp_path):
@@ -217,6 +217,32 @@ def test_report_keeps_only_documents_inside_the_window(tmp_path):
     for rel in REPORT_FILES:
         assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
     assert (full / "analysis" / "GS.json").read_bytes() != before
+
+
+def test_a_configured_ticker_without_documents_in_the_window_gets_a_neutral_row(tmp_path):
+    # GS has a document on 29 July, AMZN none.
+    last_day = "2022-07-29:2022-07-29"
+    fresh, full = tmp_path / "fresh", tmp_path / "full"
+    assert run_cli(["run", *flags(FIXTURES_DIR, fresh, window=last_day)]) == 0
+    assert run_cli(["run", *flags(FIXTURES_DIR, full)]) == 0
+    assert run_cli(["report", *report_flags(full, window=last_day)]) == 0
+    for out in (fresh, full):
+        rows = (out / "aggregates.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "AMZN,0,0.000000,0.000000,Neutral", out
+        assert rows[2].startswith("GS,1,"), out
+
+
+def test_report_on_a_bad_last_scored_line_fails_before_writing_any_file(tmp_path, capsys):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    scored = tmp_path / "scored.jsonl"
+    *lines, last = scored.read_text(encoding="utf-8").splitlines(keepends=True)
+    scored.write_text("".join(lines) + json.dumps({**json.loads(last), "score": 1.5}) + "\n", encoding="utf-8")
+    before = file_ids(tmp_path)
+    capsys.readouterr()
+    # These thresholds change aggregates.csv and summary.csv, so a report that wrote would show.
+    assert run_cli(["report", *report_flags(tmp_path), "--thresholds", "0.7,-0.3"]) == 2
+    assert stderr_lines(capsys) == [f"error[schema]: {scored}:{len(lines) + 1}: sentiment score 1.5 outside [0, 1]"]
+    assert file_ids(tmp_path) == before
 
 
 def test_report_on_a_narrower_window_keeps_what_a_fresh_run_keeps(tmp_path, capsys):

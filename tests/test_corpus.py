@@ -292,6 +292,14 @@ class TestDedupe:
             # Identity, not equality: among equal (timestamp, id) records the earlier input wins.
             assert [id(doc) for doc in dedupe(docs)] == [id(doc) for doc in expected]
 
+    def test_a_key_in_earlier_is_dropped_even_with_its_only_copy(self):
+        # "a" has one copy in docs; its earlier copy lay before the window and was not fetched.
+        a, b = make_doc("a", day=date(2022, 7, 20)), make_doc("b", day=date(2022, 7, 21))
+        news_a = make_doc("a", source=Source.NEWS, day=date(2022, 7, 22))
+        docs = [b, news_a, a, a]
+        assert dedupe(docs, {("tweet", "a")}) == [b, news_a]
+        assert dedupe(docs, ()) == dedupe(docs) == [a, b, news_a]
+
 
 class TestFilterWindow:
     def test_start_boundary_retained(self, july_window):

@@ -476,7 +476,7 @@ def test_both_files_round_trip(tmp_path):
     for name in ("corpus.jsonl", "scored.jsonl"):
         assert '"timestamp": "2022-07-21T09:30:05.750000Z"' in (tmp_path / name).read_text(encoding="utf-8")
     assert read_back_corpus(tmp_path / "corpus.jsonl") == docs
-    assert read_scored(tmp_path / "scored.jsonl") == scored
+    assert list(read_scored(tmp_path / "scored.jsonl")) == scored
 
 
 def test_the_two_lines_of_a_document_share_their_head(tmp_path):
@@ -509,7 +509,7 @@ class TestScoreCorpusWritesBothFilesAtomically:
         scored = score_to(tmp_path, first)
         before = [(tmp_path / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")]
         assert read_back_corpus(tmp_path / "corpus.jsonl") == first
-        assert read_scored(tmp_path / "scored.jsonl") == scored
+        assert list(read_scored(tmp_path / "scored.jsonl")) == scored
         # The bad title is met only after 1,000 lines have gone to each temporary file.
         with pytest.raises(TypeError):
             score_to(tmp_path, [*self.docs(1000), make_doc("bad", title=object())])
@@ -529,7 +529,7 @@ class TestScoreCorpusWritesBothFilesAtomically:
         # Beyond the scored records it returns, the pass holds about a line of each file.
         assert peak - retained < sizes[1] / 10, (peak, retained, sizes)
         assert read_back_corpus(tmp_path / "corpus.jsonl") == docs
-        assert read_scored(tmp_path / "scored.jsonl") == scored
+        assert list(read_scored(tmp_path / "scored.jsonl")) == scored
 
 
 def test_verdicts_keep_no_state_and_the_text_cache_is_bounded(tmp_path):
@@ -550,7 +550,7 @@ def test_verdicts_keep_no_state_and_the_text_cache_is_bounded(tmp_path):
     records = sys.getsizeof(scored) + sum(map(sys.getsizeof, scored))
     assert retained - records < 300_000, (retained, records)
     assert peak - retained < 300_000, (peak, retained)
-    assert read_scored(tmp_path / "scored.jsonl") == scored
+    assert list(read_scored(tmp_path / "scored.jsonl")) == scored
 
 
 @pytest.mark.parametrize("ts", [
@@ -577,14 +577,14 @@ def test_scored_line_with_bad_composite_is_schema_error(tmp_path, composite_valu
     path = tmp_path / "scored.jsonl"
     path.write_text(scored_line(composite=composite_value) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError):
-        read_scored(path)
+        list(read_scored(path))
 
 
 def test_scored_line_with_inconsistent_composite_names_the_line(tmp_path):
     path = tmp_path / "scored.jsonl"
     path.write_text("\n" + scored_line(label="negative", composite="0.5") + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"scored\.jsonl:2: composite inconsistent with verdict$"):
-        read_scored(path)
+        list(read_scored(path))
 
 
 def scored_line(doc_id="a", label="positive", score="0.5", composite="0.5", source="tweet",
@@ -596,7 +596,7 @@ def scored_line(doc_id="a", label="positive", score="0.5", composite="0.5", sour
 def read_lines(tmp_path, lines):
     path = tmp_path / "scored.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return read_scored(path)
+    return list(read_scored(path))
 
 
 class TestScoredLineForms:
@@ -766,10 +766,10 @@ def test_read_scored_equals_the_field_by_field_reference(tmp_path):
         except SchemaError as exc:
             outcomes.add("error")
             with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
-                read_scored(path)
+                list(read_scored(path))
             continue
         outcomes.add("read")
-        got = read_scored(path)
+        got = list(read_scored(path))
         assert got == expected, lines
         assert [repr(sd.verdict.score) for sd in got] == [repr(sd.verdict.score) for sd in expected], lines
         assert [sd.timestamp.tzinfo for sd in got] == [timezone.utc] * len(got), lines
