@@ -1,36 +1,41 @@
 """Command-line pipeline: ``run`` (ingest -> score -> prices -> report) and ``report``.
 
-``run`` hands each stage's result to the next in memory and computes
-every value once: the corpus and the scored documents are never re-read.
-Fetching empties the transport's list of fixture lines, the scoring pass
-the list of documents, and the report the list of scored records, so a
-line is freed once its document exists, a document's text once its two
-lines are written, and a scored record once its composite is kept. Every
-file ``run`` writes is written once. The two JSON-lines files are
-written in that one pass over the documents, each document's corpus
-line and scored line opening with the same text, and neither replaces
-an older file unless both were written in full. A bad ``--lexicon`` or
-``--external-verdicts`` fails before any file is written.
+``run`` loads the lexicon and the external verdicts, then takes one
+configured ticker at a time: it fetches and dedupes the ticker's
+documents, scores them, writes their lines and folds their composites
+into the per-ticker, per-day table before it fetches the next ticker, so
+it holds one ticker's documents at a time. Each stage's result goes to
+the next in memory and every value is computed once. Fetching empties the
+transport's list of fixture lines, scoring the list of documents, and the
+fold the list of scored records, so a line is freed once its document
+exists, a document's text once its two lines are written, and a scored
+record once its composite is kept. Every file ``run`` writes is written
+once. The two JSON-lines files hold one block per ticker, in the
+configured order, each in (timestamp, id) order; they are written through
+one ``atomic_open`` pair, so neither replaces an older file unless both
+were written in full. A bad ``--lexicon`` or ``--external-verdicts``
+fails before any file is written.
 ``corpus.jsonl`` is written for audit, one kept ``Document`` per line
 without the fixtures' metadata; no command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
-output directory, streaming ``scored.jsonl`` (a peak RSS of about 22 MB
-on the 50,000-record ``bulk-tweets`` benchmark workload). Both commands
-reduce the scored records, in one pass and before any file is written,
-to the composites by UTC day of each configured ticker inside the
-configured window; aggregation runs once on that table, and one
-per-ticker loop gets a ticker's price series, analyzes and charts that
-ticker over its own days, so at most one series is held at a time. Each
+output directory: it streams ``scored.jsonl`` into the same table (a peak
+RSS of about 22 MB on the 50,000-record ``bulk-tweets`` benchmark
+workload), keeping the composites by UTC day of each configured ticker
+inside the configured window, before any file is written. Aggregation
+runs once on that table, and one per-ticker loop gets a ticker's price
+series, analyzes and charts that ticker over its own days, so at most one
+series is held at a time. Each
 report file, and each price file ``run`` writes, that already holds
 exactly its new bytes with the mode a new file gets is left in place
 with its mtime, so ``make``-style tools see no change: under new
 thresholds the charts and analyses stay. The two JSON-lines files are
 always replaced. ``report`` trusts the scored file to be that of the
-corpus. Both commands keep a document if and only if the earliest copy
-of its (source, id) key lies in the window (the narrowing rule of
-``corpus``), so ``report`` on a narrower window keeps what a fresh
-``run`` on it keeps. Of each price file ``report`` keeps the last
+corpus. Both commands keep a ticker's document if and only if the
+earliest copy of its (source, id) key under that ticker lies in the
+window (the narrowing rule of ``corpus``), so ``report`` on a narrower
+window or on fewer tickers keeps what a fresh ``run`` on them keeps. Of
+each price file ``report`` keeps the last
 ``price_days`` bars up to the window's end, as ``run`` does: it can
 narrow the stored history but not widen it.
 Documents and prices come from recorded fixtures through the replay
@@ -57,7 +62,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from collections import Counter
 from datetime import date
 from typing import Callable, Iterable, Optional
 
@@ -70,8 +74,6 @@ from .corpus import Document, dedupe, fetch_documents
 from .errors import InsufficientData, PipelineError, SchemaError
 from .market import PriceSeries, fetch_prices, load_prices, tail_n, write_prices
 from .sentiment import (
-    ExternalVerdicts,
-    Lexicon,
     ScoredDocument,
     default_lexicon,
     import_external_verdicts,
@@ -80,11 +82,13 @@ from .sentiment import (
     score_corpus,
 )
 from .transport import ReplayDocumentTransport, ReplayPriceTransport
-from .util import atomic_write_text, drain, format_real, note
+from .util import atomic_open, atomic_write_text, drain, format_real, note
 
 SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "percent_change", "sign_agreement"]
 
 SeriesSource = Callable[[str], PriceSeries]
+# ticker -> UTC day -> the composites of the ticker's documents of that day.
+Table = dict[str, dict[date, list[float]]]
 
 
 def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
@@ -94,36 +98,19 @@ def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
     return tail_n(load_prices(path, ticker), config.price_days, end=config.window.end)
 
 
-def cmd_ingest(config: RunConfig) -> tuple[list[Document], Lexicon, Optional[ExternalVerdicts]]:
-    """Fetch and dedupe documents and load the scoring inputs; return the
-    corpus, the lexicon and the external verdicts.
+def cmd_ingest(config: RunConfig, ticker: str, transport: ReplayDocumentTransport) -> list[Document]:
+    """Fetch and dedupe one ticker's documents; return them in (timestamp, id) order.
 
-    ``fetch_documents`` already keeps only documents inside the window, and
-    ``dedupe`` drops a document whose key has a copy dated before it, as the
-    narrowing rule of ``corpus`` says. The scoring inputs load once the
-    fetched list is freed, so they never add to the fetch's peak, and
-    before any file is written, so a bad ``--lexicon`` or
-    ``--external-verdicts`` leaves an earlier run's files as they were.
+    ``fetch_documents`` already keeps only the ticker's documents inside the
+    window, and ``dedupe`` drops a document whose key has a copy of this
+    ticker dated before it, as the narrowing rule of ``corpus`` says. No
+    other ticker's documents are read, so the result does not depend on
+    which other tickers run.
     """
-    transport = ReplayDocumentTransport(config.fixtures)
-    fetched: list[Document] = []
-    # One set over every ticker, as dedupe is over every ticker.
     earlier: set[tuple[str, str]] = set()
-    for ticker in config.tickers:
-        fetched.extend(fetch_documents(ticker, config.window, transport, strict=config.strict, earlier=earlier))
-    docs = dedupe(fetched, earlier)
-    del fetched, earlier
-    lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
-    external = (
-        import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
-    )
-
-    counts = Counter(doc.ticker for doc in docs)
-    for ticker in config.tickers:
-        print(f"{ticker}: {counts.get(ticker, 0)} documents")
-    if not docs:
-        note("insufficient-data", "corpus is empty for this window")
-    return docs, lexicon, external
+    docs = dedupe(fetch_documents(ticker, config.window, transport, strict=config.strict, earlier=earlier), earlier)
+    print(f"{ticker}: {len(docs)} documents")
+    return docs
 
 
 def _fetch_series(config: RunConfig, transport: ReplayPriceTransport, ticker: str) -> PriceSeries:
@@ -149,22 +136,25 @@ def _summary_csv(ranked: list[TickerAggregate], results: dict[str, AnalysisResul
     return "\n".join(lines) + "\n"
 
 
-def _report(config: RunConfig, scored: Iterable[ScoredDocument], series_of: SeriesSource) -> None:
-    """Fold the records into each configured ticker's composites by UTC
-    day, in the window, before writing any file; aggregate and classify;
-    then, one ticker at a time, get its series, analyze its days only, and
-    write its analysis and chart; then write the summary.
-
-    A ticker whose series is too short gets a note and no files; when no
-    ticker has enough data the run fails with InsufficientData.
-    """
-    table: dict[str, dict[date, list[float]]] = {ticker: {} for ticker in config.tickers}
+def _fold(config: RunConfig, table: Table, scored: Iterable[ScoredDocument]) -> None:
+    """Add each record's composite to its ticker's list for its UTC day,
+    for the tickers in the table and the days in the window."""
     start, end = config.window
     for sd in scored:
         days = table.get(sd.ticker)
         day = sd.timestamp.date()
         if days is not None and start <= day <= end:
             days.setdefault(day, []).append(sd.verdict.composite)
+
+
+def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:
+    """Aggregate and classify each configured ticker's composites by UTC
+    day; then, one ticker at a time, get its series, analyze its days only,
+    and write its analysis and chart; then write the summary.
+
+    A ticker whose series is too short gets a note and no files; when no
+    ticker has enough data the run fails with InsufficientData.
+    """
     aggregates = aggregate_by_ticker(table, config.thresholds)
     write_aggregates(aggregates, config.aggregates_path)
     for agg in aggregates:
@@ -206,22 +196,39 @@ def cmd_report(config: RunConfig) -> None:
     """Write aggregates, per-ticker analysis JSONs and candlestick SVGs, and the summary CSV."""
     if not config.scored_path.exists():
         raise SchemaError(f"scored file not found: {config.scored_path} (run 'run' first)")
-    _report(config, read_scored(config.scored_path), lambda t: _load_series(config, t))
+    table: Table = {ticker: {} for ticker in config.tickers}
+    _fold(config, table, read_scored(config.scored_path))
+    _report(config, table, lambda t: _load_series(config, t))
 
 
 def cmd_run(config: RunConfig) -> None:
-    """Run the whole pipeline end to end, passing each stage's result in memory."""
-    docs, lexicon, external = cmd_ingest(config)
-    # A scored record keeps only the id, source, timestamp and ticker of its
-    # document; draining the list frees the rest of each document once its
-    # two lines are written. The verdict map is freed before the report.
-    scored = score_corpus(drain(docs), lexicon, external, config.corpus_path, config.scored_path)
+    """Run the whole pipeline end to end, one ticker at a time, passing each stage's result in memory."""
+    lexicon = load_lexicon(config.lexicon) if config.lexicon else default_lexicon()
+    external = (
+        import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
+    )
+    transport = ReplayDocumentTransport(config.fixtures)
+    table: Table = {ticker: {} for ticker in config.tickers}
+    n_scored = n_external = 0
+    with atomic_open(config.corpus_path, config.scored_path) as (corpus, scored_file):
+        for ticker in config.tickers:
+            # A scored record keeps only the id, source, timestamp and ticker of its
+            # document; draining frees the rest of each document once its two lines
+            # are written, and each record once its composite is in the table.
+            scored = score_corpus(drain(cmd_ingest(config, ticker, transport)), lexicon, external,
+                                  corpus, scored_file)
+            n_scored += len(scored)
+            if external:
+                n_external += sum(sd.key in external for sd in scored)
+            _fold(config, table, drain(scored))
+    if not n_scored:
+        note("insufficient-data", "corpus is empty for this window")
     print(f"corpus -> {config.corpus_path}")
-    n_external = sum(sd.key in external for sd in scored) if external else 0
-    print(f"scored {len(scored)} documents ({n_external} external) -> {config.scored_path}")
+    print(f"scored {n_scored} documents ({n_external} external) -> {config.scored_path}")
+    # The verdict map is freed before the report.
     del external
-    transport = ReplayPriceTransport(config.fixtures)
-    _report(config, drain(scored), lambda t: _fetch_series(config, transport, t))
+    prices = ReplayPriceTransport(config.fixtures)
+    _report(config, table, lambda t: _fetch_series(config, prices, t))
 
 
 def build_parser() -> argparse.ArgumentParser:

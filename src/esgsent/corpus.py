@@ -7,13 +7,18 @@ arrive through a transport (the shipped one replays recorded fixtures),
 get window-filtered and deduplicated, and persist as one JSON object per
 line so corpus files stay append-friendly and diffable.
 
-The narrowing rule: a document is kept if and only if the earliest copy
-of its (source, id) key lies in the window. A copy dated before the
+Each ticker's documents are fetched and deduplicated on their own, as
+the paper gathers each company's documents on its own: the key is
+(ticker, source, id), so a record filed under two tickers counts for
+both, and a ticker's documents do not depend on which other tickers run.
+
+The narrowing rule: a ticker's document is kept if and only if the
+earliest copy of its key lies in the window. A copy dated before the
 window is earlier than any inside it, and one dated after it never is, so
-``fetch_documents`` collects the keys of the records dated before the
-window's start and ``dedupe`` drops every document whose key is among
-them. A narrower window then keeps exactly the
-documents of a wider one that lie inside it.
+``fetch_documents`` collects the (source, id) keys of the ticker's records
+dated before the window's start and ``dedupe`` drops every document whose
+key is among them. A narrower window then keeps exactly the documents of
+a wider one that lie inside it.
 """
 
 from __future__ import annotations
@@ -253,9 +258,12 @@ def dedupe(docs: Iterable[Document], earlier: Iterable[tuple[str, str]] = ()) ->
     """Drop duplicate (source, id) keys, keeping the earliest record, and
     every record whose key is in ``earlier``, the keys dated before the window.
 
-    Scanning happens in (timestamp, id) order so the first occurrence in
-    that order wins; output is emitted in the same order, records equal in
-    both in input order. Idempotent.
+    The documents are one ticker's, as ``fetch_documents`` returns them, and
+    ``earlier`` is that ticker's set: each ticker is deduped on its own, so
+    across tickers the key is (ticker, source, id). Scanning happens in
+    (timestamp, id) order so the first occurrence in that order wins;
+    output is emitted in the same order, records equal in both in input
+    order. Idempotent.
     """
     # Two stable sorts give the (timestamp, id) order, and one set of ids per
     # source the keys, with no tuple per document.
@@ -290,7 +298,8 @@ def fetch_documents(
 
     Every returned document matches the ticker and lies inside the window.
     When ``earlier`` is given, the (source, id) key of each of the ticker's
-    records dated before the window's start is added to it. The first bad
+    records dated before the window's start is added to it; pass one set
+    per ticker, as each ticker is deduped on its own. The first bad
     line in read order is a SchemaError naming its fixture file and line.
     The transport's list is emptied as its lines are parsed, so a line is
     freed once its document exists. Without strict, each file whose records

@@ -17,11 +17,11 @@ from math import copysign
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
-from .util import Record, atomic_open, header_error, json_lines, json_value, open_text, read_text
+from .util import Record, header_error, json_lines, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -216,7 +216,8 @@ class ScoredDocument(NamedTuple):
     verdict: SentimentVerdict
 
     # Read in C, as Document.key is.
-    key = property(attrgetter("source._value_", "id"), doc="(source, id) pair, unique in a scored file.")
+    key = property(attrgetter("source._value_", "id"),
+                   doc="(source, id) pair, an external verdict's key; unique per ticker in a scored file.")
 
 
 ExternalVerdicts = dict[VerdictKey, SentimentVerdict]
@@ -281,17 +282,19 @@ def score_corpus(
     docs: Iterable[Document],
     lexicon: Lexicon,
     external: Optional[Mapping[VerdictKey, SentimentVerdict]],
-    corpus_path: Path,
-    scored_path: Path,
+    corpus: TextIO,
+    scored_file: TextIO,
 ) -> list[ScoredDocument]:
-    """Score every document and write its corpus line and its scored line,
-    in one pass in input order; return the scored records in that order.
+    """Score every document and write its corpus line to ``corpus`` and its
+    scored line to ``scored_file``, in one pass in input order; return the
+    scored records in that order.
 
-    An external verdict wins when one exists for the document's key;
-    the lexicon scores everything else. Both lines open with the same id,
-    source, timestamp and ticker text, formatted once. The two files are
-    written through ``atomic_open``: neither is replaced unless every line
-    of both was written.
+    An external verdict wins when one exists for the document's (source, id)
+    key; the lexicon scores everything else. Both lines open with the same
+    id, source, timestamp and ticker text, formatted once. The caller owns
+    the two open files: ``run`` writes each ticker's block through one
+    ``atomic_open`` pair, so neither file is replaced unless every ticker's
+    lines were written.
     """
     # An empty or absent map costs no key per document.
     external = external or None
@@ -299,26 +302,25 @@ def score_corpus(
     # (label, score) -> the verdict's scored-line fields, for at most _VERDICT_CACHE_SIZE
     # pairs; it is freed with the pass, so no verdict keeps state of its own.
     texts: dict[tuple[str, float], str] = {}
-    with atomic_open(corpus_path, scored_path) as (corpus, scored_file):
-        to_corpus, to_scored = corpus.write, scored_file.write
-        for doc in docs:
-            verdict = external and external.get(doc.key)
-            if verdict is None:
-                verdict = score_tokens(tokenize(scoring_text(doc)), lexicon)
-            label, score = verdict.label._value_, verdict.score
-            # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
-            cacheable = score or copysign(1.0, score) > 0
-            fields = texts.get((label, score)) if cacheable else None
-            if fields is None:
-                # Label values need no JSON escaping.
-                composite = json_value(verdict.composite)
-                fields = f'"label": "{label}", "score": {json_value(score)}, "composite": {composite}'
-                if cacheable and len(texts) < _VERDICT_CACHE_SIZE:
-                    texts[label, score] = fields
-            head = line_head(doc)
-            to_corpus(f"{head}{corpus_tail(doc)}\n")
-            to_scored(f"{head}, {fields}}}\n")
-            scored.append(ScoredDocument(doc.id, doc.source, doc.timestamp, doc.ticker, verdict))
+    to_corpus, to_scored = corpus.write, scored_file.write
+    for doc in docs:
+        verdict = external and external.get(doc.key)
+        if verdict is None:
+            verdict = score_tokens(tokenize(scoring_text(doc)), lexicon)
+        label, score = verdict.label._value_, verdict.score
+        # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
+        cacheable = score or copysign(1.0, score) > 0
+        fields = texts.get((label, score)) if cacheable else None
+        if fields is None:
+            # Label values need no JSON escaping.
+            composite = json_value(verdict.composite)
+            fields = f'"label": "{label}", "score": {json_value(score)}, "composite": {composite}'
+            if cacheable and len(texts) < _VERDICT_CACHE_SIZE:
+                texts[label, score] = fields
+        head = line_head(doc)
+        to_corpus(f"{head}{corpus_tail(doc)}\n")
+        to_scored(f"{head}, {fields}}}\n")
+        scored.append(ScoredDocument(doc.id, doc.source, doc.timestamp, doc.ticker, verdict))
     return scored
 
 
@@ -332,13 +334,14 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
 
     Each line is read in one pass whose checks run in a fixed order; the
     first that fails is a SchemaError naming ``<path>:<line>``. Each document
-    is scored once: a repeated key is rejected. The timestamp follows the
-    corpus rule and is converted to UTC. A score or composite may be
-    anything ``float()`` reads. The records of one ticker share one ticker
-    string.
+    is scored once per ticker: a repeated (ticker, source, id) key is
+    rejected, and a key filed under two tickers is read under each. The
+    timestamp follows the corpus rule and is converted to UTC. A score or
+    composite may be anything ``float()`` reads. The records of one ticker
+    share one ticker string.
     """
-    # One set of ids per source, as in dedupe: no key tuple is kept per line.
-    seen: dict[Source, set[str]] = {source: set() for source in Source}
+    # ticker -> source -> ids, one set per (ticker, source): no key tuple is kept per line.
+    seen: dict[str, dict[Source, set[str]]] = {}
     # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
     verdicts: dict[tuple[str, float], tuple[SentimentVerdict, float]] = {}
     for lineno, obj in json_lines(path):
@@ -358,9 +361,14 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
             if not doc_id:
                 raise SchemaError("field 'id' must be non-empty")
             timestamp = _parse_timestamp(raw_timestamp, doc_id)
-            ids = seen[source]
+            # The lines of one ticker share one key string, as run's documents do.
+            ticker = intern(ticker)
+            ids_of = seen.get(ticker)
+            if ids_of is None:
+                ids_of = seen[ticker] = {source: set() for source in Source}
+            ids = ids_of[source]
             if doc_id in ids:
-                raise SchemaError(f"duplicate scored line for {(source_value, doc_id)}")
+                raise SchemaError(f"duplicate scored line for {(ticker, source_value, doc_id)}")
             ids.add(doc_id)
             # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
             cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
@@ -377,5 +385,4 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
         # TypeError and ValueError come from reading a label, score or composite of the wrong kind.
         except (SchemaError, InvariantError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        # The lines of one ticker share one key string, as run's documents do.
-        yield ScoredDocument(doc_id, source, timestamp, intern(ticker), hit[0])
+        yield ScoredDocument(doc_id, source, timestamp, ticker, hit[0])

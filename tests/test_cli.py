@@ -11,6 +11,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -262,6 +263,78 @@ def test_report_on_a_narrower_window_keeps_what_a_fresh_run_keeps(tmp_path, caps
     for rel in ("aggregates.csv", "summary.csv", "analysis/GS.json", "charts/GS.svg"):
         assert (full / rel).read_bytes() == (fresh / rel).read_bytes(), rel
     assert '"id": "dup"' not in (fresh / "scored.jsonl").read_text(encoding="utf-8")
+
+
+def test_a_tickers_outputs_do_not_depend_on_the_other_tickers(tmp_path, capsys):
+    # Tweet "shared" is filed under GS on 21 July and under AMZN on 23 July: each ticker's copy counts.
+    fixtures = copy_fixtures(tmp_path)
+    for ticker, day in (("GS", 21), ("AMZN", 23)):
+        with (fixtures / ticker / "tweets.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "shared", "source": "tweet", "timestamp": f"2022-07-{day}T09:00:00Z",
+                                     "ticker": ticker, "text": "strong ESG results praised"}) + "\n")
+    alone, joint = tmp_path / "alone", tmp_path / "joint"
+    assert run_cli(["run", *flags(fixtures, alone, tickers="AMZN")]) == 0
+    assert "AMZN: n=9 " in capsys.readouterr().out
+    assert run_cli(["run", *flags(fixtures, joint)]) == 0
+    assert "AMZN: n=9 " in capsys.readouterr().out
+
+    def amzn_row(out: Path) -> str:
+        (row,) = [line for line in (out / "aggregates.csv").read_text(encoding="utf-8").splitlines()
+                  if line.startswith("AMZN,")]
+        return row
+
+    amzn_files = ("analysis/AMZN.json", "prices/AMZN.csv", "charts/AMZN.svg")
+    for rel in amzn_files:
+        assert (joint / rel).read_bytes() == (alone / rel).read_bytes(), rel
+    assert amzn_row(joint) == amzn_row(alone)
+    assert run_cli(["report", *report_flags(joint, tickers="AMZN")]) == 0
+    for rel in (*amzn_files, "aggregates.csv", "summary.csv"):
+        assert (joint / rel).read_bytes() == (alone / rel).read_bytes(), rel
+
+
+def test_a_run_that_fails_part_way_leaves_both_json_lines_files(tmp_path, monkeypatch, capsys):
+    fixtures, out = tmp_path / "fixtures", tmp_path / "out"
+    write_wide_fixtures(fixtures, ["W0", "W1"], copies=30)
+    assert run_cli(["run", *flags(fixtures, out, tickers="W0,W1")]) == 0
+    before = [(out / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")]
+    with open(fixtures / "W1" / "tweets.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(NO_TEXT + "\n")
+    n_tweets = len((fixtures / "W1" / "tweets.jsonl").read_text(encoding="utf-8").splitlines()) - 1
+    # The sizes of the temporary files as each ticker's fetch begins.
+    sizes, fetch = [], cli.fetch_documents
+
+    def fetch_noting_the_temporary_files(*args, **kwargs):
+        sizes.append(sorted(path.stat().st_size for path in out.glob("*.tmp")))
+        return fetch(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fetch_documents", fetch_noting_the_temporary_files)
+    capsys.readouterr()
+    assert run_cli(["run", *flags(fixtures, out, tickers="W0,W1")]) == 2
+    errors = stderr_lines(capsys)
+    assert errors == [f"error[schema]: {fixtures / 'W1' / 'tweets.jsonl'}:{n_tweets + 1}: "
+                      "document payload missing required field(s): text"], errors
+    # W1 fails after W0's 1,000 and more lines have gone to each temporary file.
+    at_first, at_last = sizes
+    assert at_first == [0, 0] and min(at_last) > 100_000, sizes
+    assert [(out / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")] == before
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_a_bad_line_in_the_last_tickers_news_leaves_every_file_of_the_earlier_run(tmp_path, capsys):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out)]) == 0
+    before = file_ids(out)
+    news = fixtures / "AMZN" / "news.jsonl"
+    with open(news, "a", encoding="utf-8") as handle:
+        handle.write('{"id": "bad",\n')
+    n_lines = len(news.read_text(encoding="utf-8").splitlines())
+    capsys.readouterr()
+    # A narrower window would write a different corpus.
+    assert run_cli(["run", *flags(fixtures, out, window="2022-07-25:2022-07-29")]) == 2
+    errors = stderr_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error[schema]: {news}:{n_lines}: malformed JSON: "), errors
+    assert file_ids(out) == before
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_report_narrows_the_stored_prices_to_the_window_end_and_price_days(tmp_path):
@@ -588,7 +661,7 @@ def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
     assert run_cli(["report", *report_flags(tmp_path)]) == 2
     errors = stderr_lines(capsys)
     assert errors == [f"error[schema]: {scored}:{len(lines) + 1}: duplicate scored line for "
-                      f"{tuple(json.loads(lines[0])[k] for k in ('source', 'id'))}"], errors
+                      f"{tuple(json.loads(lines[0])[k] for k in ('ticker', 'source', 'id'))}"], errors
 
 
 def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
@@ -738,3 +811,24 @@ def test_external_verdicts_and_unknown_fields_form_no_cycle_per_document(tmp_pat
     assert len(re.findall(r"scored (\d+) documents \(\1 external\)", out)) == 3  # every document, every run
     assert err.count("ignored unknown field(s) lang") == 2 * (1 + 1 + 8)  # each ticker's two files, per run
     assert wide == small
+
+
+def test_run_holds_one_tickers_documents_at_a_time(tmp_path):
+    # The same records for each of four tickers: a run that held every ticker's documents
+    # at once peaked 2.2 times as high as on one of them, one ticker at a time 1.1 times.
+    tickers = [f"W{i}" for i in range(4)]
+    write_wide_fixtures(tmp_path / "fixtures", tickers, copies=10)
+
+    def traced_peak(keys: list[str]) -> int:
+        argv = ["run", "--fixtures", str(tmp_path / "fixtures"), "--out", str(tmp_path / f"out{len(keys)}"),
+                "--window", JULY, "--tickers", ",".join(keys)]
+        assert run_cli(argv) == 0  # first calls may fill caches once
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = traced_peak(tickers[:1]), traced_peak(tickers)
+    assert four < 1.6 * one, (one, four, four / one)

@@ -31,7 +31,7 @@ from esgsent.corpus import (
 from esgsent.errors import SchemaError, TransportError
 from esgsent.sentiment import default_lexicon, score_corpus
 from esgsent.transport import ReplayDocumentTransport
-from esgsent.util import _FILE_MODE, _WRITE_SLICE, atomic_write_text, drain, json_lines
+from esgsent.util import _FILE_MODE, _WRITE_SLICE, atomic_open, atomic_write_text, drain, json_lines
 
 from conftest import AWKWARD_STRINGS, FIXTURES_DIR, make_doc, run_cli
 
@@ -443,9 +443,11 @@ class TestFetchDocuments:
         assert fetch_documents("GS", july_window, keeping) == docs and keeping.lines == []
 
         lexicon = default_lexicon()
-        corpus_path, scored_path = tmp_path / "corpus.jsonl", tmp_path / "scored.jsonl"
-        expected = score_corpus(list(docs), lexicon, None, corpus_path, scored_path)
-        assert score_corpus(drain(docs), lexicon, None, corpus_path, scored_path) == expected and docs == []
+        paths = tmp_path / "corpus.jsonl", tmp_path / "scored.jsonl"
+        with atomic_open(*paths) as files:
+            expected = score_corpus(list(docs), lexicon, None, *files)
+        with atomic_open(*paths) as files:
+            assert score_corpus(drain(docs), lexicon, None, *files) == expected and docs == []
 
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
         transport = self._write_fixture(

@@ -12,6 +12,7 @@ from esgsent.cli import build_parser
 from esgsent.errors import PipelineError
 from esgsent.corpus import Document
 from esgsent.sentiment import default_lexicon, read_scored, score_corpus
+from esgsent.util import atomic_open
 
 from conftest import REPO_ROOT, run_cli
 
@@ -64,5 +65,6 @@ def test_readme_example_scored_line_reads_back(tmp_path):
     path.write_text(line + "\n", encoding="utf-8")
     (sd,) = read_scored(path)
     doc = Document(sd.id, sd.source, sd.timestamp, sd.ticker, "text")
-    score_corpus([doc], default_lexicon(), {sd.key: sd.verdict}, tmp_path / "corpus.jsonl", path)
+    with atomic_open(tmp_path / "corpus.jsonl", path) as (corpus, scored):
+        score_corpus([doc], default_lexicon(), {sd.key: sd.verdict}, corpus, scored)
     assert path.read_text(encoding="utf-8") == line + "\n"

@@ -29,7 +29,7 @@ from esgsent.sentiment import (
     tokenize,
 )
 from esgsent.corpus import Document, Source, _parse_timestamp, format_timestamp, parse_document_payload
-from esgsent.util import json_lines
+from esgsent.util import atomic_open, json_lines
 
 from conftest import AWKWARD_STRINGS, make_doc, scored_of
 from tokenize_reference import reference_tokenize
@@ -369,8 +369,9 @@ class TestExternalVerdicts:
 
 
 def score_to(tmp_path, docs, external=None, lexicon=LEX):
-    """score_corpus writing its two files under tmp_path."""
-    return score_corpus(docs, lexicon, external, tmp_path / "corpus.jsonl", tmp_path / "scored.jsonl")
+    """score_corpus writing its two files under tmp_path, opened as run opens them."""
+    with atomic_open(tmp_path / "corpus.jsonl", tmp_path / "scored.jsonl") as (corpus, scored):
+        return score_corpus(docs, lexicon, external, corpus, scored)
 
 
 def read_back_corpus(path) -> list[Document]:
@@ -426,6 +427,21 @@ class TestScoreCorpus:
         )
         (scored,) = score_to(tmp_path, [doc])
         assert scored.verdict.label is SentimentLabel.POSITIVE
+
+    def test_holds_no_buffer_the_size_of_either_file(self, tmp_path):
+        docs = [make_doc(f"t{i}", text="words of an esg tweet " * 9, title=f"headline {i}") for i in range(5000)]
+        tracemalloc.start()
+        try:
+            scored = score_to(tmp_path, docs)
+            peak, retained = tracemalloc.get_traced_memory()[::-1]
+        finally:
+            tracemalloc.stop()
+        sizes = [(tmp_path / name).stat().st_size for name in ("corpus.jsonl", "scored.jsonl")]
+        assert sizes[0] > 1_500_000 and sizes[1] > 500_000
+        # Beyond the scored records it returns, the pass holds about a line of each file.
+        assert peak - retained < sizes[1] / 10, (peak, retained, sizes)
+        assert read_back_corpus(tmp_path / "corpus.jsonl") == docs
+        assert list(read_scored(tmp_path / "scored.jsonl")) == scored
 
 
 @pytest.mark.parametrize("doc_id", AWKWARD_STRINGS)
@@ -499,39 +515,6 @@ def test_the_two_lines_of_a_document_share_their_head(tmp_path):
     assert b'"timestamp": "2022-07-21T09:30:05.123456Z"' in scored[1]
 
 
-class TestScoreCorpusWritesBothFilesAtomically:
-    @staticmethod
-    def docs(n: int, text: str = "placeholder text") -> list[Document]:
-        return [make_doc(f"t{i}", text=text, title=f"headline {i}") for i in range(n)]
-
-    def test_a_failure_part_way_leaves_both_old_files(self, tmp_path):
-        first = self.docs(3)
-        scored = score_to(tmp_path, first)
-        before = [(tmp_path / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")]
-        assert read_back_corpus(tmp_path / "corpus.jsonl") == first
-        assert list(read_scored(tmp_path / "scored.jsonl")) == scored
-        # The bad title is met only after 1,000 lines have gone to each temporary file.
-        with pytest.raises(TypeError):
-            score_to(tmp_path, [*self.docs(1000), make_doc("bad", title=object())])
-        assert [(tmp_path / name).read_bytes() for name in ("corpus.jsonl", "scored.jsonl")] == before
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_holds_no_buffer_the_size_of_either_file(self, tmp_path):
-        docs = self.docs(5000, text="words of an esg tweet " * 9)
-        tracemalloc.start()
-        try:
-            scored = score_to(tmp_path, docs)
-            peak, retained = tracemalloc.get_traced_memory()[::-1]
-        finally:
-            tracemalloc.stop()
-        sizes = [(tmp_path / name).stat().st_size for name in ("corpus.jsonl", "scored.jsonl")]
-        assert sizes[0] > 1_500_000 and sizes[1] > 500_000
-        # Beyond the scored records it returns, the pass holds about a line of each file.
-        assert peak - retained < sizes[1] / 10, (peak, retained, sizes)
-        assert read_back_corpus(tmp_path / "corpus.jsonl") == docs
-        assert list(read_scored(tmp_path / "scored.jsonl")) == scored
-
-
 def test_verdicts_keep_no_state_and_the_text_cache_is_bounded(tmp_path):
     rng = random.Random(23)
     docs = [make_doc(f"t{i}") for i in range(10_000)]
@@ -588,8 +571,8 @@ def test_scored_line_with_inconsistent_composite_names_the_line(tmp_path):
 
 
 def scored_line(doc_id="a", label="positive", score="0.5", composite="0.5", source="tweet",
-                timestamp="2022-07-20T12:00:00Z"):
-    return (f'{{"id": "{doc_id}", "source": "{source}", "timestamp": "{timestamp}", "ticker": "GS", '
+                timestamp="2022-07-20T12:00:00Z", ticker="GS"):
+    return (f'{{"id": "{doc_id}", "source": "{source}", "timestamp": "{timestamp}", "ticker": "{ticker}", '
             f'"label": "{label}", "score": {score}, "composite": {composite}}}')
 
 
@@ -639,11 +622,19 @@ class TestScoredLineForms:
         assert a.verdict == b.verdict == SentimentVerdict(SentimentLabel.POSITIVE, 0.5)
         assert c.verdict == SentimentVerdict(SentimentLabel.POSITIVE, 0.25)
 
+    def test_one_key_under_two_tickers_reads_back_under_each(self, tmp_path):
+        lines = [scored_line("a", ticker="GS"), scored_line("a", ticker="AMZN", label="negative", composite="-0.5")]
+        gs, amzn = read_lines(tmp_path, lines)
+        assert (gs.key, gs.ticker, gs.verdict.composite) == (("tweet", "a"), "GS", 0.5)
+        assert (amzn.key, amzn.ticker, amzn.verdict.composite) == (("tweet", "a"), "AMZN", -0.5)
+        with pytest.raises(SchemaError, match=r"scored\.jsonl:3: duplicate scored line for \('AMZN', 'tweet', 'a'\)$"):
+            read_lines(tmp_path, [*lines, scored_line("a", ticker="AMZN")])
+
     @pytest.mark.parametrize(
         "bad_line,message",
         [
             (scored_line("c", composite="-0.5"), "composite inconsistent with verdict"),
-            (scored_line("a"), "duplicate scored line for ('tweet', 'a')"),
+            (scored_line("a"), "duplicate scored line for ('GS', 'tweet', 'a')"),
             (scored_line("c", source="blog"), "unknown source 'blog'"),
             (scored_line("c", timestamp="2022-07-20"), "document 'c': bad timestamp '2022-07-20'"),
             (scored_line("c", score="1.5", composite="1.5"), "sentiment score 1.5 outside [0, 1]"),
@@ -674,7 +665,7 @@ def reference_scored_line(path, lineno, obj, seen):
         timestamp = _parse_timestamp(obj["timestamp"], obj["id"])
     except SchemaError as exc:
         raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    key = (obj["source"], obj["id"])
+    key = (obj["ticker"], obj["source"], obj["id"])
     if key in seen:
         raise SchemaError(f"{path}:{lineno}: duplicate scored line for {key}")
     seen.add(key)
