@@ -4,23 +4,25 @@
 configured ticker at a time: it fetches and dedupes the ticker's
 documents, scores them, writes their lines and folds their composites
 into the per-ticker, per-day table before it fetches the next ticker, so
-it holds one ticker's documents at a time. Each stage's result goes to
-the next in memory and every value is computed once. Fetching empties the
-transport's list of fixture lines, scoring the list of documents, and the
-fold the list of scored records, so a line is freed once its document
-exists, a document's text once its two lines are written, and a scored
-record once its composite is kept. Every file ``run`` writes is written
-once. The two JSON-lines files hold one block per ticker, in the
-configured order, each in (timestamp, id) order; they are written through
-one ``atomic_open`` pair, so neither replaces an older file unless both
-were written in full. A bad ``--lexicon`` or ``--external-verdicts``
-fails before any file is written.
+it holds one ticker's documents at a time. Across tickers it holds only
+the lexicon, the external verdicts and the table, which keeps each
+ticker's composites of a day in one ``array('d')``. Each stage's result
+goes to the next in memory and every value is computed once. Fetching
+empties the transport's list of fixture lines, scoring the list of
+documents, and the fold the list of scored records, so a line is freed
+once its document exists, a document's text once its two lines are
+written, and a scored record once its composite is kept. Every file
+``run`` writes is written once. The two JSON-lines files hold one block
+per ticker, in the configured order, each in (timestamp, id) order; they
+are written through one ``atomic_open`` pair, so neither replaces an
+older file unless both were written in full. A bad ``--lexicon`` or
+``--external-verdicts`` fails before any file is written.
 ``corpus.jsonl`` is written for audit, one kept ``Document`` per line
 without the fixtures' metadata; no command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
 output directory: it streams ``scored.jsonl`` into the same table (a peak
-RSS of about 22 MB on the 50,000-record ``bulk-tweets`` benchmark
+RSS of about 20 MB on the 50,000-record ``bulk-tweets`` benchmark
 workload), keeping the composites by UTC day of each configured ticker
 inside the configured window, before any file is written. Aggregation
 runs once on that table, and one per-ticker loop gets a ticker's price
@@ -62,6 +64,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from array import array
 from datetime import date
 from typing import Callable, Iterable, Optional
 
@@ -88,7 +91,7 @@ SUMMARY_HEADER = ["ticker", "n_docs", "mean_composite", "classification", "perce
 
 SeriesSource = Callable[[str], PriceSeries]
 # ticker -> UTC day -> the composites of the ticker's documents of that day.
-Table = dict[str, dict[date, list[float]]]
+Table = dict[str, dict[date, array]]
 
 
 def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
@@ -137,14 +140,21 @@ def _summary_csv(ranked: list[TickerAggregate], results: dict[str, AnalysisResul
 
 
 def _fold(config: RunConfig, table: Table, scored: Iterable[ScoredDocument]) -> None:
-    """Add each record's composite to its ticker's list for its UTC day,
-    for the tickers in the table and the days in the window."""
+    """Add each record's composite to its ticker's array for its UTC day,
+    for the tickers in the table and the days in the window.
+
+    An ``array('d')`` holds a composite in 8 bytes, where a list holds a
+    pointer to a float object of its own.
+    """
     start, end = config.window
     for sd in scored:
         days = table.get(sd.ticker)
         day = sd.timestamp.date()
         if days is not None and start <= day <= end:
-            days.setdefault(day, []).append(sd.verdict.composite)
+            composites = days.get(day)
+            if composites is None:
+                composites = days[day] = array("d")
+            composites.append(sd.verdict.composite)
 
 
 def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections.abc import Mapping
 from datetime import datetime
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -17,7 +18,7 @@ from math import copysign
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
@@ -220,7 +221,43 @@ class ScoredDocument(NamedTuple):
                    doc="(source, id) pair, an external verdict's key; unique per ticker in a scored file.")
 
 
-ExternalVerdicts = dict[VerdictKey, SentimentVerdict]
+class ExternalVerdicts(Mapping):
+    """Imported verdicts, a read-only mapping of (source, id) keys to verdicts.
+
+    It holds one dict of ids per source value, in ``Source`` order, so no
+    key tuple is kept per row, and the rows of an equal label and score
+    share one verdict; it iterates source by source, each in file order.
+    ``get`` and ``in`` answer a key of an unknown source with None and
+    False, as a dict does; ``==`` compares it with any mapping.
+    """
+
+    __slots__ = ("_ids_of",)
+
+    def __init__(self, ids_of: dict[str, dict[str, SentimentVerdict]]) -> None:
+        self._ids_of = ids_of
+
+    def get(self, key: VerdictKey, default: Optional[SentimentVerdict] = None) -> Optional[SentimentVerdict]:
+        ids = self._ids_of.get(key[0])
+        return default if ids is None else ids.get(key[1], default)
+
+    def __getitem__(self, key: VerdictKey) -> SentimentVerdict:
+        verdict = self.get(key)
+        if verdict is None:
+            raise KeyError(key)
+        return verdict
+
+    def __contains__(self, key: VerdictKey) -> bool:
+        return key[1] in self._ids_of.get(key[0], ())
+
+    def __iter__(self) -> Iterator[VerdictKey]:
+        for source, ids in self._ids_of.items():
+            for doc_id in ids:
+                yield source, doc_id
+
+    def __len__(self) -> int:
+        return sum(map(len, self._ids_of.values()))
+
+
 _EXTERNAL_HEADER = ["id", "source", "label", "score"]
 _LABELS = {label.value: label for label in SentimentLabel}
 # score_corpus and read_scored each reuse the work of at most this many
@@ -236,8 +273,14 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
     case-insensitively; scores must lie in [0, 1]; ids must be non-empty;
     duplicate (source, id) keys are rejected rather than silently resolved.
     Each row's first failing check is a SchemaError naming ``<path>:<line>``.
+    Rows with an equal label and score share one verdict object, except a
+    score of -0.0, which gets its own and so keeps its sign.
     """
-    verdicts: ExternalVerdicts = {}
+    # Source value -> id -> verdict; every key's source is its member's own value string.
+    ids_of: dict[str, dict[str, SentimentVerdict]] = {source._value_: {} for source in Source}
+    # Label value -> score -> the one verdict of the rows that have both, keyed by str and float,
+    # which hash in C; freed with the import.
+    shared: dict[str, dict[float, SentimentVerdict]] = {value: {} for value in _LABELS}
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         # Errors name the row by reader.line_num: its last line in the file, blank lines counted.
@@ -260,22 +303,28 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
                         score = float(score_raw)
                     except (TypeError, ValueError):
                         raise SchemaError(f"bad score {score_raw!r}") from None
-                    verdict = SentimentVerdict(label, score)
+                    # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
+                    cacheable = score or copysign(1.0, score) > 0
+                    of_label = shared[label._value_]
+                    verdict = of_label.get(score) if cacheable else None
+                    if verdict is None:
+                        verdict = SentimentVerdict(label, score)
+                        if cacheable:
+                            of_label[score] = verdict
                     source = _SOURCE_OF.get((source_raw or "").strip().lower())
                     if source is None:
                         raise SchemaError(f"unknown source {source_raw!r}")
                     if not doc_id:  # no document has an empty id
                         raise SchemaError("id must be non-empty")
-                    # Every key holds its member's own value string, not a copy made per row.
-                    key = (source._value_, doc_id)
-                    if key in verdicts:
-                        raise SchemaError(f"duplicate verdict for {key}")
+                    ids = ids_of[source._value_]
+                    if doc_id in ids:
+                        raise SchemaError(f"duplicate verdict for {(source._value_, doc_id)}")
                 except (SchemaError, InvariantError) as exc:
                     raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-                verdicts[key] = verdict
+                ids[doc_id] = verdict
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-    return verdicts
+    return ExternalVerdicts(ids_of)
 
 
 def score_corpus(

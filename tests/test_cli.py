@@ -6,6 +6,7 @@ import csv
 import gc
 import json
 import os
+import random
 import re
 import shutil
 import stat
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from datetime import timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +22,10 @@ import pytest
 
 import esgsent
 from esgsent import cli
-from conftest import FIXTURES_DIR, GOLDEN_TICKERS, REPO_ROOT, run_cli, run_golden_pipeline
+from esgsent.config import RunConfig
+from esgsent.sentiment import SentimentLabel, SentimentVerdict
+from conftest import (FIXTURES_DIR, GOLDEN_TICKERS, JULY_WINDOW, REPO_ROOT, make_doc, run_cli, run_golden_pipeline,
+                      scored_of)
 
 JULY = "2022-07-20:2022-07-29"
 # What report writes for GS and AMZN.
@@ -832,3 +837,27 @@ def test_run_holds_one_tickers_documents_at_a_time(tmp_path):
 
     one, four = traced_peak(tickers[:1]), traced_peak(tickers)
     assert four < 1.6 * one, (one, four, four / one)
+
+
+def test_the_per_day_table_holds_a_composite_in_under_16_bytes():
+    # A list per day held a pointer to a float object of its own, 32.1 B a composite;
+    # an array('d') holds the 8 bytes of the value, 8.6 B with its growth slack.
+    rng = random.Random(5)
+    labels = list(SentimentLabel)
+    scored = [
+        scored_of(make_doc(f"t{i}", ticker=("GS", "AMZN")[i % 2], day=JULY_WINDOW.start + timedelta(days=i % 10)),
+                  SentimentVerdict(rng.choice(labels), rng.random()))
+        for i in range(20_000)
+    ]
+    config = RunConfig(tickers=("GS", "AMZN"), window=JULY_WINDOW)
+    table = {ticker: {} for ticker in config.tickers}
+    tracemalloc.start()
+    try:
+        cli._fold(config, table, scored)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sorted(table["GS"]) == [JULY_WINDOW.start + timedelta(days=d) for d in range(0, 10, 2)]
+    kept = [composite for days in table.values() for composites in days.values() for composite in composites]
+    assert sorted(kept) == sorted(sd.verdict.composite for sd in scored)
+    assert held / len(scored) < 16, held / len(scored)

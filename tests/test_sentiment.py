@@ -316,8 +316,49 @@ class TestExternalVerdicts:
     def test_every_key_holds_its_source_members_own_value_string(self, tmp_path):
         path = self._write(tmp_path, ["t1,tweet,positive,0.9", "t2, NEWS ,negative,0.2", "t3,Tweet,neutral,0"])
         sources = [source for source, _ in import_external_verdicts(path)]
-        assert sources == ["tweet", "news", "tweet"]
+        # Keys iterate source by source, in Source order, each source in file order.
+        assert sources == ["tweet", "tweet", "news"]
         assert all(source is Source.TWEET.value or source is Source.NEWS.value for source in sources)
+
+    def test_equal_rows_share_a_verdict_and_a_key_of_an_unknown_source_is_absent(self, tmp_path):
+        path = self._write(tmp_path, ["a,tweet,positive,0.5", "b,news,positive,0.50", "c,tweet,negative,0.5",
+                                      "d,tweet,neutral,0", "e,tweet,neutral,-0", "f,news,neutral,0"])
+        external = import_external_verdicts(path)
+        assert external[("tweet", "a")] is external[("news", "b")]
+        assert external[("tweet", "c")] is not external[("tweet", "a")]
+        # -0.0 equals 0.0, so a zero is shared only by rows of the same sign.
+        assert external[("tweet", "d")] is external[("news", "f")]
+        assert external[("tweet", "e")] is not external[("tweet", "d")]
+        assert math.copysign(1.0, external[("tweet", "e")].score) == -1.0
+        assert (("tweet", "a") in external) is True
+        assert (("reddit", "a") in external) is False
+        assert (("news", "missing") in external) is False
+        assert external.get(("news", "missing")) is None
+        assert external.get(("reddit", "a")) is None
+        with pytest.raises(KeyError):
+            external[("reddit", "a")]
+        assert len(external) == 6
+
+    def test_the_store_holds_under_200_bytes_a_row(self, tmp_path):
+        # Rows like those of the replay-external benchmark workload: 4-decimal scores, so about a
+        # third of 10,000 rows repeat an earlier (label, score) pair. A dict keyed by (source, id)
+        # tuples, one verdict per row, held 234 B a row; one dict of ids per source with shared
+        # verdicts holds 161 B.
+        rng = random.Random(29)
+        rows = []
+        for k in range(10_000):
+            source = "tweet" if rng.random() < 0.8 else "news"
+            label = rng.choices(("positive", "neutral", "negative"), (0.45, 0.2, 0.35))[0]
+            rows.append(f"{source[:2]}-gs-{k:06d},{source},{label},{rng.random():.4f}")
+        path = self._write(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            external = import_external_verdicts(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(external) == 10_000
+        assert held / 10_000 < 200, held / 10_000
 
     def test_unknown_label_rejected(self, tmp_path):
         self._assert_rejected(tmp_path, "t1,tweet,bullish,0.5", "unknown label 'bullish'")
