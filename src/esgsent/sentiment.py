@@ -225,10 +225,9 @@ class ExternalVerdicts(Mapping):
     """Imported verdicts, a read-only mapping of (source, id) keys to verdicts.
 
     It holds one dict of ids per source value, in ``Source`` order, so no
-    key tuple is kept per row, and the rows of an equal label and score
-    share one verdict; it iterates source by source, each in file order.
-    ``get`` and ``in`` answer a key of an unknown source with None and
-    False, as a dict does; ``==`` compares it with any mapping.
+    key tuple is kept per row; it iterates source by source, each in file
+    order. ``get`` and ``in`` answer a key of an unknown source with None
+    and False, as a dict does; ``==`` compares it with any mapping.
     """
 
     __slots__ = ("_ids_of",)
@@ -273,14 +272,9 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
     case-insensitively; scores must lie in [0, 1]; ids must be non-empty;
     duplicate (source, id) keys are rejected rather than silently resolved.
     Each row's first failing check is a SchemaError naming ``<path>:<line>``.
-    Rows with an equal label and score share one verdict object, except a
-    score of -0.0, which gets its own and so keeps its sign.
     """
     # Source value -> id -> verdict; every key's source is its member's own value string.
     ids_of: dict[str, dict[str, SentimentVerdict]] = {source._value_: {} for source in Source}
-    # Label value -> score -> the one verdict of the rows that have both, keyed by str and float,
-    # which hash in C; freed with the import.
-    shared: dict[str, dict[float, SentimentVerdict]] = {value: {} for value in _LABELS}
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         # Errors name the row by reader.line_num: its last line in the file, blank lines counted.
@@ -303,14 +297,7 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
                         score = float(score_raw)
                     except (TypeError, ValueError):
                         raise SchemaError(f"bad score {score_raw!r}") from None
-                    # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
-                    cacheable = score or copysign(1.0, score) > 0
-                    of_label = shared[label._value_]
-                    verdict = of_label.get(score) if cacheable else None
-                    if verdict is None:
-                        verdict = SentimentVerdict(label, score)
-                        if cacheable:
-                            of_label[score] = verdict
+                    verdict = SentimentVerdict(label, score)
                     source = _SOURCE_OF.get((source_raw or "").strip().lower())
                     if source is None:
                         raise SchemaError(f"unknown source {source_raw!r}")

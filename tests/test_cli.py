@@ -840,8 +840,8 @@ def test_run_holds_one_tickers_documents_at_a_time(tmp_path):
 
 
 def test_the_per_day_table_holds_a_composite_in_under_16_bytes():
-    # A list per day held a pointer to a float object of its own, 32.1 B a composite;
-    # an array('d') holds the 8 bytes of the value, 8.6 B with its growth slack.
+    # On Pythons 3.10 to 3.13, a list per day held a pointer to a float object of its own, 32.1 B a
+    # composite; an array('d') holds the 8 bytes of the value, 8.6 B with its growth slack.
     rng = random.Random(5)
     labels = list(SentimentLabel)
     scored = [

@@ -320,15 +320,10 @@ class TestExternalVerdicts:
         assert sources == ["tweet", "tweet", "news"]
         assert all(source is Source.TWEET.value or source is Source.NEWS.value for source in sources)
 
-    def test_equal_rows_share_a_verdict_and_a_key_of_an_unknown_source_is_absent(self, tmp_path):
-        path = self._write(tmp_path, ["a,tweet,positive,0.5", "b,news,positive,0.50", "c,tweet,negative,0.5",
-                                      "d,tweet,neutral,0", "e,tweet,neutral,-0", "f,news,neutral,0"])
+    def test_a_key_of_an_unknown_source_or_id_is_absent(self, tmp_path):
+        path = self._write(tmp_path, ["a,tweet,positive,0.5", "b,news,positive,0.5", "e,tweet,neutral,-0"])
         external = import_external_verdicts(path)
-        assert external[("tweet", "a")] is external[("news", "b")]
-        assert external[("tweet", "c")] is not external[("tweet", "a")]
-        # -0.0 equals 0.0, so a zero is shared only by rows of the same sign.
-        assert external[("tweet", "d")] is external[("news", "f")]
-        assert external[("tweet", "e")] is not external[("tweet", "d")]
+        assert external[("news", "b")] == SentimentVerdict(SentimentLabel.POSITIVE, 0.5)
         assert math.copysign(1.0, external[("tweet", "e")].score) == -1.0
         assert (("tweet", "a") in external) is True
         assert (("reddit", "a") in external) is False
@@ -337,19 +332,18 @@ class TestExternalVerdicts:
         assert external.get(("reddit", "a")) is None
         with pytest.raises(KeyError):
             external[("reddit", "a")]
-        assert len(external) == 6
+        assert len(external) == 3
 
     def test_the_store_holds_under_200_bytes_a_row(self, tmp_path):
-        # Rows like those of the replay-external benchmark workload: 4-decimal scores, so about a
-        # third of 10,000 rows repeat an earlier (label, score) pair. A dict keyed by (source, id)
-        # tuples, one verdict per row, held 234 B a row; one dict of ids per source with shared
-        # verdicts holds 161 B.
+        # 10,000 rows with full-precision scores, as model output has. A dict keyed by (source, id)
+        # tuples held 225-234 B a row on Pythons 3.10 to 3.13; one dict of ids per source holds
+        # 167-186 B.
         rng = random.Random(29)
         rows = []
         for k in range(10_000):
             source = "tweet" if rng.random() < 0.8 else "news"
             label = rng.choices(("positive", "neutral", "negative"), (0.45, 0.2, 0.35))[0]
-            rows.append(f"{source[:2]}-gs-{k:06d},{source},{label},{rng.random():.4f}")
+            rows.append(f"{source[:2]}-gs-{k:06d},{source},{label},{rng.random()!r}")
         path = self._write(tmp_path, rows)
         tracemalloc.start()
         try:
