@@ -24,10 +24,12 @@ without the fixtures' metadata; no command reads it.
 output directory: it streams ``scored.jsonl`` into the same table (a peak
 RSS of about 20 MB on the 50,000-record ``bulk-tweets`` benchmark
 workload), keeping the composites by UTC day of each configured ticker
-inside the configured window, before any file is written. Aggregation
-runs once on that table, and one per-ticker loop gets a ticker's price
-series, analyzes and charts that ticker over its own days, so at most one
-series is held at a time. Each
+inside the configured window, before any file is written. ``read_scored``
+matches each line in the form ``run`` writes in one compiled pass, with
+no JSON decode, and decodes any other line; both get the same checks.
+Aggregation runs once on that table, and one per-ticker loop gets a
+ticker's price series, analyzes and charts that ticker over its own days,
+so at most one series is held at a time. Each
 report file, and each price file ``run`` writes, that already holds
 exactly its new bytes with the mode a new file gets is left in place
 with its mtime, so ``make``-style tools see no change: under new

@@ -172,9 +172,11 @@ def load_config_file(path: Path) -> dict[str, object]:
 
     Relative paths resolve against the file's directory.
     """
+    text = read_text(path)  # a decode error is an InputError
     try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    # A JSONDecodeError is a ValueError, and so is the error for an integer past sys.get_int_max_str_digits().
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

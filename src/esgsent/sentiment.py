@@ -13,7 +13,7 @@ import re
 from collections.abc import Mapping
 from datetime import datetime
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import copysign
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -363,34 +363,59 @@ def score_corpus(
 # Scored line schema, in serialization order.
 _SCORED_FIELDS = ("id", "source", "timestamp", "ticker", "label", "score", "composite")
 _scored_items = itemgetter(*_SCORED_FIELDS)
+# ScoredDocument(*fields) without the Python frame of a NamedTuple's __new__.
+_scored_document = partial(tuple.__new__, ScoredDocument)
+# The one line form score_corpus writes, with each field's text in a group: a
+# string with nothing JSON would escape, and a number with a fraction or an
+# exponent, which float() reads as json.loads does. The label and score
+# together are one more group, the line's key in read_scored's verdict cache.
+# Compiled on the first read_scored call, not at import: compiling takes most of a millisecond.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_WRITTEN_LINE = (
+    rf'\{{"id": {_STRING}, "source": "(tweet|news)", "timestamp": {_STRING}, "ticker": {_STRING}, '
+    rf'"label": ("(positive|neutral|negative)", "score": {_FLOAT}), "composite": {_FLOAT}\}}\n?'
+)
 
 
 def read_scored(path: Path) -> Iterator[ScoredDocument]:
     """Yield a scored file's records, one per line, in file order.
 
     Each line is read in one pass whose checks run in a fixed order; the
-    first that fails is a SchemaError naming ``<path>:<line>``. Each document
-    is scored once per ticker: a repeated (ticker, source, id) key is
-    rejected, and a key filed under two tickers is read under each. The
-    timestamp follows the corpus rule and is converted to UTC. A score or
-    composite may be anything ``float()`` reads. The records of one ticker
-    share one ticker string.
+    first that fails is a SchemaError naming ``<path>:<line>``. A line in
+    the exact form ``score_corpus`` writes is matched field by field in one
+    compiled pass and is not JSON-decoded; any other line is decoded by
+    ``json_line``. Both get the same checks. Each document is scored once
+    per ticker: a repeated (ticker, source, id) key is rejected, and a key
+    filed under two tickers is read under each. The timestamp follows the
+    corpus rule and is converted to UTC. A score or composite may be
+    anything ``float()`` reads, an integer beyond float range excepted. The
+    records of one ticker share one ticker string.
     """
-    # ticker -> source -> ids, one set per (ticker, source): no key tuple is kept per line.
-    seen: dict[str, dict[Source, set[str]]] = {}
-    # (label, score) -> (verdict, composite), each built and checked once; verdicts are immutable.
-    verdicts: dict[tuple[str, float], tuple[SentimentVerdict, float]] = {}
-    for lineno, obj in json_lines(path):
+    # ticker -> source value -> ids, one set per (ticker, source): no key tuple is kept per
+    # line. A str key hashes in C, a Source member in Python.
+    seen: dict[str, dict[str, set[str]]] = {}
+    # Key -> (verdict, composite), each built and checked once; verdicts are immutable. The key
+    # is a decoded line's (label, score) pair, a written line's label and score text.
+    verdicts: dict[object, tuple[SentimentVerdict, float]] = {}
+    # re keeps the compiled pattern, so a later call does not compile it again.
+    for lineno, obj in json_lines(path, re.compile(_WRITTEN_LINE).fullmatch):
         try:
-            if type(obj) is not dict:
-                raise SchemaError(f"scored line must be an object, got {type(obj).__name__}")
-            try:
-                doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
-            except KeyError as exc:  # itemgetter looks the fields up in order
-                raise SchemaError(f"missing field {exc.args[0]!r}") from None
-            if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
-                name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
-                raise SchemaError(f"field {name!r} must be a string")
+            if type(obj) is re.Match:
+                doc_id, source_value, raw_timestamp, ticker, key, label, score, stated = obj.groups()
+            else:
+                if type(obj) is not dict:
+                    raise SchemaError(f"scored line must be an object, got {type(obj).__name__}")
+                try:
+                    doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
+                except KeyError as exc:  # itemgetter looks the fields up in order
+                    raise SchemaError(f"missing field {exc.args[0]!r}") from None
+                if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
+                    name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
+                    raise SchemaError(f"field {name!r} must be a string")
+                # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
+                cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
+                key = (label, score) if cacheable else None
             source = _SOURCE_OF.get(source_value)
             if source is None:
                 raise SchemaError(f"unknown source {source_value!r}")
@@ -401,24 +426,23 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
             ticker = intern(ticker)
             ids_of = seen.get(ticker)
             if ids_of is None:
-                ids_of = seen[ticker] = {source: set() for source in Source}
-            ids = ids_of[source]
+                ids_of = seen[ticker] = {value: set() for value in _SOURCE_OF}
+            ids = ids_of[source_value]
             if doc_id in ids:
                 raise SchemaError(f"duplicate scored line for {(ticker, source_value, doc_id)}")
             ids.add(doc_id)
-            # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
-            cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
-            hit = verdicts.get((label, score)) if cacheable else None
+            hit = verdicts.get(key)  # None is never a key
             if hit is None:
                 member = _LABELS.get(label) if type(label) is str else None
                 # SentimentLabel(label) runs only to word the error for a label that is no label value.
                 verdict = SentimentVerdict(member or SentimentLabel(label), float(score))
                 hit = verdict, verdict.composite
-                if cacheable and len(verdicts) < _VERDICT_CACHE_SIZE:
-                    verdicts[label, score] = hit
+                if key is not None and len(verdicts) < _VERDICT_CACHE_SIZE:
+                    verdicts[key] = hit
             if float(stated) != hit[1]:
                 raise SchemaError("composite inconsistent with verdict")
-        # TypeError and ValueError come from reading a label, score or composite of the wrong kind.
-        except (SchemaError, InvariantError, TypeError, ValueError) as exc:
+        # TypeError and ValueError come from reading a label, score or composite of the wrong
+        # kind, OverflowError from a JSON integer score or composite beyond float range.
+        except (SchemaError, InvariantError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        yield ScoredDocument(doc_id, source, timestamp, ticker, hit[0])
+        yield _scored_document((doc_id, source, timestamp, ticker, hit[0]))

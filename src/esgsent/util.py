@@ -7,10 +7,9 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import InputError, SchemaError
 
@@ -19,8 +18,8 @@ json_str = json.encoder.encode_basestring
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
 # (value, end) of the JSON value at an index, as json.loads decodes it, without its three Python frames.
 _SCAN_ONCE = json.JSONDecoder().scan_once
-# The mode open(path, "w") would give a new file; mkstemp makes its file 0600.
-# Reading the umask means setting it, so it is read once, here.
+# The mode open(path, "w") gives a new file, and atomic_open its temporary
+# file. Reading the umask means setting it, so it is read once, here.
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 _FILE_MODE = 0o666 & ~_UMASK
@@ -88,7 +87,8 @@ def read_text(path: Path) -> str:
 
 def json_line(line: str, path: Path, lineno: int) -> object:
     """What ``json.loads`` gives for one non-blank line of a file, which may
-    keep its ``\\n``; bad JSON is a SchemaError naming path:line.
+    keep its ``\\n``; bad JSON is a SchemaError naming path:line, and so is
+    an integer longer than Python's limit on the digits of an int.
 
     Only JSON whitespace (space, tab, CR, LF) may surround the value.
     """
@@ -103,20 +103,26 @@ def json_line(line: str, path: Path, lineno: int) -> object:
     # The line break is JSON whitespace; without it an error's position is on this line.
     try:
         return json.loads(line.rstrip("\n"))
-    except json.JSONDecodeError as exc:
+    # A JSONDecodeError is a ValueError, and so is the error for an integer past sys.get_int_max_str_digits().
+    except ValueError as exc:
         raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
-def json_lines(path: Path) -> Iterator[tuple[int, object]]:
+def json_lines(path: Path, match: Optional[Callable[[str], object]] = None) -> Iterator[tuple[int, object]]:
     """(line number, value) of each non-blank line, each value as ``json_line`` gives it.
 
     Lines end at ``\\n``, ``\\r`` or ``\\r\\n`` only, never at U+2028 or U+0085,
     which may stand raw inside a JSON string; a line that ``str.isspace``
-    finds blank is skipped but counted.
+    finds blank is skipped but counted. ``match`` is a caller's fast path
+    for a line form it knows: where it gives a line a value other than None,
+    such as an ``re.Match``, that value is yielded and the line is not decoded.
     """
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.isspace():
+            fields = match and match(line)
+            if fields is not None:
+                yield lineno, fields
+            elif not line.isspace():
                 yield lineno, json_line(line, path, lineno)
 
 
@@ -129,6 +135,22 @@ def drain(items: list) -> Iterator:
     pop = items.pop
     while items:
         yield pop()
+
+
+def _create_temporary(path: Path) -> tuple[int, str]:
+    """(descriptor, name) of a new file ``<path>.<random hex>.tmp``, opened
+    for writing with the mode open(path, "w") gives: 0o666 less the umask.
+
+    O_EXCL never opens a file, or follows a link, that is already there: a
+    name that exists is passed over for another.
+    """
+    for _ in range(100):
+        name = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temporary name beside {path}")
 
 
 @contextmanager
@@ -147,14 +169,13 @@ def atomic_open(*paths: Path) -> Iterator[list[TextIO]]:
     try:
         for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            fd, tmp_name = _create_temporary(path)
             tmp_names.append(tmp_name)
             handles.append(os.fdopen(fd, "w", encoding="utf-8", newline=""))
         yield handles
         for handle in handles:
             handle.close()
         for tmp_name, path in zip(tmp_names, paths):
-            os.chmod(tmp_name, _FILE_MODE)
             os.replace(tmp_name, path)
     except BaseException:
         for handle in handles:

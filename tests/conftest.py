@@ -23,6 +23,9 @@ JULY_WINDOW = TimeWindow(date(2022, 7, 20), date(2022, 7, 29))
 GOLDEN_TICKERS = "GS,AMZN,TSLA,HSBC"
 # Strings that JSON must escape, or that are not ASCII.
 AWKWARD_STRINGS = ['say "hi"', "back\\slash", "tab\there\nnew\x00\x1f\x7f", "café – 日本語 😀", "line\u2028para\u2029"]
+# Python's limit on the digits of an int that str() and json.loads read, from 3.10.7 on; 0 is no limit.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="this Python reads an int of any length")
 
 
 @pytest.fixture

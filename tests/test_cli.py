@@ -21,11 +21,11 @@ from typing import Optional
 import pytest
 
 import esgsent
-from esgsent import cli
+from esgsent import cli, util
 from esgsent.config import RunConfig
-from esgsent.sentiment import SentimentLabel, SentimentVerdict
-from conftest import (FIXTURES_DIR, GOLDEN_TICKERS, JULY_WINDOW, REPO_ROOT, make_doc, run_cli, run_golden_pipeline,
-                      scored_of)
+from esgsent.sentiment import SentimentLabel, SentimentVerdict, read_scored
+from conftest import (FIXTURES_DIR, GOLDEN_TICKERS, INT_DIGIT_LIMIT, JULY_WINDOW, REPO_ROOT, make_doc,
+                      needs_int_digit_limit, run_cli, run_golden_pipeline, scored_of)
 
 JULY = "2022-07-20:2022-07-29"
 # What report writes for GS and AMZN.
@@ -297,6 +297,49 @@ def test_a_tickers_outputs_do_not_depend_on_the_other_tickers(tmp_path, capsys):
         assert (joint / rel).read_bytes() == (alone / rel).read_bytes(), rel
 
 
+@needs_int_digit_limit
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_an_integer_past_the_digit_limit_is_one_schema_error_naming_file_and_line(tmp_path, capsys, command):
+    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out)]) == 0
+    path = fixtures / "GS" / "tweets.jsonl" if command == "run" else out / "scored.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, lines[0][:-1] + ', "x": ' + "7" * (INT_DIGIT_LIMIT + 1) + "}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([command, *(flags(fixtures, out) if command == "run" else report_flags(out))]) == 2
+    errors = stderr_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error[schema]: {path}:2: malformed JSON: "), errors
+    assert f"value has {INT_DIGIT_LIMIT + 1} digits" in errors[0]
+
+
+@pytest.mark.parametrize("external", [False, True])
+def test_reading_what_run_wrote_decodes_no_line_as_json(tmp_path, monkeypatch, external):
+    # read_scored matches each line score_corpus writes without json_line: a change to that
+    # line form would make report decode every line again, slowly but with the same result.
+    fixtures, out = tmp_path / "fixtures", tmp_path / "out"
+    if external:
+        write_wide_fixtures(fixtures, ["W0", "W1"], copies=3)
+        verdicts = tmp_path / "verdicts.csv"
+        write_verdicts(fixtures, verdicts)
+        verdicts.write_text(verdicts.read_text(encoding="utf-8").replace(",neutral,0.5", ",negative,0.0625"),
+                            encoding="utf-8")
+        argv = ["run", *flags(fixtures, out, tickers="W0,W1"), "--external-verdicts", str(verdicts)]
+    else:
+        argv = ["run", *flags(FIXTURES_DIR, out, tickers=GOLDEN_TICKERS)]
+    assert run_cli(argv) == 0
+    n_lines = len((out / "scored.jsonl").read_text(encoding="utf-8").splitlines())
+
+    def decode(line, path, lineno):
+        raise AssertionError(f"{path}:{lineno} was decoded as JSON: {line!r}")
+
+    monkeypatch.setattr(util, "json_line", decode)
+    scored = list(read_scored(out / "scored.jsonl"))
+    assert len(scored) == n_lines > 20
+    if external:
+        assert {sd.verdict for sd in scored} == {SentimentVerdict(SentimentLabel.NEGATIVE, 0.0625)}
+
+
 def test_a_run_that_fails_part_way_leaves_both_json_lines_files(tmp_path, monkeypatch, capsys):
     fixtures, out = tmp_path / "fixtures", tmp_path / "out"
     write_wide_fixtures(fixtures, ["W0", "W1"], copies=30)
@@ -388,13 +431,14 @@ def test_help_shows_the_run_config_defaults(capsys, monkeypatch, stage):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Each would add milliseconds to every command; -S keeps site's own imports out.
+    # Each would add milliseconds to every command, and so would tempfile, which atomic_open does
+    # without; -S keeps site's own imports out.
     code = "import sys; sys.path.insert(0, sys.argv[1]); import esgsent.cli; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-S", "-c", code, str(Path(esgsent.__file__).parent.parent)],
                             check=True, capture_output=True, text=True)
     loaded = set(result.stdout.split())
     assert "esgsent.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "tempfile"}
 
 
 @pytest.mark.parametrize("make_path", [lambda tmp: tmp / "missing.csv", lambda tmp: tmp])

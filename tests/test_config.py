@@ -13,7 +13,7 @@ from esgsent.aggregation import AffinityThresholds
 from esgsent.cli import build_parser
 from esgsent.config import PARSERS, RunConfig, resolve_config
 
-from conftest import run_cli
+from conftest import INT_DIGIT_LIMIT, needs_int_digit_limit, run_cli
 
 
 def config_of(*argv: str) -> RunConfig:
@@ -202,6 +202,16 @@ def test_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsy
     assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith(f"error[config]: config {path} ")
+
+
+@needs_int_digit_limit
+def test_a_config_integer_past_the_digit_limit_is_one_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"tickers": "GS",\n "price_days": ' + "2" * (INT_DIGIT_LIMIT + 1) + "}", encoding="utf-8")
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error[config]: config {path} is not valid JSON: "), errors
+    assert f"value has {INT_DIGIT_LIMIT + 1} digits" in errors[0]
 
 
 @pytest.mark.parametrize("text", ["2022-07-20:2022-07-29", "0001-01-01:9999-12-31", "2022-07-20:2022-07-20"])

@@ -556,6 +556,17 @@ def assert_replaced(path, before: os.stat_result, expected: bytes) -> None:
 
 
 class TestAtomicWriteText:
+    def test_a_temporary_name_that_exists_is_passed_over_and_not_followed(self, tmp_path, monkeypatch):
+        path = tmp_path / "summary.csv"
+        taken = tmp_path / "summary.csv.000000000000.tmp"
+        taken.symlink_to(tmp_path / "elsewhere")  # a dangling link, which O_CREAT alone would follow
+        names = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        atomic_write_text(path, "GS,3\n")
+        assert path.read_bytes() == b"GS,3\n" and stat.S_IMODE(path.stat().st_mode) == _FILE_MODE
+        assert taken.is_symlink() and not (tmp_path / "elsewhere").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv", taken.name]
+
     def test_holds_no_copy_the_size_of_the_text(self, tmp_path):
         path = tmp_path / "scored.jsonl"
         text = "".join(f'{{"id": "t{i}", "text": "café – 日本語 😀 {i}"}}\n' for i in range(85_000))

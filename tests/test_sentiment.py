@@ -29,6 +29,7 @@ from esgsent.sentiment import (
     tokenize,
 )
 from esgsent.corpus import Document, Source, _parse_timestamp, format_timestamp, parse_document_payload
+from esgsent import util
 from esgsent.util import atomic_open, json_lines
 
 from conftest import AWKWARD_STRINGS, make_doc, scored_of
@@ -682,6 +683,16 @@ class TestScoredLineForms:
             read_lines(tmp_path, [scored_line("a"), scored_line("b"), "", bad_line])
 
 
+@pytest.mark.parametrize("field", ["score", "composite"])
+def test_an_integer_score_beyond_float_range_is_a_schema_error_in_check_order(tmp_path, field):
+    huge = "1" + "0" * 400
+    with pytest.raises(SchemaError, match=r"scored\.jsonl:2: int too large to convert to float$"):
+        read_lines(tmp_path, [scored_line("a"), scored_line("b", **{field: huge})])
+    # The key is checked before the verdict.
+    with pytest.raises(SchemaError, match=r"scored\.jsonl:2: duplicate scored line for \('GS', 'tweet', 'a'\)$"):
+        read_lines(tmp_path, [scored_line("a"), scored_line("a", **{field: huge})])
+
+
 def reference_scored_line(path, lineno, obj, seen):
     """The field-by-field reader read_scored replaced, kept as the reference for its checks and messages."""
     if not isinstance(obj, dict):
@@ -707,7 +718,7 @@ def reference_scored_line(path, lineno, obj, seen):
     try:
         verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
         stated = float(obj["composite"])
-    except (TypeError, ValueError, InvariantError) as exc:
+    except (TypeError, ValueError, OverflowError, InvariantError) as exc:
         raise SchemaError(f"{path}:{lineno}: {exc}") from exc
     if stated != verdict.composite:
         raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
@@ -719,17 +730,27 @@ def reference_read_scored(path):
     return [reference_scored_line(path, lineno, obj, seen) for lineno, obj in json_lines(path)]
 
 
+class Number(str):
+    """A JSON number's text, which random_scored_line writes as it stands."""
+
+
 # Pieces of a scored line: each good list, then forms that are still read, then bad ones.
 REF_LABELS = (["positive", "neutral", "negative"], [], ["Positive", "mixed", 1, None, True, ["positive"], {"positive": 1}])
-REF_SCORES = ([0.5, 0.25, 1 / 3, 0.0, 1.0, 1e-7], [0, 1, "0.5", " 0.25 ", True, False, -0.0], ["x", math.nan, 1.5, None, [0.5]])
+REF_SCORES = (
+    [0.5, 0.25, 1 / 3, 0.0, 1.0, 1e-7, Number("5E-1"), Number("0.250")],
+    [0, 1, "0.5", " 0.25 ", True, False, -0.0],
+    ["x", math.nan, 1.5, None, [0.5], Number("1e400"), Number("-1e-400"), 10**20, 10**400],
+)
 REF_SOURCES = (["tweet"], ["news"], ["blog", "Tweet", ""])
 REF_TIMESTAMPS = (
-    ["2022-07-20T12:00:00Z", "2022-07-21T09:30:00.250000Z"],
+    ["2022-07-20T12:00:00Z", "2022-07-21T09:30:00.250000Z", "2022-07-21T09:30:00.250Z"],
     ["2022-07-20T14:00:00+02:00", "2022-07-19T23:00:00.750-03:00", "2022-07-20T00:00:00+00:00"],
-    ["July", 5, None, "2022-07-20T12:00:00", "20220720T120000Z", "2022-07-20T12:00:00.75Z"],
+    ["July", 5, None, "2022-07-20T12:00:00", "20220720T120000Z", "2022-07-20T12:00:00.75Z",
+     "2022-02-30T12:00:00Z", "2022-07-20T24:00:00Z", "2022-07-20T23:59:60Z"],
 )
-REF_TICKERS = (["GS", "HSBC"], ["BRK-B", ""], [5, None, ["GS"]])
-REF_IDS = ["a", "b", "c", "d", "e", "f", "zz"]
+REF_TICKERS = (["GS", "HSBC"], ["BRK-B", "", "日本"], [5, None, ["GS"]])
+# Each awkward string is written raw or escaped, as a line's ensure_ascii falls.
+REF_IDS = ["a", "b", "c", "d", "e", "f", "zz", *AWKWARD_STRINGS]
 
 
 def pick(rng, pieces):
@@ -746,7 +767,7 @@ def random_scored_line(rng, used_ids):
     label, score = pick(rng, REF_LABELS), pick(rng, REF_SCORES)
     try:
         composite = {"positive": 1, "neutral": 0, "negative": -1}[label] * float(score)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         composite = 0.5
     roll = rng.random()
     if roll < 0.03:
@@ -775,28 +796,39 @@ def random_scored_line(rng, used_ids):
     if rng.random() < 0.2:
         rng.shuffle(items)
     used_ids.append(doc_id)
-    return json.dumps(dict(items))
+    # json.dumps's text, a Number's as it stands, so a line may be in the form score_corpus writes.
+    ascii_only = rng.random() < 0.5
+    return "{" + ", ".join(
+        f"{json.dumps(name)}: {value if type(value) is Number else json.dumps(value, ensure_ascii=ascii_only)}"
+        for name, value in items) + "}"
 
 
-def test_read_scored_equals_the_field_by_field_reference(tmp_path):
-    """Same records, score signs included, or the same SchemaError on the same line."""
+def test_read_scored_equals_the_field_by_field_reference(tmp_path, monkeypatch):
+    """Same records, score signs included, or the same SchemaError on the same line,
+    whether read_scored matches a line in the written form or decodes it."""
     rng = random.Random(2210_00731)
     path = tmp_path / "scored.jsonl"
     outcomes = set()
+    # The lines read_scored hands to json_line; every other line it reads it matched.
+    decoded, json_line = [], util.json_line
+    monkeypatch.setattr(util, "json_line", lambda line, *args: decoded.append(line) or json_line(line, *args))
     for _ in range(600):
         used_ids = []
-        lines = [random_scored_line(rng, used_ids) for _ in range(rng.randint(1, 6))]
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        lines = [random_scored_line(rng, used_ids) + "\n" for _ in range(rng.randint(1, 6))]
+        path.write_text("".join(lines), encoding="utf-8")
         try:
             expected = reference_read_scored(path)
         except SchemaError as exc:
-            outcomes.add("error")
+            decoded.clear()
             with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
                 list(read_scored(path))
+            lineno = int(str(exc)[len(str(path)) + 1:].split(":")[0])
+            outcomes.add(("error", "decoded" if lines[lineno - 1] in decoded else "matched"))
             continue
-        outcomes.add("read")
+        decoded.clear()
         got = list(read_scored(path))
+        outcomes.update(("read", "decoded" if line in decoded else "matched") for line in lines)
         assert got == expected, lines
         assert [repr(sd.verdict.score) for sd in got] == [repr(sd.verdict.score) for sd in expected], lines
         assert [sd.timestamp.tzinfo for sd in got] == [timezone.utc] * len(got), lines
-    assert outcomes == {"error", "read"}
+    assert outcomes == {(result, kind) for result in ("error", "read") for kind in ("decoded", "matched")}
