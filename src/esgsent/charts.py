@@ -7,9 +7,23 @@ identical input yields byte-identical SVG (golden-file friendly).
 Each day draws a high-low wick plus an open-close body; days that close
 at or above the open get the hollow "up" styling, days that close lower
 are filled "down".
+
+A day's x coordinates and body width depend only on the number of days,
+so the day groups of an n-day chart are formatted once into a template
+(``_day_template``) with %-fields for each day's direction, date and y
+values, and a chart fills it in with one ``%`` operation. The last
+LAYOUTS_KEPT lengths keep their template: ``report`` draws many charts
+of ``price_days`` bars, which would otherwise format the same x text
+again for each ticker. A template holds about 171 characters a day,
+42,713 (about 43 KB) at n = 250; eight 400-day templates hold 0.55 MB.
 """
 
 from __future__ import annotations
+
+from datetime import date
+from functools import lru_cache
+from itertools import chain
+from typing import Iterable
 
 from .market import PriceSeries
 
@@ -23,6 +37,7 @@ PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 N_GRIDLINES = 5
 MIN_BODY_PX = 0.75  # so a doji still draws a visible dash
+LAYOUTS_KEPT = 8  # day layouts cached, one per number of days
 
 _STYLE = """\
   <style>
@@ -35,6 +50,27 @@ _STYLE = """\
     .down rect { fill: #cf222e; stroke: #cf222e; stroke-width: 1.25; }
   </style>
 """
+
+
+@lru_cache(maxsize=LAYOUTS_KEPT)
+def _day_template(n: int) -> str:
+    """The n day groups of an n-day chart, with the wick x, the body x and
+    the body width formatted in, and %-fields for each day's direction,
+    date, y(high), y(low), body top and body height, in that order."""
+    slot = PLOT_W / n
+    body_w = max(1.0, slot * 0.6)
+    width = f"{body_w:.2f}"
+    groups = []
+    for i in range(n):
+        cx = MARGIN_LEFT + (i + 0.5) * slot
+        x = f"{cx:.2f}"
+        groups.append(
+            '  <g class="day %s" data-date="%s">\n'
+            f'    <line class="wick" x1="{x}" y1="%.2f" x2="{x}" y2="%.2f"/>\n'
+            f'    <rect x="{cx - body_w / 2:.2f}" y="%.2f" width="{width}" height="%.2f"/>\n'
+            "  </g>\n"
+        )
+    return "".join(groups)
 
 
 def render_candlestick_svg(series: PriceSeries) -> str:
@@ -50,11 +86,12 @@ def render_candlestick_svg(series: PriceSeries) -> str:
     pad = 0.04 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    def y_of(value: float) -> float:
-        return MARGIN_TOP + (1.0 - (value - lo) / (hi - lo)) * PLOT_H
+    span = hi - lo
+
+    def y_of(values: Iterable[float]) -> list[float]:
+        return [MARGIN_TOP + (1.0 - (v - lo) / span) * PLOT_H for v in values]
 
     slot = PLOT_W / n
-    body_w = max(1.0, slot * 0.6)
     label_step = max(1, (n + 7) // 8)
 
     out: list[str] = []
@@ -73,9 +110,8 @@ def render_candlestick_svg(series: PriceSeries) -> str:
         f'  <rect class="axis" fill="none" x="{MARGIN_LEFT:.2f}" y="{MARGIN_TOP:.2f}" '
         f'width="{PLOT_W:.2f}" height="{PLOT_H:.2f}"/>\n'
     )
-    for i in range(N_GRIDLINES):
-        level = lo + (hi - lo) * i / (N_GRIDLINES - 1)
-        gy = y_of(level)
+    levels = [lo + span * i / (N_GRIDLINES - 1) for i in range(N_GRIDLINES)]
+    for level, gy in zip(levels, y_of(levels)):
         out.append(
             f'  <line class="grid" x1="{MARGIN_LEFT:.2f}" y1="{gy:.2f}" '
             f'x2="{MARGIN_LEFT + PLOT_W:.2f}" y2="{gy:.2f}"/>\n'
@@ -92,23 +128,17 @@ def render_candlestick_svg(series: PriceSeries) -> str:
             f"{series.dates[i].strftime('%m-%d')}</text>\n"
         )
 
-    # One group per trading day: wick line then body rect.
-    width = f"{body_w:.2f}"
-    days = zip(series.dates, series.opens, series.highs, series.lows, series.closes)
-    for i, (day, open_, high, low, close) in enumerate(days):
-        cx = MARGIN_LEFT + (i + 0.5) * slot
-        x = f"{cx:.2f}"
-        direction = "up" if close >= open_ else "down"
-        y_open, y_close = y_of(open_), y_of(close)
-        body_top = min(y_open, y_close)  # y_of falls as the price rises
-        body_h = max(MIN_BODY_PX, abs(y_open - y_close))
-        out.append(f'  <g class="day {direction}" data-date="{day.isoformat()}">\n')
-        out.append(f'    <line class="wick" x1="{x}" y1="{y_of(high):.2f}" x2="{x}" y2="{y_of(low):.2f}"/>\n')
-        out.append(
-            f'    <rect x="{cx - body_w / 2:.2f}" y="{body_top:.2f}" '
-            f'width="{width}" height="{body_h:.2f}"/>\n'
-        )
-        out.append("  </g>\n")
+    # The day groups, filled a column at a time into the layout of n days.
+    y_open, y_close = y_of(series.opens), y_of(series.closes)
+    days = zip(
+        ["up" if close >= open_ else "down" for open_, close in zip(series.opens, series.closes)],
+        map(date.isoformat, series.dates),
+        y_of(series.highs),
+        y_of(series.lows),
+        map(min, y_open, y_close),  # y falls as the price rises
+        [max(MIN_BODY_PX, abs(yo - yc)) for yo, yc in zip(y_open, y_close)],
+    )
+    out.append(_day_template(n) % tuple(chain.from_iterable(days)))
 
     out.append("</svg>\n")
     return "".join(out)

@@ -164,11 +164,12 @@ def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:
     day; then, one ticker at a time, get its series, analyze its days only,
     and write its analysis and chart; then write the summary.
 
-    A ticker whose series is too short gets a note and no files; when no
-    ticker has enough data the run fails with InsufficientData.
+    A ticker whose series is too short gets a note, and no analysis or
+    chart: those an earlier run left are removed. When no ticker has enough
+    data the run fails with InsufficientData before it writes or removes
+    any report file, so the aggregates are written after the loop.
     """
     aggregates = aggregate_by_ticker(table, config.thresholds)
-    write_aggregates(aggregates, config.aggregates_path)
     for agg in aggregates:
         print(
             f"{agg.ticker}: n={agg.n_docs} sum={format_real(agg.sum_composite)} "
@@ -180,12 +181,14 @@ def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:
 
     aggregate_of = {agg.ticker: agg for agg in aggregates}
     results: dict[str, AnalysisResult] = {}
+    short: list[str] = []
     for ticker in config.tickers:
         try:
             series = series_of(ticker)
             result = analyze(table[ticker], series, aggregate_of[ticker])
         except InsufficientData as exc:
             note("insufficient-data", str(exc))
+            short.append(ticker)
             continue
         write_analysis(result, config.analysis_path(ticker))
         atomic_write_text(config.chart_path(ticker), render_candlestick_svg(series))
@@ -199,6 +202,10 @@ def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:
     if not results:
         raise InsufficientData("no ticker had enough data to analyze")
 
+    write_aggregates(aggregates, config.aggregates_path)
+    for ticker in short:
+        config.analysis_path(ticker).unlink(missing_ok=True)
+        config.chart_path(ticker).unlink(missing_ok=True)
     atomic_write_text(config.summary_path, _summary_csv([aggregate_of[t] for t in ranking], results))
     print(f"summary -> {config.summary_path}")
     print(f"charts  -> {config.out / 'charts'}")

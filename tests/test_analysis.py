@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+import random
 import re
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
 from esgsent.aggregation import AffinityClass, TickerAggregate
 from esgsent.analysis import AnalysisResult, SignAgreement, align, analyze, daily_index, pearson, sign_agreement
-from esgsent.charts import MIN_BODY_PX, render_candlestick_svg
+from esgsent.charts import LAYOUTS_KEPT, MIN_BODY_PX, _day_template, render_candlestick_svg
 from esgsent.market import PriceSeries
 
+from chart_reference import reference_render_candlestick_svg
 from conftest import make_series
 
 
@@ -105,9 +107,37 @@ def bodies(svg: str) -> list[float]:
     return [float(h) for h in re.findall(r'<rect x="[^"]+" y="[^"]+" width="[^"]+" height="([^"]+)"/>', svg)]
 
 
-def test_svg_is_deterministic():
-    series = make_series([100.0, 102.5, 101.0, 99.75])
-    assert render_candlestick_svg(series) == render_candlestick_svg(make_series([100.0, 102.5, 101.0, 99.75]))
+def random_series(rng: random.Random, n: int, kind: str) -> PriceSeries:
+    """n bars of a random walk from a price between 0.01 and 1e6: "walk" has
+    some dojis, "doji" opens and closes each day at one price, "flat" has
+    every price equal (hi == lo)."""
+    price = 10 ** rng.uniform(-2, 6)
+    opens, highs, lows, closes = [], [], [], []
+    for _ in range(n):
+        open_ = price
+        close = open_ if kind in ("flat", "doji") or rng.random() < 0.1 else open_ * rng.uniform(0.95, 1.05)
+        spread = 0.0 if kind == "flat" else rng.uniform(0.0, 0.03)
+        opens.append(open_)
+        closes.append(close)
+        highs.append(max(open_, close) * (1 + spread))
+        lows.append(min(open_, close) * (1 - spread))
+        price = close
+    dates = tuple(date(2021, 1, 1) + timedelta(days=i) for i in range(n))
+    return PriceSeries("GS", dates, tuple(opens), tuple(highs), tuple(lows), tuple(closes), (1,) * n)
+
+
+def test_render_matches_the_per_day_reference_byte_for_byte():
+    rng = random.Random(30)
+    # Lengths that hit the per-length layout cache and miss it, then more distinct ones than it keeps.
+    lengths = [20, 250, 20, 7, 250, 1, 2, 3, 40, 250, 1]
+    lengths += rng.sample(range(4, 401), 2 * LAYOUTS_KEPT) + [20, 7]
+    _day_template.cache_clear()
+    for n in lengths:
+        for kind in ("walk", "doji", "flat"):
+            series = random_series(rng, n, kind)
+            assert render_candlestick_svg(series) == reference_render_candlestick_svg(series), (n, kind)
+    cache = _day_template.cache_info()
+    assert cache.hits and cache.misses > LAYOUTS_KEPT
 
 
 def test_doji_body_is_drawn_at_least_min_body_px():

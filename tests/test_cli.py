@@ -698,6 +698,20 @@ def test_report_without_a_price_file_notes_the_ticker_naming_run(tmp_path, capsy
     assert run_cli(["report", *report_flags(tmp_path)]) == 0
     assert stderr_lines(capsys) == [
         f"note[insufficient-data]: GS: no price data at {tmp_path / 'prices' / 'GS.csv'} (run 'run' first)"]
+    # As a fresh run leaves a noted ticker: no analysis and no chart of the earlier run stay.
+    assert [path.name for path in (tmp_path / "analysis").iterdir()] == ["AMZN.json"]
+    assert [path.name for path in (tmp_path / "charts").iterdir()] == ["AMZN.svg"]
+
+
+def test_report_that_ends_in_insufficient_data_leaves_every_file_in_place(tmp_path, capsys):
+    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
+    before = file_ids(tmp_path)
+    capsys.readouterr()
+    # No document lies in this window, and the prices kept up to its end are too few.
+    assert run_cli(["report", *report_flags(tmp_path, window="2022-07-01:2022-07-04")]) == 4
+    errors = [line for line in stderr_lines(capsys) if line.startswith("error[")]
+    assert errors == ["error[insufficient-data]: no ticker had enough data to analyze"]
+    assert file_ids(tmp_path) == before
 
 
 def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
