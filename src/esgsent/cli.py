@@ -177,7 +177,6 @@ def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:
         )
     ranking = rank_affinity(aggregates)
     print("affinity ranking: " + " > ".join(ranking))
-    print(f"aggregates -> {config.aggregates_path}")
 
     aggregate_of = {agg.ticker: agg for agg in aggregates}
     results: dict[str, AnalysisResult] = {}
@@ -203,6 +202,7 @@ def _report(config: RunConfig, table: Table, series_of: SeriesSource) -> None:
         raise InsufficientData("no ticker had enough data to analyze")
 
     write_aggregates(aggregates, config.aggregates_path)
+    print(f"aggregates -> {config.aggregates_path}")
     for ticker in short:
         config.analysis_path(ticker).unlink(missing_ok=True)
         config.chart_path(ticker).unlink(missing_ok=True)

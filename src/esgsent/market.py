@@ -8,8 +8,8 @@ tuple per column, with no object per trading day.
 
 Percentage change is computed on opening prices, first open to last
 open, and daily returns are open-to-open. That basis is this artifact's
-documented choice; volume is validated and surfaced in reports but
-enters no formula.
+documented choice; volume is validated and written to ``prices/<T>.csv``
+but enters no formula.
 """
 
 from __future__ import annotations

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Mapping
 from datetime import datetime
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from math import copysign
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
@@ -221,13 +219,12 @@ class ScoredDocument(NamedTuple):
                    doc="(source, id) pair, an external verdict's key; unique per ticker in a scored file.")
 
 
-class ExternalVerdicts(Mapping):
-    """Imported verdicts, a read-only mapping of (source, id) keys to verdicts.
+class ExternalVerdicts:
+    """Imported verdicts, looked up by (source, id) key with ``get`` and ``in``.
 
     It holds one dict of ids per source value, in ``Source`` order, so no
-    key tuple is kept per row; it iterates source by source, each in file
-    order. ``get`` and ``in`` answer a key of an unknown source with None
-    and False, as a dict does; ``==`` compares it with any mapping.
+    key tuple is kept per row. ``get`` and ``in`` answer a key of an unknown
+    source with None and False, as a dict does; ``len`` counts the verdicts.
     """
 
     __slots__ = ("_ids_of",)
@@ -239,19 +236,8 @@ class ExternalVerdicts(Mapping):
         ids = self._ids_of.get(key[0])
         return default if ids is None else ids.get(key[1], default)
 
-    def __getitem__(self, key: VerdictKey) -> SentimentVerdict:
-        verdict = self.get(key)
-        if verdict is None:
-            raise KeyError(key)
-        return verdict
-
     def __contains__(self, key: VerdictKey) -> bool:
         return key[1] in self._ids_of.get(key[0], ())
-
-    def __iter__(self) -> Iterator[VerdictKey]:
-        for source, ids in self._ids_of.items():
-            for doc_id in ids:
-                yield source, doc_id
 
     def __len__(self) -> int:
         return sum(map(len, self._ids_of.values()))
@@ -317,7 +303,7 @@ def import_external_verdicts(path: Path) -> ExternalVerdicts:
 def score_corpus(
     docs: Iterable[Document],
     lexicon: Lexicon,
-    external: Optional[Mapping[VerdictKey, SentimentVerdict]],
+    external: ExternalVerdicts | dict[VerdictKey, SentimentVerdict] | None,
     corpus: TextIO,
     scored_file: TextIO,
 ) -> list[ScoredDocument]:
@@ -325,8 +311,8 @@ def score_corpus(
     scored line to ``scored_file``, in one pass in input order; return the
     scored records in that order.
 
-    An external verdict wins when one exists for the document's (source, id)
-    key; the lexicon scores everything else. Both lines open with the same
+    An external verdict wins when ``external.get`` finds one for the
+    document's (source, id) key; the lexicon scores everything else. Both lines open with the same
     id, source, timestamp and ticker text, formatted once. The caller owns
     the two open files: ``run`` writes each ticker's block through one
     ``atomic_open`` pair, so neither file is replaced unless every ticker's
@@ -389,15 +375,14 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
     per ticker: a repeated (ticker, source, id) key is rejected, and a key
     filed under two tickers is read under each. The timestamp follows the
     corpus rule and is converted to UTC. A score or composite may be
-    anything ``float()`` reads, an integer beyond float range excepted. The
-    records of one ticker share one ticker string.
+    anything ``float()`` reads, an integer beyond float range excepted.
     """
     # ticker -> source value -> ids, one set per (ticker, source): no key tuple is kept per
     # line. A str key hashes in C, a Source member in Python.
     seen: dict[str, dict[str, set[str]]] = {}
-    # Key -> (verdict, composite), each built and checked once; verdicts are immutable. The key
-    # is a decoded line's (label, score) pair, a written line's label and score text.
-    verdicts: dict[object, tuple[SentimentVerdict, float]] = {}
+    # A written line's label and score text -> (verdict, composite), each built and checked
+    # once; verdicts are immutable. A decoded line builds its own.
+    verdicts: dict[str, tuple[SentimentVerdict, float]] = {}
     # re keeps the compiled pattern, so a later call does not compile it again.
     for lineno, obj in json_lines(path, re.compile(_WRITTEN_LINE).fullmatch):
         try:
@@ -413,17 +398,13 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
                 if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
                     name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
                     raise SchemaError(f"field {name!r} must be a string")
-                # -0.0 equals 0.0 as a key, so it is never looked up and keeps its sign.
-                cacheable = type(label) is str and type(score) is float and (score or copysign(1.0, score) > 0)
-                key = (label, score) if cacheable else None
+                key = None
             source = _SOURCE_OF.get(source_value)
             if source is None:
                 raise SchemaError(f"unknown source {source_value!r}")
             if not doc_id:
                 raise SchemaError("field 'id' must be non-empty")
             timestamp = _parse_timestamp(raw_timestamp, doc_id)
-            # The lines of one ticker share one key string, as run's documents do.
-            ticker = intern(ticker)
             ids_of = seen.get(ticker)
             if ids_of is None:
                 ids_of = seen[ticker] = {value: set() for value in _SOURCE_OF}

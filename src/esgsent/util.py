@@ -23,9 +23,6 @@ _SCAN_ONCE = json.JSONDecoder().scan_once
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 _FILE_MODE = 0o666 & ~_UMASK
-# Characters atomic_write_text hands to the file at a time. A slice and its
-# encoding take at most 4 bytes per character each: 256 KiB together.
-_WRITE_SLICE = 1 << 15
 
 
 class Record:
@@ -187,12 +184,12 @@ def atomic_open(*paths: Path) -> Iterator[list[TextIO]]:
         raise
 
 
-def _holds_text(path: Path, text: str) -> bool:
+def _holds_text(path: Path, data: bytes) -> bool:
     """Whether the path is already what atomic_write_text would leave: a
-    regular file of mode _FILE_MODE whose bytes are the text's UTF-8.
+    regular file of mode _FILE_MODE whose bytes are ``data``.
 
     A symlink is not followed and a FIFO is not waited on: the type and mode
-    come from fstat of what was opened. The text is compared slice by slice.
+    come from fstat of what was opened.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
@@ -202,15 +199,8 @@ def _holds_text(path: Path, text: str) -> bool:
         info = os.fstat(fd)
         if not stat.S_ISREG(info.st_mode) or stat.S_IMODE(info.st_mode) != _FILE_MODE:
             return False
-        # Every output is ASCII, one byte per character: its size settles most changes.
-        if info.st_size != len(text) and text.isascii():
-            return False
         # A short read, which a regular file does not give, would only make the file be replaced.
-        for i in range(0, len(text), _WRITE_SLICE):
-            data = text[i:i + _WRITE_SLICE].encode("utf-8")
-            if os.read(fd, len(data)) != data:
-                return False
-        return not os.read(fd, 1)
+        return info.st_size == len(data) and os.read(fd, len(data) + 1) == data
     finally:
         os.close(fd)
 
@@ -220,17 +210,16 @@ def atomic_write_text(path: Path, text: str) -> None:
     holds it.
 
     A path that is a regular file with the mode atomic_open gives and
-    exactly the text's bytes is left as it is, with its inode and mtime, so
-    make-style tools see no change; any other file is replaced. The text
-    goes to the file, or is compared with it, in slices of _WRITE_SLICE
-    characters, so its encoding never holds a copy of the whole text.
+    exactly the text's UTF-8 bytes is left as it is, with its inode and
+    mtime, so make-style tools see no change; any other file is replaced.
     """
     path = Path(path)
-    if _holds_text(path, text):
+    data = text.encode("utf-8")
+    if _holds_text(path, data):
         return
     with atomic_open(path) as (handle,):
-        for i in range(0, len(text), _WRITE_SLICE):
-            handle.write(text[i:i + _WRITE_SLICE])
+        # The bytes already compared, written under the text layer, which holds nothing yet.
+        handle.buffer.write(data)
 
 
 def header_error(context: object, expected: list[str], header: list[str]) -> SchemaError:

@@ -523,7 +523,8 @@ def test_an_external_verdict_with_an_empty_id_is_one_schema_error(tmp_path, caps
 
 
 def test_run_prints_each_stage_line_in_order(tmp_path, capsys):
-    # The corpus line comes once the corpus file exists, before the scored count.
+    # The corpus line comes once the corpus file exists, before the scored count; the
+    # aggregates line once aggregates.csv is written, after every ticker's analysis.
     out = tmp_path / "out"
     assert run_golden_pipeline(out) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -535,7 +536,6 @@ def test_run_prints_each_stage_line_in_order(tmp_path, capsys):
         "HSBC: n=7 sum=-3.500000 mean=-0.500000 Averse",
         "TSLA: n=9 sum=2.700000 mean=0.300000 Affine",
         "affinity ranking: GS > AMZN > TSLA > HSBC",
-        f"aggregates -> {out / 'aggregates.csv'}",
         f"GS: 20 trading days -> {out / 'prices' / 'GS.csv'}",
         "GS: change=+7.55% mean=+0.8444 r=+0.9258 Concordant (8 aligned days)",
         f"AMZN: 20 trading days -> {out / 'prices' / 'AMZN.csv'}",
@@ -544,9 +544,41 @@ def test_run_prints_each_stage_line_in_order(tmp_path, capsys):
         "TSLA: change=+10.98% mean=+0.3000 r=+0.8411 Concordant (7 aligned days)",
         f"HSBC: 20 trading days -> {out / 'prices' / 'HSBC.csv'}",
         "HSBC: change=+5.48% mean=-0.5000 r=-0.9535 Discordant (7 aligned days)",
+        f"aggregates -> {out / 'aggregates.csv'}",
         f"summary -> {out / 'summary.csv'}",
         f"charts  -> {out / 'charts'}",
     ]
+
+
+def test_run_flips_a_negated_hit_and_scores_news_on_its_headline(tmp_path):
+    # No golden document holds a negated hit, and every golden news title has its text's polarity.
+    fixtures = tmp_path / "fixtures"
+    (fixtures / "GS").mkdir(parents=True)
+    records = {
+        "tweets": [("t-not", "tweet", "ESG plan is not good", None),
+                   ("t-far", "tweet", "not that plan was good", None)],
+        "news": [("n-mixed", "news", "Heavy losses at the bank this quarter", "Great quarter for the bank")],
+    }
+    for name, rows in records.items():
+        lines = []
+        for hour, (doc_id, source, text, title) in enumerate(rows):
+            record = {"id": doc_id, "source": source, "timestamp": f"2022-07-21T1{hour}:00:00Z", "ticker": "GS",
+                      "text": text, **({} if title is None else {"title": title})}
+            lines.append(json.dumps(record) + "\n")
+        (fixtures / "GS" / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+    write_price_lines(fixtures, "GS", [price_lines("GS")[0], "2022-07-20,300.00,305.00,299.00,304.00,304.00,1000",
+                                       "2022-07-21,304.00,306.00,301.00,302.00,302.00,1000"])
+    out = tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out, tickers="GS")]) == 0
+    verdicts = {line["id"]: (line["label"], line["score"], line["composite"])
+                for line in map(json.loads, (out / "scored.jsonl").read_text(encoding="utf-8").splitlines())}
+    assert verdicts == {
+        # "not" one token before "good" flips it; four tokens before, it is outside NEGATION_WINDOW.
+        "t-not": ("negative", 1.0, -1.0),
+        "t-far": ("positive", 1.0, 1.0),
+        # A news record is scored on its title, not on its text.
+        "n-mixed": ("positive", 1.0, 1.0),
+    }
 
 
 @pytest.mark.parametrize(
@@ -709,8 +741,10 @@ def test_report_that_ends_in_insufficient_data_leaves_every_file_in_place(tmp_pa
     capsys.readouterr()
     # No document lies in this window, and the prices kept up to its end are too few.
     assert run_cli(["report", *report_flags(tmp_path, window="2022-07-01:2022-07-04")]) == 4
-    errors = [line for line in stderr_lines(capsys) if line.startswith("error[")]
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error[")]
     assert errors == ["error[insufficient-data]: no ticker had enough data to analyze"]
+    assert not [line for line in captured.out.splitlines() if line.startswith("aggregates ->")]
     assert file_ids(tmp_path) == before
 
 
