@@ -16,9 +16,9 @@ written, and a scored record once its composite is kept. Every file
 per ticker, in the configured order, each in (timestamp, id) order; they
 are written through one ``atomic_open`` pair, so neither replaces an
 older file unless both were written in full. A bad ``--lexicon`` or
-``--external-verdicts`` fails before any file is written.
-``corpus.jsonl`` is written for audit, one kept ``Document`` per line
-without the fixtures' metadata; no command reads it.
+``--external-verdicts``, or a missing price fixture, fails before any
+file is written. ``corpus.jsonl`` is written for audit, one kept
+``Document`` per line without the fixtures' metadata; no command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
 output directory: it streams ``scored.jsonl`` into the same table (a peak
@@ -106,14 +106,12 @@ def _load_series(config: RunConfig, ticker: str) -> PriceSeries:
 def cmd_ingest(config: RunConfig, ticker: str, transport: ReplayDocumentTransport) -> list[Document]:
     """Fetch and dedupe one ticker's documents; return them in (timestamp, id) order.
 
-    ``fetch_documents`` already keeps only the ticker's documents inside the
-    window, and ``dedupe`` drops a document whose key has a copy of this
-    ticker dated before it, as the narrowing rule of ``corpus`` says. No
-    other ticker's documents are read, so the result does not depend on
-    which other tickers run.
+    ``fetch_documents`` already keeps only the ticker's documents that the
+    narrowing rule of ``corpus`` keeps, and ``dedupe`` drops their
+    duplicates. No other ticker's documents are read, so the result does
+    not depend on which other tickers run.
     """
-    earlier: set[tuple[str, str]] = set()
-    docs = dedupe(fetch_documents(ticker, config.window, transport, strict=config.strict, earlier=earlier), earlier)
+    docs = dedupe(fetch_documents(ticker, config.window, transport, strict=config.strict))
     print(f"{ticker}: {len(docs)} documents")
     return docs
 
@@ -226,6 +224,9 @@ def cmd_run(config: RunConfig) -> None:
     external = (
         import_external_verdicts(config.external_verdicts) if config.external_verdicts else None
     )
+    prices = ReplayPriceTransport(config.fixtures)
+    for ticker in config.tickers:
+        prices.path(ticker)  # a missing price fixture fails before any file is written
     transport = ReplayDocumentTransport(config.fixtures)
     table: Table = {ticker: {} for ticker in config.tickers}
     n_scored = n_external = 0
@@ -244,9 +245,6 @@ def cmd_run(config: RunConfig) -> None:
         note("insufficient-data", "corpus is empty for this window")
     print(f"corpus -> {config.corpus_path}")
     print(f"scored {n_scored} documents ({n_external} external) -> {config.scored_path}")
-    # The verdict map is freed before the report.
-    del external
-    prices = ReplayPriceTransport(config.fixtures)
     _report(config, table, lambda t: _fetch_series(config, prices, t))
 
 

@@ -15,10 +15,11 @@ both, and a ticker's documents do not depend on which other tickers run.
 The narrowing rule: a ticker's document is kept if and only if the
 earliest copy of its key lies in the window. A copy dated before the
 window is earlier than any inside it, and one dated after it never is, so
-``fetch_documents`` collects the (source, id) keys of the ticker's records
-dated before the window's start and ``dedupe`` drops every document whose
-key is among them. A narrower window then keeps exactly the documents of
-a wider one that lie inside it.
+``fetch_documents`` alone applies the rule: it returns the ticker's
+documents inside the window whose (source, id) key has no copy of the
+ticker dated before the window's start. ``dedupe`` then only drops
+duplicates. A narrower window keeps exactly the documents of a wider one
+that lie inside it.
 """
 
 from __future__ import annotations
@@ -254,24 +255,20 @@ def serialize_document(doc: Document) -> str:
     return line_head(doc) + corpus_tail(doc)
 
 
-def dedupe(docs: Iterable[Document], earlier: Iterable[tuple[str, str]] = ()) -> list[Document]:
-    """Drop duplicate (source, id) keys, keeping the earliest record, and
-    every record whose key is in ``earlier``, the keys dated before the window.
+def dedupe(docs: Iterable[Document]) -> list[Document]:
+    """Drop duplicate (source, id) keys, keeping the earliest record.
 
-    The documents are one ticker's, as ``fetch_documents`` returns them, and
-    ``earlier`` is that ticker's set: each ticker is deduped on its own, so
-    across tickers the key is (ticker, source, id). Scanning happens in
-    (timestamp, id) order so the first occurrence in that order wins;
-    output is emitted in the same order, records equal in both in input
-    order. Idempotent.
+    The documents are one ticker's, as ``fetch_documents`` returns them:
+    each ticker is deduped on its own, so across tickers the key is
+    (ticker, source, id). Scanning happens in (timestamp, id) order so the
+    first occurrence in that order wins; output is emitted in the same
+    order, records equal in both in input order. Idempotent.
     """
     # Two stable sorts give the (timestamp, id) order, and one set of ids per
     # source the keys, with no tuple per document.
     ordered = sorted(docs, key=attrgetter("id"))
     ordered.sort(key=attrgetter("timestamp"))
     seen: dict[str, set[str]] = {source.value: set() for source in Source}
-    for source, doc_id in earlier:
-        seen[source].add(doc_id)
     out: list[Document] = []
     for doc in ordered:
         ids = seen[doc.source._value_]
@@ -292,20 +289,19 @@ def fetch_documents(
     transport: ReplayDocumentTransport,
     *,
     strict: bool = False,
-    earlier: Optional[set[tuple[str, str]]] = None,
 ) -> list[Document]:
     """Retrieve this ticker's documents through a transport, in transport order.
 
-    Every returned document matches the ticker and lies inside the window.
-    When ``earlier`` is given, the (source, id) key of each of the ticker's
-    records dated before the window's start is added to it; pass one set
-    per ticker, as each ticker is deduped on its own. The first bad
-    line in read order is a SchemaError naming its fixture file and line.
-    The transport's list is emptied as its lines are parsed, so a line is
-    freed once its document exists. Without strict, each file whose records
-    had unknown fields gets one note naming them and counting the records.
+    Every returned document matches the ticker and lies inside the window,
+    and no record of the ticker with its (source, id) key is dated before
+    the window's start: the narrowing rule. The first bad line in read order
+    is a SchemaError naming its fixture file and line. The transport's list
+    is emptied as its lines are parsed, so a line is freed once its document
+    exists. Without strict, each file whose records had unknown fields gets
+    one note naming them and counting the records.
     """
     docs: list[Document] = []
+    earlier: set[tuple[str, str]] = set()  # the keys of the ticker's records dated before the window
     ignored: dict[Path, Counter[tuple[str, ...]]] = {}
     path = None
     for record_path, lineno, line in drain(transport.fetch(ticker)):
@@ -319,10 +315,10 @@ def fetch_documents(
         if doc.ticker == ticker:
             if window.contains(doc.timestamp):
                 docs.append(doc)
-            elif earlier is not None and doc.timestamp.date() < window.start:
+            elif doc.timestamp.date() < window.start:
                 earlier.add(doc.key)
     for path, counts in ignored.items():
         if counts:
             names = ", ".join(sorted(set().union(*counts)))
             note("schema", f"{path}: ignored unknown field(s) {names} in {counts.total()} record(s)")
-    return docs
+    return [doc for doc in docs if doc.key not in earlier]

@@ -14,13 +14,13 @@ from datetime import datetime
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from math import copysign
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
-from .util import Record, header_error, json_lines, json_value, open_text, read_text
+from .util import Record, header_error, json_line, json_value, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -214,9 +214,7 @@ class ScoredDocument(NamedTuple):
     ticker: str
     verdict: SentimentVerdict
 
-    # Read in C, as Document.key is.
-    key = property(attrgetter("source._value_", "id"),
-                   doc="(source, id) pair, an external verdict's key; unique per ticker in a scored file.")
+    key = Document.key
 
 
 class ExternalVerdicts:
@@ -384,46 +382,56 @@ def read_scored(path: Path) -> Iterator[ScoredDocument]:
     # once; verdicts are immutable. A decoded line builds its own.
     verdicts: dict[str, tuple[SentimentVerdict, float]] = {}
     # re keeps the compiled pattern, so a later call does not compile it again.
-    for lineno, obj in json_lines(path, re.compile(_WRITTEN_LINE).fullmatch):
-        try:
-            if type(obj) is re.Match:
-                doc_id, source_value, raw_timestamp, ticker, key, label, score, stated = obj.groups()
-            else:
-                if type(obj) is not dict:
-                    raise SchemaError(f"scored line must be an object, got {type(obj).__name__}")
-                try:
-                    doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
-                except KeyError as exc:  # itemgetter looks the fields up in order
-                    raise SchemaError(f"missing field {exc.args[0]!r}") from None
-                if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
-                    name = "id" if type(doc_id) is not str else "source" if type(source_value) is not str else "ticker"
-                    raise SchemaError(f"field {name!r} must be a string")
-                key = None
-            source = _SOURCE_OF.get(source_value)
-            if source is None:
-                raise SchemaError(f"unknown source {source_value!r}")
-            if not doc_id:
-                raise SchemaError("field 'id' must be non-empty")
-            timestamp = _parse_timestamp(raw_timestamp, doc_id)
-            ids_of = seen.get(ticker)
-            if ids_of is None:
-                ids_of = seen[ticker] = {value: set() for value in _SOURCE_OF}
-            ids = ids_of[source_value]
-            if doc_id in ids:
-                raise SchemaError(f"duplicate scored line for {(ticker, source_value, doc_id)}")
-            ids.add(doc_id)
-            hit = verdicts.get(key)  # None is never a key
-            if hit is None:
-                member = _LABELS.get(label) if type(label) is str else None
-                # SentimentLabel(label) runs only to word the error for a label that is no label value.
-                verdict = SentimentVerdict(member or SentimentLabel(label), float(score))
-                hit = verdict, verdict.composite
-                if key is not None and len(verdicts) < _VERDICT_CACHE_SIZE:
-                    verdicts[key] = hit
-            if float(stated) != hit[1]:
-                raise SchemaError("composite inconsistent with verdict")
-        # TypeError and ValueError come from reading a label, score or composite of the wrong
-        # kind, OverflowError from a JSON integer score or composite beyond float range.
-        except (SchemaError, InvariantError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        yield _scored_document((doc_id, source, timestamp, ticker, hit[0]))
+    written = re.compile(_WRITTEN_LINE).fullmatch
+    # Lines end at \n, \r or \r\n only, never at U+2028 or U+0085, which may stand raw
+    # inside a JSON string; a line that str.isspace finds blank is skipped but counted.
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            obj = written(line)
+            if obj is None:
+                if line.isspace():
+                    continue
+                obj = json_line(line, path, lineno)  # its SchemaError already names the line
+            try:
+                if type(obj) is re.Match:
+                    doc_id, source_value, raw_timestamp, ticker, key, label, score, stated = obj.groups()
+                else:
+                    if type(obj) is not dict:
+                        raise SchemaError(f"scored line must be an object, got {type(obj).__name__}")
+                    try:
+                        doc_id, source_value, raw_timestamp, ticker, label, score, stated = _scored_items(obj)
+                    except KeyError as exc:  # itemgetter looks the fields up in order
+                        raise SchemaError(f"missing field {exc.args[0]!r}") from None
+                    if type(doc_id) is not str or type(source_value) is not str or type(ticker) is not str:
+                        name = ("id" if type(doc_id) is not str
+                                else "source" if type(source_value) is not str else "ticker")
+                        raise SchemaError(f"field {name!r} must be a string")
+                    key = None
+                source = _SOURCE_OF.get(source_value)
+                if source is None:
+                    raise SchemaError(f"unknown source {source_value!r}")
+                if not doc_id:
+                    raise SchemaError("field 'id' must be non-empty")
+                timestamp = _parse_timestamp(raw_timestamp, doc_id)
+                ids_of = seen.get(ticker)
+                if ids_of is None:
+                    ids_of = seen[ticker] = {value: set() for value in _SOURCE_OF}
+                ids = ids_of[source_value]
+                if doc_id in ids:
+                    raise SchemaError(f"duplicate scored line for {(ticker, source_value, doc_id)}")
+                ids.add(doc_id)
+                hit = verdicts.get(key)  # None is never a key
+                if hit is None:
+                    member = _LABELS.get(label) if type(label) is str else None
+                    # SentimentLabel(label) runs only to word the error for a label that is no label value.
+                    verdict = SentimentVerdict(member or SentimentLabel(label), float(score))
+                    hit = verdict, verdict.composite
+                    if key is not None and len(verdicts) < _VERDICT_CACHE_SIZE:
+                        verdicts[key] = hit
+                if float(stated) != hit[1]:
+                    raise SchemaError("composite inconsistent with verdict")
+            # TypeError and ValueError come from reading a label, score or composite of the wrong
+            # kind, OverflowError from a JSON integer score or composite beyond float range.
+            except (SchemaError, InvariantError, TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            yield _scored_document((doc_id, source, timestamp, ticker, hit[0]))

@@ -59,11 +59,11 @@ class ReplayPriceTransport:
         self.fixtures_dir = Path(fixtures_dir)
 
     def path(self, ticker: str) -> Path:
-        """Where the ticker's price fixture is."""
-        return self.fixtures_dir / ticker / PRICE_FIXTURE
-
-    def fetch(self, ticker: str) -> str:
-        fixture = self.path(ticker)
+        """Where the ticker's price fixture is; a missing one is a TransportError."""
+        fixture = self.fixtures_dir / ticker / PRICE_FIXTURE
         if not fixture.exists():
             raise TransportError(f"no price fixture for {ticker} under {self.fixtures_dir}")
-        return read_text(fixture)
+        return fixture
+
+    def fetch(self, ticker: str) -> str:
+        return read_text(self.path(ticker))

@@ -9,7 +9,7 @@ import stat
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import InputError, SchemaError
 
@@ -105,24 +105,6 @@ def json_line(line: str, path: Path, lineno: int) -> object:
         raise SchemaError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
-def json_lines(path: Path, match: Optional[Callable[[str], object]] = None) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each non-blank line, each value as ``json_line`` gives it.
-
-    Lines end at ``\\n``, ``\\r`` or ``\\r\\n`` only, never at U+2028 or U+0085,
-    which may stand raw inside a JSON string; a line that ``str.isspace``
-    finds blank is skipped but counted. ``match`` is a caller's fast path
-    for a line form it knows: where it gives a line a value other than None,
-    such as an ``re.Match``, that value is yielded and the line is not decoded.
-    """
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            fields = match and match(line)
-            if fields is not None:
-                yield lineno, fields
-            elif not line.isspace():
-                yield lineno, json_line(line, path, lineno)
-
-
 def drain(items: list) -> Iterator:
     """Yield a list's items in order, taking each out of the list as it goes.
 
@@ -135,14 +117,15 @@ def drain(items: list) -> Iterator:
 
 
 def _create_temporary(path: Path) -> tuple[int, str]:
-    """(descriptor, name) of a new file ``<path>.<random hex>.tmp``, opened
-    for writing with the mode open(path, "w") gives: 0o666 less the umask.
+    """(descriptor, name) of a new file ``.<random hex>.tmp`` beside the path,
+    a name that fits wherever the path's does, opened for writing with the
+    mode open(path, "w") gives: 0o666 less the umask.
 
     O_EXCL never opens a file, or follows a link, that is already there: a
     name that exists is passed over for another.
     """
     for _ in range(100):
-        name = f"{path}.{os.urandom(6).hex()}.tmp"
+        name = os.path.join(path.parent, f".{os.urandom(6).hex()}.tmp")
         try:
             return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
         except FileExistsError:

@@ -21,7 +21,7 @@ from typing import Optional
 import pytest
 
 import esgsent
-from esgsent import cli, util
+from esgsent import cli, sentiment
 from esgsent.config import RunConfig
 from esgsent.sentiment import SentimentLabel, SentimentVerdict, read_scored
 from conftest import (FIXTURES_DIR, GOLDEN_TICKERS, INT_DIGIT_LIMIT, JULY_WINDOW, REPO_ROOT, make_doc,
@@ -333,7 +333,7 @@ def test_reading_what_run_wrote_decodes_no_line_as_json(tmp_path, monkeypatch, e
     def decode(line, path, lineno):
         raise AssertionError(f"{path}:{lineno} was decoded as JSON: {line!r}")
 
-    monkeypatch.setattr(util, "json_line", decode)
+    monkeypatch.setattr(sentiment, "json_line", decode)
     scored = list(read_scored(out / "scored.jsonl"))
     assert len(scored) == n_lines > 20
     if external:
@@ -383,6 +383,30 @@ def test_a_bad_line_in_the_last_tickers_news_leaves_every_file_of_the_earlier_ru
     assert len(errors) == 1 and errors[0].startswith(f"error[schema]: {news}:{n_lines}: malformed JSON: "), errors
     assert file_ids(out) == before
     assert not list(out.rglob("*.tmp"))
+
+
+def test_a_missing_price_fixture_leaves_every_file_of_the_earlier_run(tmp_path, capsys):
+    tickers = "AMZN,GS,HSBC,TSLA"
+    fixtures, out = copy_fixtures(tmp_path, keys=tickers.split(",")), tmp_path / "out"
+    assert run_cli(["run", *flags(fixtures, out, tickers=tickers)]) == 0
+    before = file_ids(out)
+    (fixtures / "HSBC" / "prices.csv").unlink()
+    capsys.readouterr()
+    # A narrower window would write a different corpus and other analyses of AMZN and GS, which come first.
+    assert run_cli(["run", *flags(fixtures, out, tickers=tickers, window="2022-07-25:2022-07-29")]) == 3
+    assert stderr_lines(capsys) == [f"error[transport]: no price fixture for HSBC under {fixtures}"]
+    assert file_ids(out) == before
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_a_ticker_key_of_250_characters_runs(tmp_path):
+    # Each output name fits in 255 bytes, analysis/<key>.json the longest, and so must each temporary name.
+    key = "K" * 250
+    fixtures, out = tmp_path / "fixtures", tmp_path / "out"
+    write_wide_fixtures(fixtures, [key], copies=1)
+    assert run_cli(["run", *flags(fixtures, out, tickers=key)]) == 0
+    assert set(file_ids(out)) == {"corpus.jsonl", "scored.jsonl", "aggregates.csv", "summary.csv",
+                                  f"analysis/{key}.json", f"charts/{key}.svg", f"prices/{key}.csv"}
 
 
 def test_report_narrows_the_stored_prices_to_the_window_end_and_price_days(tmp_path):

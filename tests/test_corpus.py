@@ -31,7 +31,7 @@ from esgsent.corpus import (
 from esgsent.errors import SchemaError, TransportError
 from esgsent.sentiment import default_lexicon, score_corpus
 from esgsent.transport import ReplayDocumentTransport
-from esgsent.util import _FILE_MODE, atomic_open, atomic_write_text, drain, json_lines
+from esgsent.util import _FILE_MODE, atomic_open, atomic_write_text, drain, json_line
 
 from conftest import AWKWARD_STRINGS, FIXTURES_DIR, make_doc, run_cli
 
@@ -292,14 +292,6 @@ class TestDedupe:
             # Identity, not equality: among equal (timestamp, id) records the earlier input wins.
             assert [id(doc) for doc in dedupe(docs)] == [id(doc) for doc in expected]
 
-    def test_a_key_in_earlier_is_dropped_even_with_its_only_copy(self):
-        # "a" has one copy in docs; its earlier copy lay before the window and was not fetched.
-        a, b = make_doc("a", day=date(2022, 7, 20)), make_doc("b", day=date(2022, 7, 21))
-        news_a = make_doc("a", source=Source.NEWS, day=date(2022, 7, 22))
-        docs = [b, news_a, a, a]
-        assert dedupe(docs, {("tweet", "a")}) == [b, news_a]
-        assert dedupe(docs, ()) == dedupe(docs) == [a, b, news_a]
-
 
 class TestFilterWindow:
     def test_start_boundary_retained(self, july_window):
@@ -449,6 +441,23 @@ class TestFetchDocuments:
         with atomic_open(*paths) as files:
             assert score_corpus(drain(docs), lexicon, None, *files) == expected and docs == []
 
+    def test_a_key_with_a_copy_before_the_window_is_dropped_even_with_its_only_copy_inside(self, tmp_path, july_window):
+        # News "a" has a copy before the window, news "b" only one after it, and the copy
+        # of news "c" before the window is another ticker's; tweet "a" is another key.
+        tweet_a = json.loads(self._payload("a", "2022-07-24"))
+        tweet_a["source"] = "tweet"
+        transport = self._write_fixture(tmp_path, "HSBC", [
+            self._payload("a", "2022-07-22"), json.dumps(tweet_a), self._payload("a", "2022-07-15"),
+            self._payload("b", "2022-07-21"), self._payload("b", "2022-08-02"),
+            self._payload("c", "2022-07-23"), self._payload("c", "2022-07-10", ticker="GS"),
+        ])
+        docs = fetch_documents("HSBC", july_window, transport)
+        assert [doc.key for doc in docs] == [("tweet", "a"), ("news", "b"), ("news", "c")]
+        # A window that holds the earlier copy keeps the key, as its earliest copy.
+        wider = TimeWindow(date(2022, 7, 15), july_window.end)
+        assert [(doc.key, doc.timestamp.day) for doc in dedupe(fetch_documents("HSBC", wider, transport))] == [
+            (("news", "a"), 15), (("news", "b"), 21), (("news", "c"), 23), (("tweet", "a"), 24)]
+
     def test_other_ticker_records_skipped(self, tmp_path, july_window):
         transport = self._write_fixture(
             tmp_path,
@@ -558,14 +567,14 @@ def assert_replaced(path, before: os.stat_result, expected: bytes) -> None:
 class TestAtomicWriteText:
     def test_a_temporary_name_that_exists_is_passed_over_and_not_followed(self, tmp_path, monkeypatch):
         path = tmp_path / "summary.csv"
-        taken = tmp_path / "summary.csv.000000000000.tmp"
+        taken = tmp_path / ".000000000000.tmp"
         taken.symlink_to(tmp_path / "elsewhere")  # a dangling link, which O_CREAT alone would follow
         names = iter([bytes(6), bytes(6), b"\x01" * 6])
         monkeypatch.setattr(os, "urandom", lambda n: next(names))
         atomic_write_text(path, "GS,3\n")
         assert path.read_bytes() == b"GS,3\n" and stat.S_IMODE(path.stat().st_mode) == _FILE_MODE
         assert taken.is_symlink() and not (tmp_path / "elsewhere").exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv", taken.name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "summary.csv"]
 
     def test_an_identical_file_keeps_its_inode_and_mtime(self, tmp_path):
         path = tmp_path / "summary.csv"
@@ -638,29 +647,6 @@ class TestAtomicWriteText:
         assert path.read_bytes() == text.encode("utf-8")
 
 
-def test_json_lines_skips_blank_lines_and_numbers_the_rest_by_file_line(tmp_path):
-    path = tmp_path / "records.jsonl"
-    path.write_text('{"a": 1}\n\n  \r\n[2]\n"x"', encoding="utf-8")
-    assert list(json_lines(path)) == [(1, {"a": 1}), (4, [2]), (5, "x")]
-
-
-@pytest.mark.parametrize(
-    "bad_line,error",
-    [
-        ('{"a": ', "Expecting value: line 1 column 7 (char 6)"),
-        ('{"id": "bad",', "Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
-        ('{"a": 1} {"b": 2}', "Extra data: line 1 column 10 (char 9)"),
-    ],
-)
-@pytest.mark.parametrize("last", [False, True])
-def test_json_lines_names_the_file_and_line_of_malformed_json(tmp_path, bad_line, error, last):
-    # The position is on the record's own line, whether or not a line break ends it.
-    path = tmp_path / "records.jsonl"
-    path.write_text('{"a": 1}\n\n' + bad_line + ("" if last else '\n{"b": 2}\n'), encoding="utf-8")
-    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: {error}')}$"):
-        list(json_lines(path))
-
-
 # Pieces of lines for the decoder check: what may stand before a value, the
 # value, and what may follow it. \x0b and \x85 are str.isspace but not JSON
 # whitespace; U+0085 and U+2028 inside a string are not line breaks.
@@ -673,18 +659,17 @@ VALUES = [
 AFTER = ["", " ", "\t", " \t ", "\x0b", "\x85", "x", " {\"b\": 2}", ' "two"', "]"]
 
 
-def test_json_lines_decodes_as_json_loads(tmp_path):
+def test_json_line_decodes_as_json_loads(tmp_path):
     """Every line reads as json.loads reads it, or is a SchemaError with its message where json.loads raises."""
     rng = random.Random(2210)
     path = tmp_path / "records.jsonl"
     for _ in range(600):
         line = rng.choice(BEFORE) + rng.choice(VALUES) + rng.choice(AFTER)
-        path.write_text(line + rng.choice(["\n", "\r\n", ""]), encoding="utf-8")
         try:
             expected = json.loads(line)
         except json.JSONDecodeError as exc:
             with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:1: malformed JSON: {exc}')}$"):
-                list(json_lines(path))
+                json_line(line + rng.choice(["\n", ""]), path, 1)
             continue
         # repr tells NaN, -0.0, 1 and 1.0, True and 1 apart, and shows key order.
-        assert repr(list(json_lines(path))) == repr([(1, expected)]), line
+        assert repr(json_line(line + rng.choice(["\n", ""]), path, 1)) == repr(expected), line

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from esgsent.cli import build_parser
+from esgsent.config import PARSERS, RunConfig
 from esgsent.errors import PipelineError
 from esgsent.corpus import Document
 from esgsent.sentiment import default_lexicon, read_scored, score_corpus
@@ -28,9 +29,13 @@ def readme_table(heading: str) -> list[list[str]]:
     return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows[2:]]
 
 
-def parser_subcommands() -> list[str]:
+def subparsers() -> dict[str, argparse.ArgumentParser]:
     (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+    return action.choices
+
+
+def parser_subcommands() -> list[str]:
+    return list(subparsers())
 
 
 def test_parser_has_the_two_subcommands():
@@ -47,6 +52,26 @@ def test_a_deleted_subcommand_is_a_usage_error(capsys, name):
 
 def test_readme_stage_table_lists_the_subcommands():
     assert [row[0] for row in readme_table("Stages")] == [f"`{name}`" for name in parser_subcommands()]
+
+
+def subcommand_flags(name: str) -> set[str]:
+    return {flag for action in subparsers()[name]._actions for flag in action.option_strings}
+
+
+def test_readme_configuration_table_lists_each_config_key_with_its_flag_and_default():
+    rows = readme_table("Configuration")
+    assert [key for key, *_ in rows] == [f"`{key}`" for key in PARSERS]
+    run_flags = subcommand_flags("run")
+    run_only = run_flags - subcommand_flags("report")
+    for (_, flag, _, default), name in zip(rows, PARSERS):
+        option = "--" + name.replace("_", "-")
+        assert option in run_flags
+        assert flag == f"`{option}`" + (" (`run` only)" if option in run_only else ""), flag
+        # A default in backticks is a literal, which the key's parser reads as RunConfig's default.
+        literal = re.fullmatch(r"`([^`]*)`", default)
+        if literal:
+            text = {"true": True, "false": False}.get(literal[1], literal[1])
+            assert PARSERS[name](text) == RunConfig._field_defaults[name], name
 
 
 def test_readme_exit_code_table_lists_each_error_class():

@@ -29,8 +29,8 @@ from esgsent.sentiment import (
     tokenize,
 )
 from esgsent.corpus import Document, Source, _parse_timestamp, format_timestamp, parse_document_payload
-from esgsent import util
-from esgsent.util import atomic_open, json_lines
+from esgsent import sentiment
+from esgsent.util import atomic_open, json_line
 
 from conftest import AWKWARD_STRINGS, make_doc, scored_of
 from tokenize_reference import reference_tokenize
@@ -420,8 +420,16 @@ def score_to(tmp_path, docs, external=None, lexicon=LEX):
         return score_corpus(docs, lexicon, external, corpus, scored)
 
 
+def json_records(path):
+    """(line number, value) of each non-blank line of a JSON-lines file, as json_line decodes it."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isspace():
+                yield lineno, json_line(line, path, lineno)
+
+
 def read_back_corpus(path) -> list[Document]:
-    return [parse_document_payload(payload) for _, payload in json_lines(path)]
+    return [parse_document_payload(payload) for _, payload in json_records(path)]
 
 
 class TestScoreCorpus:
@@ -620,6 +628,37 @@ def read_lines(tmp_path, lines):
     return list(read_scored(path))
 
 
+def test_read_scored_skips_blank_lines_and_numbers_the_rest_by_file_line(tmp_path):
+    # U+2028 and U+0085 may stand raw inside a string and end no line; \x0b is blank to str.isspace.
+    decoded = scored_line("b\x85c", label="negative", composite="-0.5")[:-1] + ', "extra": "\u2028"}'
+    path = tmp_path / "scored.jsonl"
+    text = f'{scored_line("a")}\n\n  \r\n{decoded}\r\n\t\x0b\n{scored_line("d", ticker="日本")}'
+    path.write_text(text, encoding="utf-8")
+    assert [(sd.id, sd.ticker) for sd in read_scored(path)] == [("a", "GS"), ("b\x85c", "GS"), ("d", "日本")]
+    # A bad line after them, matched or decoded, is named by its line in the file.
+    for bad in (scored_line("a"), decoded):
+        path.write_text(f"{text}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"scored\.jsonl:7: duplicate scored line for "):
+            list(read_scored(path))
+
+
+@pytest.mark.parametrize(
+    "bad_line,error",
+    [
+        ('{"a": ', "Expecting value: line 1 column 7 (char 6)"),
+        ('{"id": "bad",', "Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
+        ('{"a": 1} {"b": 2}', "Extra data: line 1 column 10 (char 9)"),
+    ],
+)
+@pytest.mark.parametrize("last", [False, True])
+def test_read_scored_names_the_file_and_line_of_malformed_json(tmp_path, bad_line, error, last):
+    # The position is on the record's own line, whether or not a line break ends it.
+    path = tmp_path / "scored.jsonl"
+    path.write_text(f"{scored_line('a')}\n\n{bad_line}" + ("" if last else f"\n{scored_line('b')}\n"), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: {error}')}$"):
+        list(read_scored(path))
+
+
 class TestScoredLineForms:
     """Forms a scored line may take besides the one write_scored writes, each read as float() reads it."""
 
@@ -745,7 +784,7 @@ def reference_scored_line(path, lineno, obj, seen):
 
 def reference_read_scored(path):
     seen = set()
-    return [reference_scored_line(path, lineno, obj, seen) for lineno, obj in json_lines(path)]
+    return [reference_scored_line(path, lineno, obj, seen) for lineno, obj in json_records(path)]
 
 
 class Number(str):
@@ -828,8 +867,8 @@ def test_read_scored_equals_the_field_by_field_reference(tmp_path, monkeypatch):
     path = tmp_path / "scored.jsonl"
     outcomes = set()
     # The lines read_scored hands to json_line; every other line it reads it matched.
-    decoded, json_line = [], util.json_line
-    monkeypatch.setattr(util, "json_line", lambda line, *args: decoded.append(line) or json_line(line, *args))
+    decoded = []
+    monkeypatch.setattr(sentiment, "json_line", lambda line, *args: decoded.append(line) or json_line(line, *args))
     for _ in range(600):
         used_ids = []
         lines = [random_scored_line(rng, used_ids) + "\n" for _ in range(rng.randint(1, 6))]
