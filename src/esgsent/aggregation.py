@@ -33,14 +33,16 @@ class _ThresholdFields(NamedTuple):
 
 
 class AffinityThresholds(Record, _ThresholdFields):
-    """Mean-composite cutoffs; averse_max < 0 < affine_min."""
+    """Mean-composite cutoffs; -1 <= averse_max < 0 < affine_min <= 1, as a
+    mean composite lies in [-1, 1]."""
 
     __slots__ = ()
 
     def __new__(cls, affine_min: float = DEFAULT_AFFINE_MIN,
                 averse_max: float = DEFAULT_AVERSE_MAX) -> "AffinityThresholds":
-        if not averse_max < 0 < affine_min:
-            raise ValueError(f"thresholds must satisfy averse_max < 0 < affine_min, got ({affine_min}, {averse_max})")
+        if not -1 <= averse_max < 0 < affine_min <= 1:
+            raise ValueError(
+                f"thresholds must satisfy -1 <= averse_max < 0 < affine_min <= 1, got ({affine_min}, {averse_max})")
         return tuple.__new__(cls, (affine_min, averse_max))
 
 

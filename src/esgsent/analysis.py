@@ -10,6 +10,7 @@ rather than fabricated.
 
 from __future__ import annotations
 
+import json
 import math
 from datetime import date
 from enum import Enum
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .aggregation import TickerAggregate
 from .market import PriceSeries, daily_open_returns, percent_change_open
-from .util import atomic_write_text, json_value
+from .util import atomic_write_text
 
 MIN_ALIGNED_DAYS = 3
 
@@ -90,15 +91,9 @@ class AnalysisResult(NamedTuple):
     sign_agreement: SignAgreement
 
     def to_json(self) -> str:
-        """The result as json.dumps(..., ensure_ascii=False, indent=2) writes it, plus a newline.
-
-        Written value by value: the encoder behind ``indent`` leaves a
-        reference cycle per call, and commands run with the collector paused.
-        """
+        """The result as a JSON object of two-space indent, plus a newline."""
         values = self._replace(sign_agreement=self.sign_agreement.value)
-        return "{\n" + ",\n".join(
-            f'  "{name}": {json_value(value)}' for name, value in zip(self._fields, values)
-        ) + "\n}\n"
+        return json.dumps(values._asdict(), ensure_ascii=False, indent=2) + "\n"
 
 
 def analyze(

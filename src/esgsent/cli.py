@@ -49,10 +49,6 @@ Settings come from the flags and the ``--config`` file (see ``config``).
 ``report`` neither scores nor reads fixtures: it has no ``--lexicon``,
 ``--external-verdicts``, ``--fixtures`` or ``--strict``.
 
-A command runs with cyclic garbage collection paused: no stage forms a
-reference cycle per document or per ticker, so the collector would only
-walk live objects. ``main`` restores the collector's state in any case.
-
 Exit codes: 0 success; 2 config error (a bad flag or config file value),
 schema or invariant error (bad input data), or io error (an input file
 that cannot be read or decoded); 3 transport error; 4 insufficient data
@@ -64,7 +60,6 @@ a ``note[<category>]: <message>`` line there.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from array import array
 from datetime import date
@@ -287,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # Paused for the command, which forms no cycle per document or per ticker.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         args.func(resolve_config(args))
     except PipelineError as exc:
@@ -298,9 +290,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if collecting:
-            gc.enable()
     return 0
 
 

@@ -128,7 +128,8 @@ def _thresholds(value: object) -> AffinityThresholds:
         affine, averse = _text(value).split(",")
         return AffinityThresholds(float(affine), float(averse))
     except ValueError as exc:
-        raise ValueError(f"bad thresholds {value!r}: expected AFFINE,AVERSE with AVERSE < 0 < AFFINE") from exc
+        raise ValueError(
+            f"bad thresholds {value!r}: expected AFFINE,AVERSE with -1 <= AVERSE < 0 < AFFINE <= 1") from exc
 
 
 def _path(value: object) -> Path:

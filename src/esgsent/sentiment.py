@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .corpus import _SOURCE_OF, Document, Source, _parse_timestamp, corpus_tail, line_head
 from .errors import InvariantError, SchemaError
-from .util import Record, header_error, json_line, json_value, open_text, read_text
+from .util import Record, header_error, json_line, open_text, read_text
 
 VerdictKey = tuple[str, str]  # (source, id)
 
@@ -332,9 +332,8 @@ def score_corpus(
         cacheable = score or copysign(1.0, score) > 0
         fields = texts.get((label, score)) if cacheable else None
         if fields is None:
-            # Label values need no JSON escaping.
-            composite = json_value(verdict.composite)
-            fields = f'"label": "{label}", "score": {json_value(score)}, "composite": {composite}'
+            # Label values need no JSON escaping; a finite float's repr is its JSON text.
+            fields = f'"label": "{label}", "score": {score!r}, "composite": {verdict.composite!r}'
             if cacheable and len(texts) < _VERDICT_CACHE_SIZE:
                 texts[label, score] = fields
         head = line_head(doc)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 import sys
@@ -13,9 +12,8 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import InputError, SchemaError
 
-# JSON text of a string, a str subclass too, as json_value writes it.
+# JSON text of a string, a str subclass too, as json.dumps(..., ensure_ascii=False) writes it.
 json_str = json.encoder.encode_basestring
-_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
 # (value, end) of the JSON value at an index, as json.loads decodes it, without its three Python frames.
 _SCAN_ONCE = json.JSONDecoder().scan_once
 # The mode open(path, "w") gives a new file, and atomic_open its temporary
@@ -49,21 +47,6 @@ def has_lone_surrogate(text: str) -> bool:
     except UnicodeEncodeError:
         return True
     return False
-
-
-def json_value(value: object) -> str:
-    """JSON text of one value, as json.dumps(value, ensure_ascii=False,
-    separators=(", ", ": ")) writes it.
-
-    Strings, ints and finite floats, the fields of almost every line, are
-    written directly; anything else goes through one shared encoder.
-    """
-    kind = type(value)
-    if kind is str:
-        return json_str(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return _ENCODER.encode(value)
 
 
 @contextmanager

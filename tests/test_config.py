@@ -66,6 +66,12 @@ def test_flags_win_over_the_file(tmp_path):
     assert flagged.window == from_file.window
 
 
+def test_thresholds_at_the_ends_of_the_mean_composites_range_are_accepted(tmp_path):
+    path = write_config(tmp_path, thresholds="1,-1")
+    assert config_of("--config", str(path)).thresholds == AffinityThresholds(1.0, -1.0)
+    assert config_of("--thresholds", "1,-1").thresholds == AffinityThresholds(1.0, -1.0)
+
+
 def test_unset_keys_take_the_run_config_defaults(tmp_path):
     config = config_of("--config", str(write_config(tmp_path, window="2022-07-20:2022-07-29")))
     default = RunConfig()
@@ -136,6 +142,13 @@ BAD_VALUES = [
     ("thresholds", {"affine_min": 0.15, "averse_max": -0.15}, None, None),
     ("thresholds", "0.15", ["--thresholds", "0.15"], None),
     ("thresholds", "-0.15,0.15", ["--thresholds=-0.15,0.15"], None),
+    # A mean composite lies in [-1, 1]: a cutoff outside it, such as a percent, classes every ticker Neutral.
+    ("thresholds", "15,-15", ["--thresholds", "15,-15"],
+     "bad thresholds '15,-15': expected AFFINE,AVERSE with -1 <= AVERSE < 0 < AFFINE <= 1"),
+    ("thresholds", "inf,-0.15", ["--thresholds", "inf,-0.15"], None),
+    ("thresholds", "0.15,-1e400", ["--thresholds", "0.15,-1e400"], None),
+    ("thresholds", "1.5,-0.15", ["--thresholds", "1.5,-0.15"], None),
+    ("thresholds", "nan,-0.15", ["--thresholds", "nan,-0.15"], None),
 ]
 
 

@@ -25,7 +25,7 @@ CASES = [
                  (frozenset({"good", "fine"}), frozenset({"good"}), frozenset({"not"})),
                  InvariantError, "terms listed as both positive and negative: good", id="Lexicon"),
     pytest.param(AffinityThresholds, (0.1, -0.1), (-0.1, 0.1),
-                 ValueError, "thresholds must satisfy averse_max < 0 < affine_min, got (-0.1, 0.1)",
+                 ValueError, "thresholds must satisfy -1 <= averse_max < 0 < affine_min <= 1, got (-0.1, 0.1)",
                  id="AffinityThresholds"),
 ]
 

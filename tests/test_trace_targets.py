@@ -24,7 +24,8 @@ def traced_golden_run(tmp: Path, **settings) -> tuple[dict, str]:
     spans = tmp / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     done = subprocess.run([sys.executable, str(REPO_ROOT / "bench" / "traced.py"), "--config", str(config),
-                           "--spans", str(spans)], env=env, cwd=tmp, check=True, capture_output=True, text=True)
+                           "--spans", str(spans)], env=env, cwd=tmp, check=True, capture_output=True,
+                           encoding="utf-8")
     return json.loads(spans.read_text(encoding="utf-8")), done.stdout
 
 
