@@ -21,27 +21,26 @@ file is written. ``corpus.jsonl`` is written for audit, one kept
 ``Document`` per line without the fixtures' metadata; no command reads it.
 
 ``report`` re-runs the last stage on the files ``run`` wrote under the
-output directory: it streams ``scored.jsonl`` into the same table (a peak
-RSS of about 20 MB on the 50,000-record ``bulk-tweets`` benchmark
+output directory: it streams ``scored.jsonl`` into the same table (a
+peak RSS of about 20 MB on the 50,000-record ``bulk-tweets`` benchmark
 workload), keeping the composites by UTC day of each configured ticker
-inside the configured window, before any file is written. ``read_scored``
-matches each line in the form ``run`` writes in one compiled pass, with
-no JSON decode, and decodes any other line; both get the same checks.
-Aggregation runs once on that table, and one per-ticker loop gets a
-ticker's price series, analyzes and charts that ticker over its own days,
-so at most one series is held at a time. Each
-report file, and each price file ``run`` writes, that already holds
-exactly its new bytes with the mode a new file gets is left in place
-with its mtime, so ``make``-style tools see no change: under new
-thresholds the charts and analyses stay. The two JSON-lines files are
-always replaced. ``report`` trusts the scored file to be that of the
-corpus. Both commands keep a ticker's document if and only if the
-earliest copy of its (source, id) key under that ticker lies in the
-window (the narrowing rule of ``corpus``), so ``report`` on a narrower
-window or on fewer tickers keeps what a fresh ``run`` on them keeps. Of
-each price file ``report`` keeps the last
-``price_days`` bars up to the window's end, as ``run`` does: it can
-narrow the stored history but not widen it.
+inside the configured window, before any file is written.
+``read_scored`` matches each line against the one form ``run`` writes in
+one compiled pass; any other non-blank line is an error. Aggregation
+runs once on that table, and one per-ticker loop gets a ticker's price
+series, analyzes and charts that ticker over its own days, so at most
+one series is held at a time. Each report file, and each price file
+``run`` writes, that already holds exactly its new bytes with the mode a
+new file gets is left in place with its mtime, so ``make``-style tools
+see no change: under new thresholds the charts and analyses stay. The
+two JSON-lines files are always replaced. ``report`` trusts the scored
+file to be that of the corpus. Both commands keep a ticker's document if
+and only if the earliest copy of its (source, id) key under that ticker
+lies in the window (the narrowing rule of ``corpus``), so ``report`` on
+a narrower window or on fewer tickers keeps what a fresh ``run`` on them
+keeps. Of each price file ``report`` keeps the last ``price_days`` bars
+up to the window's end, as ``run`` does: it can narrow the stored
+history but not widen it.
 Documents and prices come from recorded fixtures through the replay
 transports; no live transport ships.
 

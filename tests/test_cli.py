@@ -14,20 +14,22 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
 import esgsent
-from esgsent import cli, sentiment
+from esgsent import cli
 from esgsent.config import RunConfig
 from esgsent.sentiment import SentimentLabel, SentimentVerdict, read_scored
-from conftest import (FIXTURES_DIR, GOLDEN_TICKERS, INT_DIGIT_LIMIT, JULY_WINDOW, REPO_ROOT, make_doc,
+from conftest import (AWKWARD_STRINGS, FIXTURES_DIR, GOLDEN_TICKERS, INT_DIGIT_LIMIT, JULY_WINDOW, REPO_ROOT, make_doc,
                       needs_int_digit_limit, run_cli, run_golden_pipeline, scored_of)
 
 JULY = "2022-07-20:2022-07-29"
+# What report says of a scored line that is not in the one form run writes.
+FORM = "not a line in the form 'run' writes"
 # What report writes for GS and AMZN.
 REPORT_FILES = ["aggregates.csv", "summary.csv"] + [
     f"{kind}/{key}.{ext}" for kind, ext in (("analysis", "json"), ("charts", "svg")) for key in ("GS", "AMZN")
@@ -301,10 +303,10 @@ def output_tree(out: Path) -> dict[str, bytes]:
     return {path.relative_to(out).as_posix(): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
 
 
-def golden_run_tree(fixtures: Path, out: Path) -> dict[str, bytes]:
-    """The output tree of the golden run's flags on other fixtures."""
+def golden_run_tree(fixtures: Path, out: Path, *extra: str) -> dict[str, bytes]:
+    """The output tree of the golden run's flags, and any extra ones, on other fixtures."""
     assert run_cli(["run", "--fixtures", str(fixtures), "--out", str(out), "--window", JULY,
-                    "--tickers", GOLDEN_TICKERS]) == 0
+                    "--tickers", GOLDEN_TICKERS, *extra]) == 0
     return output_tree(out)
 
 
@@ -352,47 +354,90 @@ def test_shuffled_fixture_lines_give_the_same_output_tree(tmp_path, seed):
     assert golden_run_tree(fixtures, tmp_path / "shuffled") == golden_run_tree(FIXTURES_DIR, tmp_path / "base")
 
 
+SWAPPED = {"Affine": "Averse", "Averse": "Affine", "Neutral": "Neutral",
+           "Concordant": "Discordant", "Discordant": "Concordant", "Indeterminate": "Indeterminate"}
+
+
+def test_a_lexicon_with_its_polarities_swapped_negates_every_composite(tmp_path):
+    lexicon = tmp_path / "swapped"
+    lexicon.mkdir()
+    shipped = REPO_ROOT / "src" / "esgsent" / "data" / "lexicon"
+    for name, source in (("positive", "negative"), ("negative", "positive"), ("negators", "negators")):
+        shutil.copy(shipped / f"{source}.txt", lexicon / f"{name}.txt")
+    base = golden_run_tree(FIXTURES_DIR, tmp_path / "base")
+    swapped = golden_run_tree(FIXTURES_DIR, tmp_path / "swapped-out", "--lexicon", str(lexicon))
+    assert sorted(swapped) == sorted(base)
+    for rel in base:
+        if rel == "corpus.jsonl" or rel.startswith(("prices/", "charts/")):
+            assert swapped[rel] == base[rel], rel
+    pairs = [(json.loads(a), json.loads(b))
+             for a, b in zip(base["scored.jsonl"].splitlines(), swapped["scored.jsonl"].splitlines(), strict=True)]
+    assert any(a["composite"] for a, _ in pairs)
+    for a, b in pairs:
+        assert b["composite"] == -a["composite"], a
+        # Only the verdict's sign moves: the key, the timestamp and the score stay.
+        assert {**b, "label": None, "composite": None} == {**a, "label": None, "composite": None}, a
+
+    def rows(rel: str) -> list[tuple[dict[str, str], dict[str, str]]]:
+        """Each ticker's row of a CSV in both runs; summary.csv ranks the tickers by mean composite."""
+        a, b = ({row["ticker"]: row for row in csv.DictReader(tree[rel].decode().splitlines())}
+                for tree in (base, swapped))
+        assert sorted(a) == sorted(b) == sorted(GOLDEN_TICKERS.split(",")), rel
+        return [(a[ticker], b[ticker]) for ticker in a]
+
+    for a, b in rows("aggregates.csv"):
+        assert (b["n_docs"], b["classification"]) == (a["n_docs"], SWAPPED[a["classification"]])
+        assert float(b["sum_composite"]) == -float(a["sum_composite"])
+        assert float(b["mean_composite"]) == -float(a["mean_composite"])
+    for a, b in rows("summary.csv"):
+        assert (b["n_docs"], b["percent_change"]) == (a["n_docs"], a["percent_change"])
+        assert (b["classification"], b["sign_agreement"]) == (SWAPPED[a["classification"]], SWAPPED[a["sign_agreement"]])
+        assert float(b["mean_composite"]) == -float(a["mean_composite"])
+    analyses = [rel for rel in base if rel.startswith("analysis/")]
+    assert len(analyses) == 4
+    for rel in analyses:
+        a, b = json.loads(base[rel]), json.loads(swapped[rel])
+        assert a["pearson_r"] is not None, rel
+        assert b == {**a, "mean_composite": -a["mean_composite"], "pearson_r": -a["pearson_r"],
+                     "sign_agreement": SWAPPED[a["sign_agreement"]]}, rel
+
+
+def test_duplicates_and_records_out_of_scope_change_no_output_file(tmp_path):
+    # For each document record, a copy one second later with negative text, and fresh ids
+    # under another ticker, on the day after the window and ten days before it.
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, fixtures)
+    added = kept = 0
+    for path in sorted(fixtures.glob("*/*.jsonl")):
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        kept += len(records)
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in records:
+                later = datetime.fromisoformat(record["timestamp"].replace("Z", "+00:00")) + timedelta(seconds=1)
+                for extra in (
+                    {**record, "timestamp": later.isoformat(), "text": "toxic spill fraud probe",
+                     **({"title": "bank fined"} if "title" in record else {})},
+                    {**record, "id": f"{record['id']}-other", "ticker": "ZZZZ"},
+                    {**record, "id": f"{record['id']}-late", "timestamp": "2022-07-30T12:00:00Z"},
+                    {**record, "id": f"{record['id']}-early", "timestamp": "2022-07-10T12:00:00Z"},
+                ):
+                    handle.write(json.dumps(extra) + "\n")
+                    added += 1
+    assert added == 4 * kept > 100
+    assert golden_run_tree(fixtures, tmp_path / "padded") == golden_run_tree(FIXTURES_DIR, tmp_path / "base")
+
+
 @needs_int_digit_limit
-@pytest.mark.parametrize("command", ["run", "report"])
-def test_an_integer_past_the_digit_limit_is_one_schema_error_naming_file_and_line(tmp_path, capsys, command):
-    fixtures, out = copy_fixtures(tmp_path), tmp_path / "out"
-    assert run_cli(["run", *flags(fixtures, out)]) == 0
-    path = fixtures / "GS" / "tweets.jsonl" if command == "run" else out / "scored.jsonl"
+def test_an_integer_past_the_digit_limit_is_one_schema_error_naming_file_and_line(tmp_path, capsys):
+    fixtures = copy_fixtures(tmp_path)
+    path = fixtures / "GS" / "tweets.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
     lines.insert(1, lines[0][:-1] + ', "x": ' + "7" * (INT_DIGIT_LIMIT + 1) + "}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli([command, *(flags(fixtures, out) if command == "run" else report_flags(out))]) == 2
+    assert run_cli(["run", *flags(fixtures, tmp_path / "out")]) == 2
     errors = stderr_lines(capsys)
     assert len(errors) == 1 and errors[0].startswith(f"error[schema]: {path}:2: malformed JSON: "), errors
     assert f"value has {INT_DIGIT_LIMIT + 1} digits" in errors[0]
-
-
-@pytest.mark.parametrize("external", [False, True])
-def test_reading_what_run_wrote_decodes_no_line_as_json(tmp_path, monkeypatch, external):
-    # read_scored matches each line score_corpus writes without json_line: a change to that
-    # line form would make report decode every line again, slowly but with the same result.
-    fixtures, out = tmp_path / "fixtures", tmp_path / "out"
-    if external:
-        write_wide_fixtures(fixtures, ["W0", "W1"], copies=3)
-        verdicts = tmp_path / "verdicts.csv"
-        write_verdicts(fixtures, verdicts)
-        verdicts.write_text(verdicts.read_text(encoding="utf-8").replace(",neutral,0.5", ",negative,0.0625"),
-                            encoding="utf-8")
-        argv = ["run", *flags(fixtures, out, tickers="W0,W1"), "--external-verdicts", str(verdicts)]
-    else:
-        argv = ["run", *flags(FIXTURES_DIR, out, tickers=GOLDEN_TICKERS)]
-    assert run_cli(argv) == 0
-    n_lines = len((out / "scored.jsonl").read_text(encoding="utf-8").splitlines())
-
-    def decode(line, path, lineno):
-        raise AssertionError(f"{path}:{lineno} was decoded as JSON: {line!r}")
-
-    monkeypatch.setattr(sentiment, "json_line", decode)
-    scored = list(read_scored(out / "scored.jsonl"))
-    assert len(scored) == n_lines > 20
-    if external:
-        assert {sd.verdict for sd in scored} == {SentimentVerdict(SentimentLabel.NEGATIVE, 0.0625)}
 
 
 def test_a_run_that_fails_part_way_leaves_both_json_lines_files(tmp_path, monkeypatch, capsys):
@@ -719,7 +764,7 @@ def test_non_utf8_input_is_one_io_error_naming_the_file(tmp_path, capsys, stage,
         # The fixture file and line are named once.
         ("run", "fixtures/GS/tweets.jsonl", '{"id": "bad",',
          "malformed JSON: Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
-        ("report", "out/scored.jsonl", "scored", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("report", "out/scored.jsonl", "scored", FORM),
     ],
 )
 def test_bad_record_is_one_schema_error_naming_file_and_line(tmp_path, capsys, stage, name, record, problem):
@@ -840,6 +885,46 @@ def test_repeated_scored_line_is_one_schema_error(tmp_path, capsys):
                       f"{tuple(json.loads(lines[0])[k] for k in ('ticker', 'source', 'id'))}"], errors
 
 
+def write_awkward_fixtures(fixtures: Path) -> None:
+    """GS fixtures of one tweet per awkward id, a day apart from 20 July, with GS's prices."""
+    (fixtures / "GS").mkdir(parents=True)
+    shutil.copy(FIXTURES_DIR / "GS" / "prices.csv", fixtures / "GS")
+    texts = ["green bond growth", "toxic spill probe", "clean audit praised"]
+    with open(fixtures / "GS" / "tweets.jsonl", "w", encoding="utf-8") as handle:
+        for i, doc_id in enumerate(AWKWARD_STRINGS):
+            handle.write(json.dumps({"id": doc_id, "source": "tweet", "timestamp": f"2022-07-{20 + i}T10:00:00Z",
+                                     "ticker": "GS", "text": texts[i % 3]}) + "\n")
+
+
+def test_ids_that_run_escapes_read_back_through_report(tmp_path):
+    fixtures, out = tmp_path / "fixtures", tmp_path / "out"
+    write_awkward_fixtures(fixtures)
+    assert run_cli(["run", *flags(fixtures, out, tickers="GS")]) == 0
+    scored = (out / "scored.jsonl").read_text(encoding="utf-8")
+    assert "\\\"" in scored and "\\\\" in scored and "\\u0000" in scored
+    assert [sd.id for sd in read_scored(out / "scored.jsonl")] == AWKWARD_STRINGS
+    written = output_tree(out)
+    assert run_cli(["report", *report_flags(out, tickers="GS")]) == 0
+    assert output_tree(out) == written
+
+
+def test_a_json_line_in_another_form_after_written_ones_is_the_form_error(tmp_path, capsys):
+    fixtures, out = tmp_path / "fixtures", tmp_path / "out"
+    write_awkward_fixtures(fixtures)
+    assert run_cli(["run", *flags(fixtures, out, tickers="GS")]) == 0
+    scored = out / "scored.jsonl"
+    # Split at \n only: an id holds U+2028, which splitlines would split at.
+    lines = [line + "\n" for line in scored.read_text(encoding="utf-8").split("\n")[:-1]]
+    assert len(lines) == len(AWKWARD_STRINGS)
+    # The last line's fields in reverse order: JSON that decodes to the same object.
+    reordered = json.dumps(dict(reversed(json.loads(lines[-1]).items())), ensure_ascii=False) + "\n"
+    assert json.loads(reordered) == json.loads(lines[-1])
+    scored.write_text("".join([*lines[:-1], reordered]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["report", *report_flags(out, tickers="GS")]) == 2
+    assert stderr_lines(capsys) == [f"error[schema]: {scored}:{len(lines)}: {FORM}"]
+
+
 def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
     fixtures = copy_fixtures(tmp_path)
     lines = price_lines("GS")
@@ -853,23 +938,23 @@ def test_non_finite_price_is_one_invariant_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "mangle,message",
     [
-        (lambda obj: 5, "scored line must be an object, got int"),
-        (lambda obj: [obj], "scored line must be an object, got list"),
-        (lambda obj: "id source label score composite", "scored line must be an object, got str"),
-        (lambda obj: {**obj, "source": ["tweet"]}, "field 'source' must be a string"),
-        (lambda obj: {**obj, "id": 5}, "field 'id' must be a string"),
-        (lambda obj: {**obj, "ticker": 5}, "field 'ticker' must be a string"),
+        (lambda obj: 5, FORM),
+        (lambda obj: [obj], FORM),
+        (lambda obj: "id source label score composite", FORM),
+        (lambda obj: {**obj, "source": ["tweet"]}, FORM),
+        (lambda obj: {**obj, "id": 5}, FORM),
+        (lambda obj: {**obj, "ticker": 5}, FORM),
         (lambda obj: {**obj, "source": "blog"}, "unknown source 'blog'"),
         (lambda obj: {**obj, "id": ""}, "field 'id' must be non-empty"),
-        (lambda obj: {k: v for k, v in obj.items() if k != "timestamp"}, "missing field 'timestamp'"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "timestamp"}, FORM),
         (lambda obj: {**obj, "timestamp": "July"}, "document 'tw-gs-0720a': bad timestamp 'July'"),
         (lambda obj: {**obj, "timestamp": "2022-07-20T00:15:00"},
          "document 'tw-gs-0720a': timestamp '2022-07-20T00:15:00' lacks a UTC offset"),
         (lambda obj: {**obj, "label": "bullish"}, "'bullish' is not a valid SentimentLabel"),
         (lambda obj: {**obj, "score": 1.5}, "sentiment score 1.5 outside [0, 1]"),
         (lambda obj: {**obj, "score": -0.25}, "sentiment score -0.25 outside [0, 1]"),
-        (lambda obj: {**obj, "score": "high"}, "could not convert string to float: 'high'"),
-        (lambda obj: {**obj, "composite": "high"}, "could not convert string to float: 'high'"),
+        (lambda obj: {**obj, "score": "high"}, FORM),
+        (lambda obj: {**obj, "composite": "high"}, FORM),
         (lambda obj: {**obj, "composite": obj["composite"] + 0.5}, "composite inconsistent with verdict"),
     ],
     ids=["int", "list", "str", "source-list", "id-int", "ticker-int", "source-unknown", "id-empty",

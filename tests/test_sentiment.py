@@ -29,8 +29,7 @@ from esgsent.sentiment import (
     tokenize,
 )
 from esgsent.corpus import Document, Source, _parse_timestamp, format_timestamp, parse_document_payload
-from esgsent import sentiment
-from esgsent.util import atomic_open, json_line
+from esgsent.util import atomic_open, json_line, json_str
 
 from conftest import AWKWARD_STRINGS, make_doc, scored_of
 from tokenize_reference import reference_tokenize
@@ -630,16 +629,20 @@ def read_lines(tmp_path, lines):
 
 def test_read_scored_skips_blank_lines_and_numbers_the_rest_by_file_line(tmp_path):
     # U+2028 and U+0085 may stand raw inside a string and end no line; \x0b is blank to str.isspace.
-    decoded = scored_line("b\x85c", label="negative", composite="-0.5")[:-1] + ', "extra": "\u2028"}'
+    raw = scored_line("b\x85c", label="negative", composite="-0.5", ticker="G\u2028S")
     path = tmp_path / "scored.jsonl"
-    text = f'{scored_line("a")}\n\n  \r\n{decoded}\r\n\t\x0b\n{scored_line("d", ticker="日本")}'
+    text = f'{scored_line("a")}\n\n  \r\n{raw}\r\n\t\x0b\n{scored_line("d", ticker="日本")}'
     path.write_text(text, encoding="utf-8")
-    assert [(sd.id, sd.ticker) for sd in read_scored(path)] == [("a", "GS"), ("b\x85c", "GS"), ("d", "日本")]
-    # A bad line after them, matched or decoded, is named by its line in the file.
-    for bad in (scored_line("a"), decoded):
+    assert [(sd.id, sd.ticker) for sd in read_scored(path)] == [("a", "GS"), ("b\x85c", "G\u2028S"), ("d", "日本")]
+    # A bad line after them is named by its line in the file.
+    for bad in (scored_line("a"), raw):
         path.write_text(f"{text}\n{bad}\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=r"scored\.jsonl:7: duplicate scored line for "):
             list(read_scored(path))
+
+
+# What read_scored says of a non-blank line that is not in the one form run writes.
+FORM = "not a line in the form 'run' writes"
 
 
 @pytest.mark.parametrize(
@@ -652,37 +655,15 @@ def test_read_scored_skips_blank_lines_and_numbers_the_rest_by_file_line(tmp_pat
 )
 @pytest.mark.parametrize("last", [False, True])
 def test_read_scored_names_the_file_and_line_of_malformed_json(tmp_path, bad_line, error, last):
-    # The position is on the record's own line, whether or not a line break ends it.
+    # Malformed JSON is one more line outside the form, named by its line whether or not a line break ends it.
     path = tmp_path / "scored.jsonl"
     path.write_text(f"{scored_line('a')}\n\n{bad_line}" + ("" if last else f"\n{scored_line('b')}\n"), encoding="utf-8")
-    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: malformed JSON: {error}')}$"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: {FORM}')}$"):
         list(read_scored(path))
 
 
 class TestScoredLineForms:
-    """Forms a scored line may take besides the one write_scored writes, each read as float() reads it."""
-
-    @pytest.mark.parametrize(
-        "label,score,composite,expected",
-        [
-            ("positive", "1", "1", (SentimentLabel.POSITIVE, 1.0)),  # int score and composite
-            ("negative", '"0.25"', '"-0.25"', (SentimentLabel.NEGATIVE, 0.25)),  # numeric strings
-            ("positive", "true", "1.0", (SentimentLabel.POSITIVE, 1.0)),  # bools
-            ("neutral", "false", "false", (SentimentLabel.NEUTRAL, 0.0)),
-            ("neutral", "0", "0", (SentimentLabel.NEUTRAL, 0.0)),
-        ],
-    )
-    def test_non_float_score_reads_as_float(self, tmp_path, label, score, composite, expected):
-        (sd,) = read_lines(tmp_path, [scored_line(label=label, score=score, composite=composite)])
-        assert sd.verdict == SentimentVerdict(*expected)
-        assert type(sd.verdict.score) is float and repr(sd.verdict.score) == repr(expected[1])
-
-    def test_extra_fields_and_reordered_keys(self, tmp_path):
-        line = ('{"composite": -0.5, "extra": [1, {"x": null}], "score": 0.5, "ticker": "GS", "label": "negative", '
-                '"timestamp": "2022-07-20T14:00:00+02:00", "id": "a", "source": "tweet"}')
-        (sd,) = read_lines(tmp_path, [line])
-        assert sd == scored_of(make_doc("a"), SentimentVerdict(SentimentLabel.NEGATIVE, 0.5))
-        assert sd.timestamp.tzinfo is timezone.utc
+    """Lines in the form score_corpus writes, each score and composite read as float() reads it."""
 
     @pytest.mark.parametrize("order", ["negative zero first", "positive zero first"])
     def test_negative_zero_score_keeps_its_sign(self, tmp_path, order):
@@ -699,21 +680,18 @@ class TestScoredLineForms:
         assert a.verdict == b.verdict == SentimentVerdict(SentimentLabel.POSITIVE, 0.5)
         assert c.verdict == SentimentVerdict(SentimentLabel.POSITIVE, 0.25)
 
-    def test_decoded_lines_beside_written_ones_of_one_verdict_each_read_their_own(self, tmp_path):
-        # An extra field keeps a line off the written form, so it is JSON-decoded.
-        decoded = ('{{"id": "{}", "source": "tweet", "timestamp": "2022-07-20T12:00:00Z", "ticker": "GS", '
-                   '"label": "{}", "score": {}, "composite": {}, "extra": 1}}')
-        lines = [scored_line("a"), decoded.format("b", "positive", "0.5", "0.5"),
-                 decoded.format("c", "negative", "0.5", "-0.5"), scored_line("d"),
-                 decoded.format("e", "positive", "5e-1", "0.5")]
-        positive = SentimentVerdict(SentimentLabel.POSITIVE, 0.5)
-        negative = SentimentVerdict(SentimentLabel.NEGATIVE, 0.5)
-        scored = read_lines(tmp_path, lines)
-        assert [sd.verdict for sd in scored] == [positive, positive, negative, positive, positive]
-        assert [sd.verdict.composite for sd in scored] == [0.5, 0.5, -0.5, 0.5, 0.5]
-        # A decoded line's composite is checked against its own verdict, after written lines of that verdict.
-        with pytest.raises(SchemaError, match=r"scored\.jsonl:3: composite inconsistent with verdict$"):
-            read_lines(tmp_path, [scored_line("a"), scored_line("b"), decoded.format("c", "positive", "0.5", "-0.5")])
+    @pytest.mark.parametrize("doc_id", ['a\\"b', "a\\\\b", "\\b\\f\\n\\r\\t", "\\u0000\\u000b\\u001f"])
+    def test_an_id_escape_that_json_str_writes_reads_as_json_loads_reads_it(self, tmp_path, doc_id):
+        (sd,) = read_lines(tmp_path, [scored_line(doc_id)])
+        assert sd.id == json.loads(f'"{doc_id}"')
+        assert f'"{doc_id}"' == json_str(sd.id)
+
+    # Each is JSON for a string that json_str writes otherwise.
+    @pytest.mark.parametrize("doc_id", ["a\\/b", "\\u0009", "\\u000A", "\\u001F", "caf\\u00e9", "\\ud83d\\ude00", "\\u007f"])
+    def test_an_id_escape_that_json_str_does_not_write_is_the_form_error(self, tmp_path, doc_id):
+        json.loads(f'"{doc_id}"')
+        with pytest.raises(SchemaError, match=f"scored\\.jsonl:2: {re.escape(FORM)}$"):
+            read_lines(tmp_path, [scored_line("a"), scored_line(doc_id)])
 
     def test_one_key_under_two_tickers_reads_back_under_each(self, tmp_path):
         lines = [scored_line("a", ticker="GS"), scored_line("a", ticker="AMZN", label="negative", composite="-0.5")]
@@ -731,7 +709,7 @@ class TestScoredLineForms:
             (scored_line("c", source="blog"), "unknown source 'blog'"),
             (scored_line("c", timestamp="2022-07-20"), "document 'c': bad timestamp '2022-07-20'"),
             (scored_line("c", score="1.5", composite="1.5"), "sentiment score 1.5 outside [0, 1]"),
-            (scored_line("c", score="NaN", composite="NaN"), "sentiment score nan outside [0, 1]"),
+            (scored_line("c", score="NaN", composite="NaN"), FORM),
             (scored_line("c", label="Positive"), "'Positive' is not a valid SentimentLabel"),
         ],
     )
@@ -740,26 +718,29 @@ class TestScoredLineForms:
             read_lines(tmp_path, [scored_line("a"), scored_line("b"), "", bad_line])
 
 
-@pytest.mark.parametrize("field", ["score", "composite"])
-def test_an_integer_score_beyond_float_range_is_a_schema_error_in_check_order(tmp_path, field):
-    huge = "1" + "0" * 400
-    with pytest.raises(SchemaError, match=r"scored\.jsonl:2: int too large to convert to float$"):
-        read_lines(tmp_path, [scored_line("a"), scored_line("b", **{field: huge})])
-    # The key is checked before the verdict.
-    with pytest.raises(SchemaError, match=r"scored\.jsonl:2: duplicate scored line for \('GS', 'tweet', 'a'\)$"):
-        read_lines(tmp_path, [scored_line("a"), scored_line("a", **{field: huge})])
+SCORED_FIELDS = ("id", "source", "timestamp", "ticker", "label", "score", "composite")
 
 
-def reference_scored_line(path, lineno, obj, seen):
-    """The field-by-field reader read_scored replaced, kept as the reference for its checks and messages."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}:{lineno}: scored line must be an object, got {type(obj).__name__}")
-    for field_name in ("id", "source", "timestamp", "ticker", "label", "score", "composite"):
-        if field_name not in obj:
-            raise SchemaError(f"{path}:{lineno}: missing field {field_name!r}")
-    for field_name in ("id", "source", "ticker"):
-        if not isinstance(obj[field_name], str):
-            raise SchemaError(f"{path}:{lineno}: field {field_name!r} must be a string")
+def reference_scored_line(path, lineno, line, seen):
+    """A scored line read field by field, the reference for read_scored's checks and messages.
+
+    The line must be the writer's text of the object it decodes to: the seven
+    fields in order with ", " and ": " between them, each string as json_str
+    writes it, the four besides the id needing no escape, and each number with
+    a fraction or an exponent, written as it stands.
+    """
+    try:
+        # parse_float gets the text of each number with a fraction or an exponent.
+        obj = json.loads(line, parse_float=Number)
+    except ValueError:
+        obj = None
+    if (type(obj) is not dict or tuple(obj) != SCORED_FIELDS
+            or [type(obj[name]) for name in SCORED_FIELDS] != [str] * 5 + [Number] * 2
+            or any(json_str(obj[name]) != f'"{obj[name]}"' for name in SCORED_FIELDS[1:5])
+            or line.rstrip("\n") != "{" + ", ".join(
+                f"{json_str(name)}: {value if type(value) is Number else json_str(value)}"
+                for name, value in obj.items()) + "}"):
+        raise SchemaError(f"{path}:{lineno}: {FORM}")
     if obj["source"] not in ("tweet", "news"):
         raise SchemaError(f"{path}:{lineno}: unknown source {obj['source']!r}")
     if obj["id"] == "":
@@ -774,24 +755,25 @@ def reference_scored_line(path, lineno, obj, seen):
     seen.add(key)
     try:
         verdict = SentimentVerdict(SentimentLabel(obj["label"]), float(obj["score"]))
-        stated = float(obj["composite"])
-    except (TypeError, ValueError, OverflowError, InvariantError) as exc:
+    except (ValueError, InvariantError) as exc:
         raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    if stated != verdict.composite:
+    if float(obj["composite"]) != verdict.composite:
         raise SchemaError(f"{path}:{lineno}: composite inconsistent with verdict")
     return ScoredDocument(obj["id"], Source(obj["source"]), timestamp, obj["ticker"], verdict)
 
 
 def reference_read_scored(path):
     seen = set()
-    return [reference_scored_line(path, lineno, obj, seen) for lineno, obj in json_records(path)]
+    with open(path, encoding="utf-8") as handle:
+        return [reference_scored_line(path, lineno, line, seen)
+                for lineno, line in enumerate(handle, start=1) if not line.isspace()]
 
 
 class Number(str):
     """A JSON number's text, which random_scored_line writes as it stands."""
 
 
-# Pieces of a scored line: each good list, then forms that are still read, then bad ones.
+# Pieces of a scored line: each good list, then other values JSON reads, then bad ones.
 REF_LABELS = (["positive", "neutral", "negative"], [], ["Positive", "mixed", 1, None, True, ["positive"], {"positive": 1}])
 REF_SCORES = (
     [0.5, 0.25, 1 / 3, 0.0, 1.0, 1e-7, Number("5E-1"), Number("0.250")],
@@ -811,7 +793,7 @@ REF_IDS = ["a", "b", "c", "d", "e", "f", "zz", *AWKWARD_STRINGS]
 
 
 def pick(rng, pieces):
-    """A good piece mostly, another accepted form often, a bad one sometimes."""
+    """A good piece mostly, another value often, a bad one sometimes."""
     good, other, bad = pieces
     roll = rng.random()
     return rng.choice(bad if roll < 0.06 else other if other and roll < 0.3 else good)
@@ -860,15 +842,11 @@ def random_scored_line(rng, used_ids):
         for name, value in items) + "}"
 
 
-def test_read_scored_equals_the_field_by_field_reference(tmp_path, monkeypatch):
-    """Same records, score signs included, or the same SchemaError on the same line,
-    whether read_scored matches a line in the written form or decodes it."""
+def test_read_scored_equals_the_field_by_field_reference(tmp_path):
+    """Same records, score signs included, or the same SchemaError on the same line."""
     rng = random.Random(2210_00731)
     path = tmp_path / "scored.jsonl"
     outcomes = set()
-    # The lines read_scored hands to json_line; every other line it reads it matched.
-    decoded = []
-    monkeypatch.setattr(sentiment, "json_line", lambda line, *args: decoded.append(line) or json_line(line, *args))
     for _ in range(600):
         used_ids = []
         lines = [random_scored_line(rng, used_ids) + "\n" for _ in range(rng.randint(1, 6))]
@@ -876,16 +854,13 @@ def test_read_scored_equals_the_field_by_field_reference(tmp_path, monkeypatch):
         try:
             expected = reference_read_scored(path)
         except SchemaError as exc:
-            decoded.clear()
             with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
                 list(read_scored(path))
-            lineno = int(str(exc)[len(str(path)) + 1:].split(":")[0])
-            outcomes.add(("error", "decoded" if lines[lineno - 1] in decoded else "matched"))
+            outcomes.add("outside the form" if str(exc).endswith(FORM) else "failed a check")
             continue
-        decoded.clear()
         got = list(read_scored(path))
-        outcomes.update(("read", "decoded" if line in decoded else "matched") for line in lines)
+        outcomes.add("read")
         assert got == expected, lines
         assert [repr(sd.verdict.score) for sd in got] == [repr(sd.verdict.score) for sd in expected], lines
         assert [sd.timestamp.tzinfo for sd in got] == [timezone.utc] * len(got), lines
-    assert outcomes == {(result, kind) for result in ("error", "read") for kind in ("decoded", "matched")}
+    assert outcomes == {"read", "outside the form", "failed a check"}
